@@ -20,9 +20,16 @@ from .errors import InfeasibleSpec, SemlocError
 from .evaluation import QueryEvalRow, ThresholdBuckets, build_eval_report, format_eval_report
 from .geometry import PoseEstimate, pose_error
 from .localizer import LocalizerConfig, localize_query
-from .model_ingest import Dataset, load_dataset, load_ground_truth, validate_dataset
+# load_dataset is not called here; it stays bound because perfbench swaps it by name
+from .model_ingest import Dataset, load_dataset, load_ground_truth, validate_dataset  # noqa: F401
 from .retrieval import RetrievalConfig
-from .semantic_map import SemanticMap, build_semantic_map, load_map_cache, save_map_cache
+from .semantic_map import (
+    SemanticMap,
+    build_semantic_map,
+    load_map_cache,
+    map_inputs_sha256,
+    save_map_cache,
+)
 from .synth import CorruptionSpec, SceneSpec, corrupt, generate_scene
 
 MAP_CACHE_NAME = "semantic_map.npz"
@@ -55,7 +62,6 @@ class PipelineConfig:
             ransac_max_iters=self.ransac_max_iters,
             temp_pose_min_matches=self.temp_pose_min_matches,
             temp_pose_iters=self.temp_pose_iters,
-            rng_seed=self.seed,
         )
 
     def retrieval(self) -> RetrievalConfig:
@@ -98,20 +104,30 @@ def query_rng(seed: int, query_name: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
-def _load_or_build_map(dataset: Dataset, verbose: bool = True) -> SemanticMap:
+def _load_or_build_map(dataset: Dataset) -> SemanticMap:
+    """The cached map when it was built from the dataset's current inputs,
+    else a new build that replaces the cache."""
     cache = dataset.root / MAP_CACHE_NAME
-    if cache.exists():
-        smap = load_map_cache(cache, dataset.class_table, dataset.model)
-        if verbose:
-            print(f"loaded semantic map cache: {len(smap)} points")
+    inputs = map_inputs_sha256(dataset.root)
+    smap = load_map_cache(cache, dataset.class_table, inputs)
+    if smap is not None:
+        print(f"loaded semantic map cache: {len(smap)} points")
         return smap
     smap = build_semantic_map(dataset.model, dataset.db_rasters, dataset.class_table)
-    save_map_cache(smap, cache)
-    if verbose:
-        print(
-            f"built semantic map: {len(smap)} points kept of {len(dataset.model.points)}"
-        )
+    save_map_cache(smap, cache, inputs)
+    print(f"built semantic map: {len(smap)} points kept of {len(dataset.model.points)} ({cache})")
     return smap
+
+
+def _set_up(data_dir: Path) -> tuple[Dataset, SemanticMap] | None:
+    """Read and validate the dataset once, then get its map; None after
+    printing every finding of an invalid dataset."""
+    report = validate_dataset(data_dir)
+    for finding in report.findings:
+        print(f"validation: {finding}", file=sys.stderr)
+    if report.dataset is None:
+        return None
+    return report.dataset, _load_or_build_map(report.dataset)
 
 
 def _pose_to_list(pose: PoseEstimate) -> list[float]:
@@ -153,20 +169,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build_map(args) -> int:
-    report = validate_dataset(Path(args.data))
-    if not report.ok:
-        for finding in report.findings:
-            print(f"validation: {finding}", file=sys.stderr)
-        return 2
-    dataset = load_dataset(Path(args.data))
-    cache = dataset.root / MAP_CACHE_NAME
-    smap = build_semantic_map(dataset.model, dataset.db_rasters, dataset.class_table)
-    save_map_cache(smap, cache)
-    print(
-        f"semantic map: {len(smap)} points kept of {len(dataset.model.points)} "
-        f"({cache})"
-    )
-    return 0
+    return 2 if _set_up(Path(args.data)) is None else 0
 
 
 def cmd_localize(args) -> int:
@@ -187,14 +190,10 @@ def cmd_localize(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
-    data_dir = Path(args.data)
-    report = validate_dataset(data_dir)
-    if not report.ok:
-        for finding in report.findings:
-            print(f"validation: {finding}", file=sys.stderr)
+    setup = _set_up(Path(args.data))
+    if setup is None:
         return 2
-    dataset = load_dataset(data_dir)
-    smap = _load_or_build_map(dataset)
+    dataset, smap = setup
     loc_cfg = cfg.localizer()
     ret_cfg = cfg.retrieval()
 
@@ -245,7 +244,9 @@ def cmd_localize(args) -> int:
         )
     with open(out_dir / "poses.txt", "w") as fh:
         fh.write("".join(line + "\n" for line in pose_lines))
-    payload = {"schema": 1, "config": asdict(cfg), "queries": query_entries}
+    config = asdict(cfg)
+    del config["jobs"]  # --jobs does not change results, so the report leaves it out
+    payload = {"schema": 1, "config": config, "queries": query_entries}
     with open(out_dir / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -283,19 +284,7 @@ def cmd_evaluate(args) -> int:
     for name in sorted(gt):
         entry = meta.get(name, {})
         est = estimated.get(name)
-        if est is None:
-            rows.append(
-                QueryEvalRow(
-                    name=name,
-                    t_err_m=None,
-                    r_err_deg=None,
-                    inliers=entry.get("inliers", 0),
-                    used_fallback=entry.get("used_fallback", False),
-                    condition=entry.get("condition", "day"),
-                )
-            )
-            continue
-        t_err, r_err = pose_error(est, gt[name])
+        t_err, r_err = pose_error(est, gt[name]) if est is not None else (None, None)
         rows.append(
             QueryEvalRow(
                 name=name,
@@ -317,17 +306,7 @@ def cmd_evaluate(args) -> int:
         },
         "overall": list(report.overall),
         "per_condition": {k: list(v) for k, v in report.per_condition.items()},
-        "queries": [
-            {
-                "name": r.name,
-                "t_err_m": r.t_err_m,
-                "r_err_deg": r.r_err_deg,
-                "inliers": r.inliers,
-                "used_fallback": r.used_fallback,
-                "condition": r.condition,
-            }
-            for r in report.rows
-        ],
+        "queries": [asdict(r) for r in report.rows],
     }
     with open(run_dir / "eval_report.json", "w") as fh:
         json.dump(out, fh, indent=2, sort_keys=True)

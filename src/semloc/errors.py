@@ -29,6 +29,10 @@ class TruncatedFile(SemlocError):
     """A binary file ends before the payload its header promises."""
 
 
+class InvalidDataset(SemlocError):
+    """A dataset directory has validation findings; the message lists them all."""
+
+
 class DimMismatch(SemlocError):
     """Descriptor dimensionalities disagree between two operands."""
 

@@ -30,15 +30,6 @@ class CameraIntrinsics:
     width: int
     height: int
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
-    def contains(self, px: np.ndarray) -> bool:
-        """True if the pixel lies inside [0, width) x [0, height)."""
-        return 0.0 <= px[0] < self.width and 0.0 <= px[1] < self.height
-
 
 @dataclass(frozen=True, eq=False)
 class PoseEstimate:

@@ -65,7 +65,6 @@ class LocalizerConfig:
     ransac_max_iters: int = 10000
     temp_pose_min_matches: int = 12
     temp_pose_iters: int = 500
-    rng_seed: int = 0
 
 
 @dataclass(eq=False)
@@ -315,10 +314,6 @@ def weighted_ransac_pnp(
     return refined, final_count
 
 
-def _with_score(candidate: ScoredCandidate, score: int) -> ScoredCandidate:
-    return replace(candidate, score=score)
-
-
 def localize_query(
     query: QueryRecord,
     smap: SemanticMap,
@@ -354,7 +349,7 @@ def localize_query(
         candidates.append(ScoredCandidate(image_id, matches, temp, score))
 
     weight_source = (
-        [_with_score(c, 1) for c in candidates] if uniform_weights else candidates
+        [replace(c, score=1) for c in candidates] if uniform_weights else candidates
     )
     weighted, used_fallback = assign_weights(weight_source)
     if not weighted:

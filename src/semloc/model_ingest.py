@@ -17,13 +17,15 @@ train-id convention, void = 255. Binary sidecar formats are little-endian:
 f32[count*2]; .gdsc = "GDSC" u32-dim f32[dim].
 
 Nothing here repairs data silently except the unit renormalization of
-global descriptors; every other deviation raises or lands in the
-validation report.
+global descriptors; every other deviation, a non-finite number included,
+raises or lands in the validation report.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from .errors import (
     BadMagic,
     ConsistencyError,
     DimensionMismatch,
+    InvalidDataset,
     ParseError,
     TruncatedFile,
     UnknownLabel,
@@ -58,12 +61,6 @@ class ClassTable:
     def is_dynamic(self, label: int) -> bool:
         return label in self.dynamic_ids
 
-    def is_valid(self, label: int) -> bool:
-        return label == self.void_id or 0 <= label < len(self.names)
-
-    def static_ids(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.names)) if i not in self.dynamic_ids)
-
 
 @dataclass(frozen=True, eq=False)
 class LabelRaster:
@@ -74,13 +71,13 @@ class LabelRaster:
     labels: np.ndarray  # (height, width) uint8
 
     def at(self, px) -> int:
-        """Label at the nearest pixel (round-half-up); raises IndexError
-        outside the raster."""
-        x = int(np.floor(px[0] + 0.5))
-        y = int(np.floor(px[1] + 0.5))
+        """Label at the nearest pixel (round-half-up, the last half pixel
+        of each axis clamped onto the last column or row); raises
+        IndexError outside [0, width) x [0, height)."""
+        x, y = float(px[0]), float(px[1])
         if not (0 <= x < self.width and 0 <= y < self.height):
-            raise IndexError(f"pixel ({px[0]}, {px[1]}) outside {self.width}x{self.height}")
-        return int(self.labels[y, x])
+            raise IndexError(f"pixel ({x}, {y}) outside {self.width}x{self.height}")
+        return int(self.labels[min(int(y + 0.5), self.height - 1), min(int(x + 0.5), self.width - 1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +107,6 @@ class DbImageRecord:
     pose: PoseEstimate
     keypoints: np.ndarray  # (n, 2) float64 pixels
     point3d_ids: np.ndarray  # (n,) int64, NO_POINT when untracked
-    condition_tag: str | None = None
 
 
 @dataclass(eq=False)
@@ -153,11 +149,14 @@ class Dataset:
 
 @dataclass
 class ValidationReport:
-    ok: bool = True
     findings: list[str] = field(default_factory=list)
+    dataset: Dataset | None = None  # the loaded dataset, when there are no findings
+
+    @property
+    def ok(self) -> bool:
+        return not self.findings
 
     def add(self, finding: str) -> None:
-        self.ok = False
         self.findings.append(finding)
 
 
@@ -169,6 +168,25 @@ def _data_lines(path: Path):
             if not stripped or stripped.startswith("#"):
                 continue
             yield lineno, stripped
+
+
+def _require_finite(where, what: str, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ParseError(f"{where}: non-finite {what}")
+
+
+def _pinhole(where: str, width: int, height: int, params) -> CameraIntrinsics:
+    fx, fy, cx, cy = params
+    _require_finite(where, "intrinsics", params)
+    if not (fx > 0 and fy > 0 and 0 < cx < width and 0 < cy < height):
+        raise ParseError(f"{where}: intrinsics out of range")
+    return CameraIntrinsics(fx, fy, cx, cy, width, height)
+
+
+def _in_frame(kps: np.ndarray, cam: CameraIntrinsics) -> bool:
+    """True when every (x, y) row lies in [0, width) x [0, height)."""
+    x, y = kps[:, 0], kps[:, 1]
+    return bool(np.all((x >= 0) & (x < cam.width) & (y >= 0) & (y < cam.height)))
 
 
 def load_cameras(path: Path) -> dict[int, CameraIntrinsics]:
@@ -186,12 +204,9 @@ def load_cameras(path: Path) -> dict[int, CameraIntrinsics]:
             raise ParseError(f"{path}:{lineno}: unsupported camera model {model!r}")
         if len(params) != 4:
             raise ParseError(f"{path}:{lineno}: PINHOLE needs 4 params, got {len(params)}")
-        fx, fy, cx, cy = params
-        if fx <= 0 or fy <= 0 or not (0 < cx < width) or not (0 < cy < height):
-            raise ParseError(f"{path}:{lineno}: intrinsics out of range")
         if cam_id in cameras:
             raise ParseError(f"{path}:{lineno}: duplicate camera id {cam_id}")
-        cameras[cam_id] = CameraIntrinsics(fx, fy, cx, cy, width, height)
+        cameras[cam_id] = _pinhole(f"{path}:{lineno}", width, height, params)
     return cameras
 
 
@@ -219,19 +234,22 @@ def load_images(path: Path) -> dict[int, DbImageRecord]:
                 name = parts[9]
                 if image_id in images:
                     raise ParseError(f"{path}:{lineno}: duplicate image id {image_id}")
-                pending = (image_id, name, camera_id, PoseEstimate.from_quaternion(q, t))
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    pose = PoseEstimate.from_quaternion(q, t)
+                _require_finite(f"{path}:{lineno}", "pose", pose.rotation, pose.translation)
+                pending = (image_id, name, camera_id, pose)
             else:
                 # the observation line follows its header and may be empty
                 parts = line.split()
                 if len(parts) % 3 != 0:
                     raise ParseError(f"{path}:{lineno}: keypoint line length not a multiple of 3")
+                n = len(parts) // 3
                 try:
-                    vals = [float(v) for v in parts]
+                    kps = np.array([float(v) for v in parts], dtype=float).reshape(n, 3)[:, :2]
+                    ids = np.array([int(parts[3 * i + 2]) for i in range(n)], dtype=np.int64)
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: bad keypoint line: {exc}") from exc
-                n = len(parts) // 3
-                kps = np.array(vals, dtype=float).reshape(n, 3)[:, :2] if n else np.zeros((0, 2))
-                ids = np.array([int(parts[3 * i + 2]) for i in range(n)], dtype=np.int64)
+                _require_finite(f"{path}:{lineno}", "keypoint", kps)
                 image_id, name, camera_id, pose = pending
                 images[image_id] = DbImageRecord(name, camera_id, pose, kps, ids)
                 pending = None
@@ -255,6 +273,7 @@ def load_points(path: Path) -> dict[int, RawPoint3D]:
             ]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad point3D line: {exc}") from exc
+        _require_finite(f"{path}:{lineno}", "point position", position)
         if point_id in points:
             raise ParseError(f"{path}:{lineno}: duplicate point id {point_id}")
         if len(track) < 2:
@@ -273,10 +292,8 @@ def _check_model_consistency(model: SfmModel) -> None:
             raise ConsistencyError(f"image {image_id} references missing camera {image.camera_id}")
         if len(image.keypoints) != len(image.point3d_ids):
             raise ConsistencyError(f"image {image_id}: keypoint/point3d_id length mismatch")
-        if len(image.keypoints):
-            x, y = image.keypoints[:, 0], image.keypoints[:, 1]
-            if np.any((x < 0) | (x >= cam.width) | (y < 0) | (y >= cam.height)):
-                raise ConsistencyError(f"image {image_id} has keypoints outside the frame")
+        if not _in_frame(image.keypoints, cam):
+            raise ConsistencyError(f"image {image_id} has keypoints outside the frame")
         for kp_idx, pid in enumerate(image.point3d_ids):
             if pid == NO_POINT:
                 continue
@@ -360,7 +377,11 @@ def load_label_raster(
     return LabelRaster(width, height, labels)
 
 
-def _read_binary(path: Path, magic: bytes, header_fields: int) -> tuple[tuple[int, ...], bytes]:
+def _read_sidecar(
+    path: Path, magic: bytes, header_fields: int, floats_per_count: int = 1
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Header fields and f32 payload of a binary sidecar, whose payload
+    holds the product of the header fields times floats_per_count floats."""
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != magic:
         raise BadMagic(f"{path}: expected magic {magic!r}")
@@ -368,38 +389,30 @@ def _read_binary(path: Path, magic: bytes, header_fields: int) -> tuple[tuple[in
     if len(raw) < header_size:
         raise TruncatedFile(f"{path}: header truncated")
     header = struct.unpack(f"<{header_fields}I", raw[4:header_size])
-    return header, raw[header_size:]
+    payload = raw[header_size:]
+    expected = math.prod(header) * floats_per_count
+    if len(payload) < 4 * expected:
+        raise TruncatedFile(f"{path}: expected {expected} floats, payload holds {len(payload) // 4}")
+    if len(payload) > 4 * expected:
+        raise ParseError(f"{path}: {len(payload) - 4 * expected} trailing bytes")
+    values = np.frombuffer(payload, dtype="<f4")
+    _require_finite(path, "value", values)
+    return header, values
 
 
 def load_descriptors(path: Path) -> DescriptorSet:
-    (count, dim), payload = _read_binary(path, b"LDSC", 2)
-    expected = count * dim * 4
-    if len(payload) < expected:
-        raise TruncatedFile(f"{path}: expected {count * dim} floats, payload holds {len(payload) // 4}")
-    if len(payload) > expected:
-        raise ParseError(f"{path}: {len(payload) - expected} trailing bytes")
-    data = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
-    return DescriptorSet(dim=dim, data=data)
+    (count, dim), values = _read_sidecar(path, b"LDSC", 2)
+    return DescriptorSet(dim=dim, data=values.reshape(count, dim))
 
 
 def load_keypoints(path: Path) -> np.ndarray:
-    (count,), payload = _read_binary(path, b"KPTS", 1)
-    expected = count * 2 * 4
-    if len(payload) < expected:
-        raise TruncatedFile(f"{path}: expected {count * 2} floats, payload holds {len(payload) // 4}")
-    if len(payload) > expected:
-        raise ParseError(f"{path}: {len(payload) - expected} trailing bytes")
-    return np.frombuffer(payload, dtype="<f4").reshape(count, 2).astype(np.float64)
+    (count,), values = _read_sidecar(path, b"KPTS", 1, floats_per_count=2)
+    return values.reshape(count, 2).astype(np.float64)
 
 
 def load_global_descriptor(path: Path) -> GlobalDescriptor:
-    (dim,), payload = _read_binary(path, b"GDSC", 1)
-    expected = dim * 4
-    if len(payload) < expected:
-        raise TruncatedFile(f"{path}: expected {dim} floats, payload holds {len(payload) // 4}")
-    if len(payload) > expected:
-        raise ParseError(f"{path}: {len(payload) - expected} trailing bytes")
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    (dim,), values = _read_sidecar(path, b"GDSC", 1)
+    values = values.astype(np.float64)
     norm = np.linalg.norm(values)
     if norm < 1e-12:
         raise ParseError(f"{path}: zero-norm global descriptor")
@@ -444,12 +457,10 @@ def load_query_cameras(path: Path) -> dict[str, CameraIntrinsics]:
             raise ParseError(f"{path}:{lineno}: expected '<name> PINHOLE w h fx fy cx cy'")
         try:
             width, height = int(parts[2]), int(parts[3])
-            fx, fy, cx, cy = (float(v) for v in parts[4:8])
+            params = [float(v) for v in parts[4:8]]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad query camera line: {exc}") from exc
-        if fx <= 0 or fy <= 0 or not (0 < cx < width) or not (0 < cy < height):
-            raise ParseError(f"{path}:{lineno}: intrinsics out of range")
-        cameras[parts[0]] = CameraIntrinsics(fx, fy, cx, cy, width, height)
+        cameras[parts[0]] = _pinhole(f"{path}:{lineno}", width, height, params)
     return cameras
 
 
@@ -467,173 +478,95 @@ def load_ground_truth(path: Path) -> dict[str, PoseEstimate]:
     return poses
 
 
-def load_dataset(root: Path) -> Dataset:
-    """Strict loading of a complete dataset; raises on the first problem.
-
-    Run validate_dataset first for a full report instead of a single error.
-    """
-    root = Path(root)
-    model = load_sfm_model(root / MODEL_SUBDIR)
-    class_table = load_class_table(root / "classes.txt")
-    conditions = load_conditions(root / "conditions.txt")
-
-    db_rasters, db_descriptors, db_global = {}, {}, {}
-    for image_id, image in model.images.items():
-        cam = model.cameras[image.camera_id]
-        base = root / DB_SUBDIR / image.name
-        db_rasters[image_id] = load_label_raster(
-            base.with_name(base.name + ".labels.pgm"), (cam.width, cam.height), class_table
-        )
-        descs = load_descriptors(base.with_name(base.name + ".ldsc"))
-        if descs.rows != len(image.keypoints):
-            raise ConsistencyError(
-                f"{image.name}: {descs.rows} descriptors for {len(image.keypoints)} keypoints"
-            )
-        db_descriptors[image_id] = descs
-        db_global[image_id] = load_global_descriptor(base.with_name(base.name + ".gdsc"))
-        image.condition_tag = conditions.get(image.name)
-
-    queries = []
-    for name, cam in sorted(load_query_cameras(root / "queries.txt").items()):
-        base = root / QUERY_SUBDIR / name
-        kps = load_keypoints(base.with_name(base.name + ".kpts"))
-        if len(kps) and (
-            np.any(kps[:, 0] < 0)
-            or np.any(kps[:, 0] >= cam.width)
-            or np.any(kps[:, 1] < 0)
-            or np.any(kps[:, 1] >= cam.height)
-        ):
-            raise ConsistencyError(f"{name}: keypoints outside the frame")
-        descs = load_descriptors(base.with_name(base.name + ".ldsc"))
-        if descs.rows != len(kps):
-            raise ConsistencyError(f"{name}: {descs.rows} descriptors for {len(kps)} keypoints")
-        queries.append(
-            QueryRecord(
-                name=name,
-                camera=cam,
-                keypoints=kps,
-                descriptors=descs,
-                global_desc=load_global_descriptor(base.with_name(base.name + ".gdsc")),
-                labels=load_label_raster(
-                    base.with_name(base.name + ".labels.pgm"), (cam.width, cam.height), class_table
-                ),
-                condition=conditions.get(name),
-            )
-        )
-    return Dataset(
-        root=root,
-        model=model,
-        class_table=class_table,
-        conditions=conditions,
-        db_rasters=db_rasters,
-        db_descriptors=db_descriptors,
-        db_global=db_global,
-        queries=queries,
-    )
+def _read(report: ValidationReport, label: str, path: Path, loader, missing: str | None = None):
+    """loader(path), or None once the report holds why not: a missing file
+    as "<label>: missing <missing>" when `missing` names it, and anything
+    the loader raises as "<label>: <error>"."""
+    if missing is not None and not path.exists():
+        report.add(f"{label}: missing {missing}")
+        return None
+    try:
+        return loader(path)
+    except Exception as exc:
+        report.add(f"{label}: {exc}")
+        return None
 
 
 def validate_dataset(root: Path) -> ValidationReport:
-    """Check a dataset directory end to end and report every finding."""
+    """Read a dataset directory once, check it end to end and report every
+    finding; with none, the report carries the loaded Dataset.
+
+    The walk stops early only when the model or classes.txt cannot be read.
+    """
     root = Path(root)
     report = ValidationReport()
-
-    try:
-        model = load_sfm_model(root / MODEL_SUBDIR)
-    except Exception as exc:
-        report.add(f"model: {exc}")
+    model = _read(report, "model", root / MODEL_SUBDIR, load_sfm_model)
+    if model is None:
         return report
-    try:
-        class_table = load_class_table(root / "classes.txt")
-    except Exception as exc:
-        report.add(f"classes.txt: {exc}")
+    class_table = _read(report, "classes.txt", root / "classes.txt", load_class_table)
+    if class_table is None:
         return report
-    try:
-        conditions = load_conditions(root / "conditions.txt")
-    except Exception as exc:
-        report.add(f"conditions.txt: {exc}")
-        conditions = {}
-
+    conditions = _read(report, "conditions.txt", root / "conditions.txt", load_conditions) or {}
     local_dims: dict[str, int] = {}
     global_dims: dict[str, int] = {}
 
-    for image_id in sorted(model.images):
-        image = model.images[image_id]
-        cam = model.cameras[image.camera_id]
-        base = root / DB_SUBDIR / image.name
-        raster_path = base.with_name(base.name + ".labels.pgm")
-        if not raster_path.exists():
-            report.add(f"{image.name}: missing label raster")
-        else:
-            try:
-                load_label_raster(raster_path, (cam.width, cam.height), class_table)
-            except Exception as exc:
-                report.add(f"{image.name}: {exc}")
-        ldsc_path = base.with_name(base.name + ".ldsc")
-        if not ldsc_path.exists():
-            report.add(f"{image.name}: missing local descriptors")
-        else:
-            try:
-                descs = load_descriptors(ldsc_path)
-                if descs.rows != len(image.keypoints):
-                    report.add(
-                        f"{image.name}: {descs.rows} descriptors for "
-                        f"{len(image.keypoints)} keypoints"
-                    )
-                local_dims[image.name] = descs.dim
-            except Exception as exc:
-                report.add(f"{image.name}: {exc}")
-        gdsc_path = base.with_name(base.name + ".gdsc")
-        if not gdsc_path.exists():
-            report.add(f"{image.name}: missing global descriptor")
-        else:
-            try:
-                global_dims[image.name] = load_global_descriptor(gdsc_path).dim
-            except Exception as exc:
-                report.add(f"{image.name}: {exc}")
-        if image.name not in conditions:
-            report.add(f"{image.name}: missing condition tag")
-
-    try:
-        query_cams = load_query_cameras(root / "queries.txt")
-    except Exception as exc:
-        report.add(f"queries.txt: {exc}")
-        query_cams = {}
-    for name in sorted(query_cams):
-        cam = query_cams[name]
-        base = root / QUERY_SUBDIR / name
-        kp_count = None
-        for ext, label in ((".kpts", "keypoints"), (".ldsc", "local descriptors"),
-                           (".gdsc", "global descriptor"), (".labels.pgm", "label raster")):
-            path = base.with_name(base.name + ext)
-            if not path.exists():
-                report.add(f"{name}: missing {label}")
-                continue
-            try:
-                if ext == ".kpts":
-                    kp_count = len(load_keypoints(path))
-                elif ext == ".ldsc":
-                    descs = load_descriptors(path)
-                    local_dims[name] = descs.dim
-                    if kp_count is not None and descs.rows != kp_count:
-                        report.add(f"{name}: {descs.rows} descriptors for {kp_count} keypoints")
-                elif ext == ".gdsc":
-                    global_dims[name] = load_global_descriptor(path).dim
-                else:
-                    load_label_raster(path, (cam.width, cam.height), class_table)
-            except Exception as exc:
-                report.add(f"{name}: {exc}")
+    def read_image(directory: Path, name: str, cam: CameraIntrinsics, kps: np.ndarray | None):
+        """(keypoints, descriptors, global descriptor, raster) of one image,
+        in QueryRecord's field order, None where missing or bad; kps None
+        reads a query's .kpts file."""
+        if kps is None:
+            kps = _read(report, name, directory / f"{name}.kpts", load_keypoints, "keypoints")
+            if kps is not None and not _in_frame(kps, cam):
+                report.add(f"{name}: keypoints outside the frame")
+        descs = _read(report, name, directory / f"{name}.ldsc", load_descriptors, "local descriptors")
+        if descs is not None:
+            local_dims[name] = descs.dim
+            if kps is not None and descs.rows != len(kps):
+                report.add(f"{name}: {descs.rows} descriptors for {len(kps)} keypoints")
+        gdesc = _read(report, name, directory / f"{name}.gdsc", load_global_descriptor,
+                      "global descriptor")
+        if gdesc is not None:
+            global_dims[name] = gdesc.dim
+        raster = _read(
+            report, name, directory / f"{name}.labels.pgm",
+            lambda path: load_label_raster(path, (cam.width, cam.height), class_table),
+            "label raster",
+        )
         if name not in conditions:
             report.add(f"{name}: missing condition tag")
+        return kps, descs, gdesc, raster
+
+    db_rasters, db_descriptors, db_global = {}, {}, {}
+    for image_id, image in sorted(model.images.items()):
+        cam = model.cameras[image.camera_id]
+        _, db_descriptors[image_id], db_global[image_id], db_rasters[image_id] = read_image(
+            root / DB_SUBDIR, image.name, cam, image.keypoints
+        )
+    query_cams = _read(report, "queries.txt", root / "queries.txt", load_query_cameras) or {}
+    queries = [
+        QueryRecord(name, cam, *read_image(root / QUERY_SUBDIR, name, cam, None), conditions.get(name))
+        for name, cam in sorted(query_cams.items())
+    ]
 
     for dims, kind in ((local_dims, "local"), (global_dims, "global")):
-        if len(set(dims.values())) > 1:
-            counts: dict[int, int] = {}
-            for d in dims.values():
-                counts[d] = counts.get(d, 0) + 1
-            majority = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+        counts = Counter(dims.values())
+        if len(counts) > 1:
+            majority = min(counts, key=lambda d: (-counts[d], d))
             for name in sorted(dims):
                 if dims[name] != majority:
-                    report.add(
-                        f"{name}: {kind} descriptor dim {dims[name]} != majority {majority}"
-                    )
+                    report.add(f"{name}: {kind} descriptor dim {dims[name]} != majority {majority}")
+
+    if report.ok:
+        report.dataset = Dataset(
+            root, model, class_table, conditions, db_rasters, db_descriptors, db_global, queries
+        )
     return report
+
+
+def load_dataset(root: Path) -> Dataset:
+    """The dataset validate_dataset loads; raises InvalidDataset listing
+    every finding when there are any."""
+    report = validate_dataset(root)
+    if report.dataset is None:
+        raise InvalidDataset(f"{root}: " + "; ".join(report.findings))
+    return report.dataset

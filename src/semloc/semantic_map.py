@@ -10,6 +10,9 @@ viewing geometry is degenerate.
 
 from __future__ import annotations
 
+import hashlib
+import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +20,9 @@ import numpy as np
 
 from .errors import DegenerateGeometry
 from .geometry import PoseEstimate, camera_center
-from .model_ingest import ClassTable, LabelRaster, RawPoint3D, SfmModel
+from .model_ingest import DB_SUBDIR, MODEL_SUBDIR, ClassTable, LabelRaster, RawPoint3D, SfmModel
+
+MAP_CACHE_VERSION = 2  # stored in every cache; bump it when the map build or the layout changes
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,11 +41,9 @@ class SemanticMap:
     """Immutable collection of labeled points with packed arrays for
     vectorized visibility tests and projection."""
 
-    def __init__(self, points: list[SemanticPoint], class_table: ClassTable,
-                 source_model: SfmModel | None = None):
+    def __init__(self, points: list[SemanticPoint], class_table: ClassTable):
         self.points = points
         self.class_table = class_table
-        self.source_model = source_model
         self._index = {p.id: i for i, p in enumerate(points)}
         n = len(points)
         self.ids = np.array([p.id for p in points], dtype=np.int64)
@@ -56,9 +59,6 @@ class SemanticMap:
 
     def __contains__(self, point_id: int) -> bool:
         return point_id in self._index
-
-    def get(self, point_id: int) -> SemanticPoint:
-        return self.points[self._index[point_id]]
 
     def position_of(self, point_id: int) -> np.ndarray:
         return self.positions[self._index[point_id]]
@@ -160,38 +160,74 @@ def build_semantic_map(
                 track_len=len(raw.track),
             )
         )
-    return SemanticMap(points, class_table, source_model=model)
+    return SemanticMap(points, class_table)
 
 
-def save_map_cache(smap: SemanticMap, path: Path) -> None:
-    """Binary cache of the map arrays; round-trips exactly."""
-    np.savez(
-        path,
-        ids=smap.ids,
-        positions=smap.positions,
-        labels=smap.labels,
-        d_lower=smap.d_lower,
-        d_upper=smap.d_upper,
-        v_mid=smap.v_mid,
-        theta=smap.theta,
-        track_len=np.array([p.track_len for p in smap.points], dtype=np.int64),
-    )
+def map_inputs_sha256(root: Path) -> str:
+    """Digest of the files a semantic map is built from: the model, the
+    database label rasters and classes.txt."""
+    digest = hashlib.sha256()
+    files = [
+        *sorted((root / MODEL_SUBDIR).glob("*")),
+        *sorted((root / DB_SUBDIR).glob("*.labels.pgm")),
+        root / "classes.txt",
+    ]
+    for path in files:
+        if path.is_file():
+            data = path.read_bytes()
+            digest.update(f"{path.relative_to(root)}\0{len(data)}\0".encode())
+            digest.update(data)
+    return digest.hexdigest()
 
 
-def load_map_cache(path: Path, class_table: ClassTable,
-                   source_model: SfmModel | None = None) -> SemanticMap:
-    with np.load(path) as data:
-        points = [
-            SemanticPoint(
-                id=int(data["ids"][i]),
-                position=data["positions"][i],
-                label=int(data["labels"][i]),
-                d_lower=float(data["d_lower"][i]),
-                d_upper=float(data["d_upper"][i]),
-                v_mid=data["v_mid"][i],
-                theta=float(data["theta"][i]),
-                track_len=int(data["track_len"][i]),
-            )
-            for i in range(len(data["ids"]))
-        ]
-    return SemanticMap(points, class_table, source_model=source_model)
+def save_map_cache(smap: SemanticMap, path: Path, inputs_sha256: str) -> None:
+    """Binary cache of the map arrays, keyed by the format version and the
+    digest of the inputs the map was built from; round-trips exactly.
+
+    Written to a temporary file that then replaces `path`, so an interrupted
+    write leaves no partial cache behind.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.savez(
+            fh,
+            version=MAP_CACHE_VERSION,
+            inputs_sha256=inputs_sha256,
+            ids=smap.ids,
+            positions=smap.positions,
+            labels=smap.labels,
+            d_lower=smap.d_lower,
+            d_upper=smap.d_upper,
+            v_mid=smap.v_mid,
+            theta=smap.theta,
+            track_len=np.array([p.track_len for p in smap.points], dtype=np.int64),
+        )
+    os.replace(tmp, path)
+
+
+def load_map_cache(path: Path, class_table: ClassTable, inputs_sha256: str) -> SemanticMap | None:
+    """The cached map; None when the cache is missing or unreadable, holds
+    another format version or was built from other inputs."""
+    try:
+        with np.load(path) as data:
+            if (
+                int(data["version"]) != MAP_CACHE_VERSION
+                or str(data["inputs_sha256"]) != inputs_sha256
+            ):
+                return None
+            points = [
+                SemanticPoint(
+                    id=int(data["ids"][i]),
+                    position=data["positions"][i],
+                    label=int(data["labels"][i]),
+                    d_lower=float(data["d_lower"][i]),
+                    d_upper=float(data["d_upper"][i]),
+                    v_mid=data["v_mid"][i],
+                    theta=float(data["theta"][i]),
+                    track_len=int(data["track_len"][i]),
+                )
+                for i in range(len(data["ids"]))
+            ]
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+        return None
+    return SemanticMap(points, class_table)

@@ -1,9 +1,14 @@
 import json
 import shutil
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import semloc.model_ingest as ingest
 from semloc.cli import main
+from semloc.model_ingest import load_descriptors, load_keypoints, validate_dataset
+from semloc.synth import write_descriptors, write_keypoints
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +33,28 @@ def cli_dataset(tmp_path_factory):
     return root, data_dir
 
 
+def _copy(data, dst):
+    """A copy of the dataset without its map cache."""
+    shutil.copytree(data, dst, ignore=shutil.ignore_patterns("semantic_map.npz"))
+    return dst
+
+
+def _first_query(data):
+    return (data / "queries.txt").read_text().split()[0]
+
+
+def _set_images_txt_field(data, line, field, value):
+    """Set one field of the first image in images.txt: of its header
+    (line 0) or of its keypoint line (line 1)."""
+    path = data / "model" / "images.txt"
+    lines = path.read_text().splitlines()
+    i = line + next(i for i, text in enumerate(lines) if text and not text.startswith("#"))
+    parts = lines[i].split()
+    parts[field] = value
+    lines[i] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestPipelineCommands:
     def test_full_chain(self, cli_dataset, capsys):
         root, data = cli_dataset
@@ -50,13 +77,14 @@ class TestPipelineCommands:
 
     def test_deterministic_outputs(self, cli_dataset):
         root, data = cli_dataset
-        run_a, run_b = root / "det_a", root / "det_b"
-        for run in (run_a, run_b):
+        run_a, run_b, run_c = root / "det_a", root / "det_b", root / "det_c"
+        for run, jobs in ((run_a, "3"), (run_b, "3"), (run_c, "1")):
             assert main(
-                ["localize", "--data", str(data), "--out", str(run), "--seed", "9", "--jobs", "3"]
+                ["localize", "--data", str(data), "--out", str(run), "--seed", "9", "--jobs", jobs]
             ) == 0
-        assert (run_a / "poses.txt").read_bytes() == (run_b / "poses.txt").read_bytes()
-        assert (run_a / "report.json").read_bytes() == (run_b / "report.json").read_bytes()
+        for other in (run_b, run_c):
+            assert (run_a / "poses.txt").read_bytes() == (other / "poses.txt").read_bytes()
+            assert (run_a / "report.json").read_bytes() == (other / "report.json").read_bytes()
 
     def test_uniform_weights_flag(self, cli_dataset):
         root, data = cli_dataset
@@ -84,6 +112,103 @@ class TestPipelineCommands:
         code = main(["localize", "--data", str(broken), "--out", str(tmp_path / "run")])
         assert code == 2
         assert "db_002" in capsys.readouterr().err
+
+    def test_each_input_file_parsed_once(self, cli_dataset, tmp_path, monkeypatch):
+        _, data = cli_dataset
+        calls = Counter()
+        for name in ("load_sfm_model", "load_label_raster", "load_descriptors",
+                     "load_keypoints", "load_global_descriptor"):
+            def counted(*args, _fn=getattr(ingest, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(ingest, name, counted)
+        files = [*(data / "db").iterdir(), *(data / "queries").iterdir()]
+        expected = {
+            "load_sfm_model": 1,
+            "load_label_raster": sum(f.name.endswith(".labels.pgm") for f in files),
+            "load_descriptors": sum(f.suffix == ".ldsc" for f in files),
+            "load_keypoints": sum(f.suffix == ".kpts" for f in files),
+            "load_global_descriptor": sum(f.suffix == ".gdsc" for f in files),
+        }
+        data = _copy(data, tmp_path / "ds")
+        for argv in (["build-map"], ["localize", "--out", str(tmp_path / "run")]):
+            calls.clear()
+            assert main([*argv, "--data", str(data)]) == 0
+            assert calls == expected
+
+    def test_stale_map_cache_is_rebuilt(self, cli_dataset, tmp_path):
+        root, data = cli_dataset
+        stale, fresh = _copy(data, tmp_path / "stale"), tmp_path / "fresh"
+        assert main(["build-map", "--data", str(stale)]) == 0
+        for ds in (stale, fresh):
+            spec = str(root / "small.json")
+            assert main(["synth", "--spec", spec, "--out", str(ds), "--seed", "4"]) == 0
+        assert (stale / "semantic_map.npz").exists() and not (fresh / "semantic_map.npz").exists()
+        for ds in (stale, fresh):
+            assert main(["localize", "--data", str(ds), "--out", str(ds / "run"), "--seed", "2"]) == 0
+        assert (stale / "run" / "poses.txt").read_bytes() == (fresh / "run" / "poses.txt").read_bytes()
+
+    def test_unreadable_map_cache_is_rebuilt(self, cli_dataset, tmp_path):
+        _, data = cli_dataset
+        data = _copy(data, tmp_path / "ds")
+        cache = data / "semantic_map.npz"
+        assert main(["localize", "--data", str(data), "--out", str(tmp_path / "want")]) == 0
+        for argv in (["build-map"], ["localize", "--out", str(tmp_path / "run")]):
+            cache.write_bytes(cache.read_bytes()[:100])  # as an interrupted write leaves it
+            assert main([*argv, "--data", str(data)]) == 0
+        assert (tmp_path / "run" / "poses.txt").read_bytes() == (tmp_path / "want" / "poses.txt").read_bytes()
+
+    def test_keypoint_in_last_half_pixel_builds_map(self, cli_dataset, tmp_path):
+        _, data = cli_dataset
+        data = _copy(data, tmp_path / "ds")
+        _set_images_txt_field(data, 1, 0, "639.7")  # nearest pixel rounds to column 640 of 640
+        assert validate_dataset(data).ok
+        assert main(["build-map", "--data", str(data)]) == 0
+
+    @pytest.mark.parametrize("victim", ["images.txt", "db_003.ldsc", "query.kpts"])
+    def test_non_finite_input_exits_2_and_names_file(self, cli_dataset, tmp_path, capsys, victim):
+        _, data = cli_dataset
+        data = _copy(data, tmp_path / "ds")
+        if victim == "images.txt":
+            _set_images_txt_field(data, 0, 5, "nan")  # tx of the first image
+        elif victim == "db_003.ldsc":
+            bad = load_descriptors(data / "db" / victim).data.copy()
+            bad[1, 2] = np.nan
+            write_descriptors(data / "db" / victim, bad)
+        else:
+            victim = f"{_first_query(data)}.kpts"
+            kps = load_keypoints(data / "queries" / victim)
+            kps[0, 1] = np.nan
+            write_keypoints(data / "queries" / victim, kps)
+        code = main(["localize", "--data", str(data), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert victim in err and "non-finite" in err
+
+    @pytest.mark.parametrize("fault", ["query_outside_frame", "missing_condition", "mixed_dims"])
+    def test_finding_reported_by_validate_and_localize(self, cli_dataset, tmp_path, capsys, fault):
+        _, data = cli_dataset
+        data = _copy(data, tmp_path / "ds")
+        query = _first_query(data)
+        if fault == "query_outside_frame":
+            kps = load_keypoints(data / "queries" / f"{query}.kpts")
+            kps[0, 0] = 700.0
+            write_keypoints(data / "queries" / f"{query}.kpts", kps)
+            expected = f"{query}: keypoints outside the frame"
+        elif fault == "missing_condition":
+            path = data / "conditions.txt"
+            lines = path.read_text().splitlines()
+            path.write_text("".join(f"{line}\n" for line in lines if line.split()[0] != query))
+            expected = f"{query}: missing condition tag"
+        else:
+            rows = load_descriptors(data / "db" / "db_001.ldsc").rows
+            write_descriptors(data / "db" / "db_001.ldsc", np.ones((rows, 7), dtype=np.float32))
+            expected = "db_001: local descriptor dim 7 != majority"
+        assert any(f.startswith(expected) for f in validate_dataset(data).findings)
+        code = main(["localize", "--data", str(data), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"validation: {expected}" in capsys.readouterr().err
 
     def test_evaluate_empty_pose_file(self, cli_dataset, tmp_path, capsys):
         _, data = cli_dataset

@@ -7,6 +7,7 @@ from semloc.errors import (
     BadMagic,
     ConsistencyError,
     DimensionMismatch,
+    InvalidDataset,
     ParseError,
     TruncatedFile,
     UnknownLabel,
@@ -14,6 +15,7 @@ from semloc.errors import (
 from semloc.model_ingest import (
     ClassTable,
     load_class_table,
+    load_dataset,
     load_descriptors,
     load_global_descriptor,
     load_keypoints,
@@ -124,6 +126,21 @@ class TestSfmModel:
         with pytest.raises(ConsistencyError):
             load_sfm_model(model_dir)
 
+    def test_non_finite_pose_and_point_rejected(self, tmp_path):
+        model_dir = tmp_path / "model"
+        write_minimal_model(model_dir, point_line="1 0.0 inf 0.0 128 128 128 0.0 1 0 2 0")
+        with pytest.raises(ParseError, match="points3D.txt:1: non-finite point position"):
+            load_sfm_model(model_dir)
+        write_minimal_model(model_dir)
+        (model_dir / "images.txt").write_text(
+            "1 1.0 0.0 0.0 0.0 0.0 0.0 10.0 1 img_a\n"
+            "320.0 240.0 1\n"
+            "2 0.0 0.0 0.0 0.0 0.0 0.0 12.0 1 img_b\n"  # zero quaternion
+            "320.0 240.0 1\n"
+        )
+        with pytest.raises(ParseError, match="images.txt:3: non-finite pose"):
+            load_sfm_model(model_dir)
+
     def test_round_trip_of_synth_scene(self, clean_scene, tmp_path):
         model_dir = clean_scene.root / "model"
         model = load_sfm_model(model_dir)
@@ -196,6 +213,16 @@ class TestLabelRaster:
         assert raster.at((0.6, 0.0)) == data[0, 1]
         assert raster.at((0.4, 0.0)) == data[0, 0]
 
+    def test_last_half_pixel_clamps_to_the_edge(self, tmp_path):
+        path = tmp_path / "r.pgm"
+        data = np.arange(4, dtype=np.uint8).reshape(2, 2) % 3
+        write_pgm(path, data)
+        raster = load_label_raster(path, (2, 2), TABLE)
+        assert raster.at((1.7, 0.0)) == data[0, 1]
+        assert raster.at((0.0, 1.99)) == data[1, 0]
+        with pytest.raises(IndexError):
+            raster.at((2.0, 0.0))
+
     def test_truncated_pgm(self, tmp_path):
         path = tmp_path / "r.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 10)
@@ -244,6 +271,17 @@ class TestBinarySidecars:
         path.write_bytes(b"GDSC" + struct.pack("<I", 4) + b"\x00" * 12)
         with pytest.raises(TruncatedFile):
             load_global_descriptor(path)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        descs = np.ones((3, 4), dtype=np.float32)
+        descs[2, 1] = np.nan
+        write_descriptors(tmp_path / "d.ldsc", descs)
+        write_keypoints(tmp_path / "k.kpts", np.array([[1.0, np.inf]], dtype=np.float32))
+        write_global_descriptor(tmp_path / "g.gdsc", np.array([1.0, np.nan], dtype=np.float32))
+        for path, loader in (("d.ldsc", load_descriptors), ("k.kpts", load_keypoints),
+                             ("g.gdsc", load_global_descriptor)):
+            with pytest.raises(ParseError, match=f"{path}: non-finite value"):
+                loader(tmp_path / path)
 
 
 class TestClassTable:
@@ -298,3 +336,28 @@ class TestValidateDataset:
         assert not report.ok
         flagged = {f.split(":")[0] for f in report.findings if "dim" in f}
         assert flagged == {"db_001", "db_004"}
+
+    def test_report_carries_the_loaded_dataset(self, clean_scene, clean_dataset):
+        dataset = validate_dataset(clean_scene.root).dataset
+        assert dataset is not None
+        assert [q.name for q in dataset.queries] == [q.name for q in clean_dataset.queries]
+        assert list(dataset.db_rasters) == list(clean_dataset.db_rasters)
+        for image_id, descs in dataset.db_descriptors.items():
+            assert np.array_equal(descs.data, clean_dataset.db_descriptors[image_id].data)
+        for query, other in zip(dataset.queries, clean_dataset.queries):
+            assert np.array_equal(query.keypoints, other.keypoints)
+            assert query.condition == other.condition
+
+    def test_load_dataset_lists_every_finding(self, clean_scene, tmp_path):
+        import shutil
+
+        root = tmp_path / "ds"
+        shutil.copytree(clean_scene.root, root)
+        (root / "db" / "db_003.labels.pgm").unlink()
+        (root / "db" / "db_005.gdsc").unlink()
+        report = validate_dataset(root)
+        assert report.dataset is None
+        assert report.findings == ["db_003: missing label raster", "db_005: missing global descriptor"]
+        with pytest.raises(InvalidDataset) as info:
+            load_dataset(root)
+        assert all(finding in str(info.value) for finding in report.findings)

@@ -211,8 +211,8 @@ class TestBuildSemanticMap:
 class TestMapCache:
     def test_round_trip_exact(self, clean_map, tmp_path):
         path = tmp_path / "map.npz"
-        save_map_cache(clean_map, path)
-        loaded = load_map_cache(path, clean_map.class_table)
+        save_map_cache(clean_map, path, "a" * 64)
+        loaded = load_map_cache(path, clean_map.class_table, "a" * 64)
         assert len(loaded) == len(clean_map)
         assert np.array_equal(loaded.ids, clean_map.ids)
         assert np.array_equal(loaded.positions, clean_map.positions)
@@ -222,3 +222,15 @@ class TestMapCache:
         assert np.array_equal(loaded.v_mid, clean_map.v_mid)
         assert np.array_equal(loaded.theta, clean_map.theta)
         assert [p.track_len for p in loaded.points] == [p.track_len for p in clean_map.points]
+
+    def test_cache_reused_only_for_its_inputs(self, clean_map, tmp_path):
+        path = tmp_path / "map.npz"
+        save_map_cache(clean_map, path, "a" * 64)
+        assert np.array_equal(load_map_cache(path, clean_map.class_table, "a" * 64).ids, clean_map.ids)
+        assert load_map_cache(path, clean_map.class_table, "b" * 64) is None
+        assert load_map_cache(tmp_path / "missing.npz", clean_map.class_table, "a" * 64) is None
+        # a cache written without a key, as before keys existed
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k not in ("version", "inputs_sha256")}
+        np.savez(path, **arrays)
+        assert load_map_cache(path, clean_map.class_table, "a" * 64) is None
