@@ -11,7 +11,6 @@ from .errors import SemlocError
 from .geometry import CameraIntrinsics, PoseEstimate, pose_error
 from .localizer import LocalizerConfig, LocalizationResult, localize_query
 from .model_ingest import Dataset, load_dataset, validate_dataset
-from .retrieval import RetrievalConfig
 from .semantic_map import SemanticMap, build_semantic_map
 from .synth import CorruptionSpec, SceneSpec, corrupt, generate_scene
 
@@ -26,7 +25,6 @@ __all__ = [
     "Dataset",
     "load_dataset",
     "validate_dataset",
-    "RetrievalConfig",
     "SemanticMap",
     "build_semantic_map",
     "CorruptionSpec",

@@ -8,9 +8,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from .geometry import PoseEstimate, pose_error
 from .localizer import LocalizerConfig, localize_query
 # load_dataset is not called here; it stays bound because perfbench swaps it by name
 from .model_ingest import Dataset, load_dataset, load_ground_truth, validate_dataset  # noqa: F401
-from .retrieval import RetrievalConfig
 from .semantic_map import (
     SemanticMap,
     build_semantic_map,
@@ -34,41 +34,14 @@ from .synth import CorruptionSpec, SceneSpec, corrupt, generate_scene
 
 MAP_CACHE_NAME = "semantic_map.npz"
 
+logger = logging.getLogger(__name__)
+
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass
-class PipelineConfig:
-    seed: int = 0
-    k_day: int = 30
-    k_night: int = 50
-    theta_min_deg: float = 5.0
-    inlier_px: float = 10.0
-    ransac_confidence: float = 0.99
-    ransac_max_iters: int = 10000
-    temp_pose_min_matches: int = 12
-    temp_pose_iters: int = 500
-    ratio: float = 0.9
-    uniform_weights: bool = False
-    jobs: int = 4
-
-    def localizer(self) -> LocalizerConfig:
-        return LocalizerConfig(
-            theta_min=np.radians(self.theta_min_deg),
-            inlier_px=self.inlier_px,
-            ransac_confidence=self.ransac_confidence,
-            ransac_max_iters=self.ransac_max_iters,
-            temp_pose_min_matches=self.temp_pose_min_matches,
-            temp_pose_iters=self.temp_pose_iters,
-        )
-
-    def retrieval(self) -> RetrievalConfig:
-        return RetrievalConfig(k_day=self.k_day, k_night=self.k_night)
-
-
-def load_pipeline_config(path: Path | None, overrides: dict) -> PipelineConfig:
+def load_pipeline_config(path: Path | None, overrides: dict) -> LocalizerConfig:
     values: dict = {}
     if path is not None:
         try:
@@ -78,13 +51,13 @@ def load_pipeline_config(path: Path | None, overrides: dict) -> PipelineConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(values, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-    known = {f.name for f in fields(PipelineConfig)}
+    known = {f.name for f in fields(LocalizerConfig)}
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        cfg = PipelineConfig(**values)
+        cfg = LocalizerConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.k_day < 1 or cfg.k_night < 1:
@@ -194,21 +167,13 @@ def cmd_localize(args) -> int:
     if setup is None:
         return 2
     dataset, smap = setup
-    loc_cfg = cfg.localizer()
-    ret_cfg = cfg.retrieval()
+    n_db = len(dataset.db_global)
+    k = max((cfg.k_for(q.condition) for q in dataset.queries), default=0)
+    if k > n_db:
+        logger.warning("k=%d exceeds database size %d; clamping", k, n_db)
 
     def run_one(query):
-        rng = query_rng(cfg.seed, query.name)
-        return localize_query(
-            query,
-            smap,
-            dataset,
-            ret_cfg,
-            loc_cfg,
-            rng,
-            uniform_weights=cfg.uniform_weights,
-            ratio=cfg.ratio,
-        )
+        return localize_query(query, smap, dataset, cfg, query_rng(cfg.seed, query.name))
 
     queries = sorted(dataset.queries, key=lambda q: q.name)
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:

@@ -24,47 +24,39 @@ from .geometry import (
     refine_pnp,
     solve_p3p,
 )
-from .matching import Match2D3D, knn_ratio_match, lift_matches
+from .matching import knn_ratio_match, lift_matches
 from .model_ingest import Dataset, LabelRaster, QueryRecord
-from .retrieval import RetrievalConfig, rank_database
-from .semantic_map import SemanticMap, SemanticPoint
-
-
-@dataclass(frozen=True, eq=False)
-class ViewingRay:
-    """Ray from a 3D point to a camera center."""
-
-    v: np.ndarray  # (3,) meters
-    norm: float
-
-    @staticmethod
-    def between(c_q: np.ndarray, x: np.ndarray) -> "ViewingRay":
-        v = np.asarray(c_q, dtype=float) - np.asarray(x, dtype=float)
-        return ViewingRay(v=v, norm=float(np.linalg.norm(v)))
-
-
-@dataclass(eq=False)
-class ScoredCandidate:
-    image_id: int
-    matches: list[Match2D3D]
-    temp_pose: PoseEstimate | None
-    score: int  # 0 whenever temp_pose is None
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedMatch:
-    match: Match2D3D
-    weight: float  # normalized sampling probability
+from .retrieval import rank_database
+from .semantic_map import SemanticMap
 
 
 @dataclass(frozen=True)
 class LocalizerConfig:
-    theta_min: float = math.radians(5.0)  # floor on the viewing-cone angle
+    """Every pipeline setting; these are the keys `localize --config` reads."""
+
+    seed: int = 0
+    k_day: int = 30  # retrieved candidates per day query
+    k_night: int = 50  # retrieved candidates per night query
+    theta_min_deg: float = 5.0  # floor on the viewing-cone angle
     inlier_px: float = 10.0
     ransac_confidence: float = 0.99
     ransac_max_iters: int = 10000
     temp_pose_min_matches: int = 12
     temp_pose_iters: int = 500
+    ratio: float = 0.9  # descriptor ratio test
+    uniform_weights: bool = False  # no-semantics baseline
+    jobs: int = 4
+
+    def k_for(self, condition: str | None) -> int:
+        return self.k_night if condition == "night" else self.k_day
+
+
+@dataclass(eq=False)
+class ScoredCandidate:
+    image_id: int
+    matches: np.ndarray  # (n, 2) int: (query keypoint, map row)
+    temp_pose: PoseEstimate | None
+    score: int  # 0 whenever temp_pose is None
 
 
 @dataclass(eq=False)
@@ -75,26 +67,14 @@ class LocalizationResult:
     used_fallback: bool
 
 
-def visible(point: SemanticPoint, c_q: np.ndarray, theta_min: float) -> bool:
-    """Distance-band and viewing-cone test for one map point.
+def visible_mask(smap: SemanticMap, c_q: np.ndarray, theta_min: float) -> np.ndarray:
+    """Distance-band and viewing-cone test for every map point.
 
-    The point passes when its distance from the camera center lies in
+    A point passes when its distance from the camera center lies in
     [d_lower, d_upper] and the ray direction is within max(theta, theta_min)
     of the mid viewpoint. Comparisons are inclusive so a query standing at
     a database camera passes.
     """
-    ray = ViewingRay.between(c_q, point.position)
-    if ray.norm < 1e-9:
-        return False
-    if not (point.d_lower <= ray.norm <= point.d_upper):
-        return False
-    cos_angle = float(ray.v @ point.v_mid) / ray.norm
-    angle = math.acos(min(1.0, max(-1.0, cos_angle)))
-    return angle <= max(point.theta, theta_min)
-
-
-def visible_mask(smap: SemanticMap, c_q: np.ndarray, theta_min: float) -> np.ndarray:
-    """Vectorized visible() over the whole map."""
     if len(smap) == 0:
         return np.zeros(0, dtype=bool)
     v = c_q[None, :] - smap.positions
@@ -178,21 +158,23 @@ def _ransac_loop(
 
 
 def temporary_pose(
-    matches: list[Match2D3D],
+    matches: np.ndarray,
     smap: SemanticMap,
+    keypoints: np.ndarray,
     K: CameraIntrinsics,
     cfg: LocalizerConfig,
     rng: np.random.Generator,
 ) -> PoseEstimate | None:
-    """Uniform-sampling RANSAC + refinement over one candidate's matches.
+    """Uniform-sampling RANSAC + refinement over one candidate's
+    (query keypoint, map row) matches.
 
     Returns None when there are fewer than temp_pose_min_matches matches
     or the best hypothesis has fewer than 4 inliers.
     """
     if len(matches) < max(cfg.temp_pose_min_matches, 4):
         return None
-    points = np.array([smap.position_of(m.point3d) for m in matches])
-    pixels = np.array([m.query_px for m in matches])
+    points = smap.positions[matches[:, 1]]
+    pixels = keypoints[matches[:, 0]]
     pose, inliers, count = _ransac_loop(
         points,
         pixels,
@@ -220,7 +202,7 @@ def semantic_score(
 ) -> int:
     """Number of visible map points whose label matches the query raster at
     their projection (nearest pixel); void raster pixels never count."""
-    mask = visible_mask(smap, camera_center(pose), cfg.theta_min)
+    mask = visible_mask(smap, camera_center(pose), math.radians(cfg.theta_min_deg))
     if not mask.any():
         return 0
     pred, in_front = project_many(pose, K, smap.positions[mask])
@@ -242,53 +224,49 @@ def semantic_score(
     return int(hits.sum())
 
 
-def assign_weights(candidates: list[ScoredCandidate]) -> tuple[list[WeightedMatch], bool]:
+def assign_weights(candidates: list[ScoredCandidate]) -> tuple[np.ndarray, np.ndarray, bool]:
     """Turn candidate scores into per-match sampling probabilities.
 
     Every match inherits its candidate's score as a raw weight; duplicates
-    by (query keypoint, 3D point) merge with raw weights summed; weights
-    normalize to sum 1. When every score is zero the merged matches get
-    uniform probabilities and the fallback flag is set.
+    by (query keypoint, map row) merge, in first-seen order, with raw
+    weights summed; weights normalize to sum 1. When every score is zero
+    the merged matches get uniform probabilities and the fallback flag is
+    set. Returns (pooled (m, 2) matches, weights (m,), fallback).
     """
-    merged: dict[tuple[int, int], tuple[Match2D3D, float]] = {}
-    order: list[tuple[int, int]] = []
-    for cand in candidates:
-        for m in cand.matches:
-            key = m.key()
-            if key in merged:
-                merged[key] = (merged[key][0], merged[key][1] + float(cand.score))
-            else:
-                merged[key] = (m, float(cand.score))
-                order.append(key)
-    if not order:
-        return [], False
-    total = 0.0
-    for key in order:
-        total += merged[key][1]
+    if not any(len(c.matches) for c in candidates):
+        return np.empty((0, 2), dtype=np.int64), np.empty(0), False
+    matches = np.concatenate([c.matches for c in candidates])
+    scores = np.concatenate([np.full(len(c.matches), float(c.score)) for c in candidates])
+    _, first, inverse = np.unique(matches, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # unique matches in first-seen order
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    raw = np.zeros(len(order))
+    np.add.at(raw, slot[inverse], scores)  # in candidate order; integer scores sum exactly
+    pooled = matches[first[order]]
+    total = raw.sum()
     if total <= 0.0:
-        uniform = 1.0 / len(order)
-        return [WeightedMatch(merged[key][0], uniform) for key in order], True
-    return [WeightedMatch(merged[key][0], merged[key][1] / total) for key in order], False
+        return pooled, np.full(len(pooled), 1.0 / len(pooled)), True
+    return pooled, raw / total, False
 
 
 def weighted_ransac_pnp(
-    weighted: list[WeightedMatch],
+    matches: np.ndarray,
+    weights: np.ndarray,
     smap: SemanticMap,
+    keypoints: np.ndarray,
     K: CameraIntrinsics,
     cfg: LocalizerConfig,
     rng: np.random.Generator,
 ) -> tuple[PoseEstimate | None, int]:
-    """Final pose from the pooled matches: minimal samples drawn with
-    probability proportional to the weights, unweighted inlier counting,
-    refinement on the best inlier set. Returns (pose, inlier count) or
-    (None, 0)."""
-    if len(weighted) < 3:
+    """Final pose from the pooled (query keypoint, map row) matches:
+    minimal samples drawn with probability proportional to the weights,
+    unweighted inlier counting, refinement on the best inlier set. Returns
+    (pose, inlier count) or (None, 0)."""
+    if len(matches) < 3 or np.sum(weights > 0) < 3:
         return None, 0
-    weights = np.array([wm.weight for wm in weighted])
-    if np.sum(weights > 0) < 3:
-        return None, 0
-    points = np.array([smap.position_of(wm.match.point3d) for wm in weighted])
-    pixels = np.array([wm.match.query_px for wm in weighted])
+    points = smap.positions[matches[:, 1]]
+    pixels = keypoints[matches[:, 0]]
     pose, inliers, count = _ransac_loop(
         points,
         pixels,
@@ -318,41 +296,40 @@ def localize_query(
     query: QueryRecord,
     smap: SemanticMap,
     dataset: Dataset,
-    ret_cfg: RetrievalConfig,
-    loc_cfg: LocalizerConfig,
+    cfg: LocalizerConfig,
     rng: np.random.Generator,
-    *,
-    uniform_weights: bool = False,
-    ratio: float = 0.9,
 ) -> LocalizationResult:
     """Full per-query pipeline: retrieve, match, lift, score, pool, solve.
 
-    With uniform_weights=True every candidate contributes weight as if its
+    With cfg.uniform_weights every candidate contributes weight as if its
     score were 1 (the no-semantics baseline); semantic scores are still
     computed for diagnostics.
     """
-    ranked = rank_database(query.global_desc, dataset.db_global, ret_cfg.k_for(query.condition))
+    ranked = rank_database(query.global_desc, dataset.db_global, cfg.k_for(query.condition))
     candidates: list[ScoredCandidate] = []
-    for image_id, _dist in ranked.ranking:
-        image = dataset.model.images[image_id]
+    for image_id, _dist in ranked:
         try:
-            matches_2d = knn_ratio_match(query.descriptors, dataset.db_descriptors[image_id], ratio)
+            matches_2d = knn_ratio_match(
+                query.descriptors, dataset.db_descriptors[image_id], cfg.ratio
+            )
         except TooFewDescriptors:
             matches_2d = []
-        matches = lift_matches(matches_2d, image, smap, image_id, query.keypoints)
-        temp = temporary_pose(matches, smap, query.camera, loc_cfg, rng)
+        matches = lift_matches(matches_2d, dataset.model.images[image_id], smap)
+        temp = temporary_pose(matches, smap, query.keypoints, query.camera, cfg, rng)
         score = (
-            semantic_score(smap, query.labels, temp, query.camera, loc_cfg)
+            semantic_score(smap, query.labels, temp, query.camera, cfg)
             if temp is not None
             else 0
         )
         candidates.append(ScoredCandidate(image_id, matches, temp, score))
 
     weight_source = (
-        [replace(c, score=1) for c in candidates] if uniform_weights else candidates
+        [replace(c, score=1) for c in candidates] if cfg.uniform_weights else candidates
     )
-    weighted, used_fallback = assign_weights(weight_source)
-    if not weighted:
+    pooled, weights, used_fallback = assign_weights(weight_source)
+    if len(pooled) == 0:
         return LocalizationResult(None, 0, candidates, False)
-    pose, inliers = weighted_ransac_pnp(weighted, smap, query.camera, loc_cfg, rng)
+    pose, inliers = weighted_ransac_pnp(
+        pooled, weights, smap, query.keypoints, query.camera, cfg, rng
+    )
     return LocalizationResult(pose, inliers, candidates, used_fallback)

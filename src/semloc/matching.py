@@ -18,18 +18,6 @@ class Match2D2D:
     distance: float  # L2 to the nearest db descriptor
 
 
-@dataclass(frozen=True, eq=False)
-class Match2D3D:
-    query_kp: int
-    query_px: np.ndarray  # (2,)
-    point3d: int
-    source_image: int  # retrieved database image that produced the match
-
-    def key(self) -> tuple[int, int]:
-        """Identity used when merging duplicates across candidates."""
-        return (self.query_kp, self.point3d)
-
-
 def knn_ratio_match(
     query_descs: DescriptorSet, db_descs: DescriptorSet, ratio: float = 0.9
 ) -> list[Match2D2D]:
@@ -74,29 +62,16 @@ def knn_ratio_match(
 
 
 def lift_matches(
-    matches: list[Match2D2D],
-    db_image: DbImageRecord,
-    smap: SemanticMap,
-    retrieved_id: int,
-    query_keypoints: np.ndarray,
-) -> list[Match2D3D]:
+    matches: list[Match2D2D], db_image: DbImageRecord, smap: SemanticMap
+) -> np.ndarray:
     """Turn 2D-2D matches into 2D-3D matches via the db image's tracks.
 
-    Matches whose db keypoint is untracked, or whose 3D point was pruned
-    from the semantic map, are dropped; the rest are tagged with the
-    retrieved image id.
+    Returns an (n, 2) int array of (query keypoint, map row), in the order
+    of `matches`. Matches whose db keypoint is untracked, or whose 3D point
+    was pruned from the semantic map, are dropped.
     """
-    lifted = []
-    for m in matches:
-        pid = int(db_image.point3d_ids[m.db_kp])
-        if pid == NO_POINT or pid not in smap:
-            continue
-        lifted.append(
-            Match2D3D(
-                query_kp=m.query_kp,
-                query_px=np.asarray(query_keypoints[m.query_kp], dtype=float),
-                point3d=pid,
-                source_image=retrieved_id,
-            )
-        )
-    return lifted
+    pairs = np.array([(m.query_kp, m.db_kp) for m in matches], dtype=np.int64).reshape(-1, 2)
+    point_ids = db_image.point3d_ids[pairs[:, 1]]
+    rows = smap.rows_of(point_ids)
+    keep = (point_ids != NO_POINT) & (rows >= 0)
+    return np.column_stack((pairs[keep, 0], rows[keep]))

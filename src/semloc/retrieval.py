@@ -2,56 +2,23 @@
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimMismatch
 from .model_ingest import GlobalDescriptor
 
-logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class RetrievalConfig:
-    """Number of retrieved candidates per query condition."""
-
-    k_day: int = 30
-    k_night: int = 50
-
-    def k_for(self, condition: str | None) -> int:
-        return self.k_night if condition == "night" else self.k_day
-
-
-@dataclass(frozen=True)
-class RankedCandidates:
-    """Retrieved database images, closest first; (image-id, L2 distance)."""
-
-    ranking: tuple[tuple[int, float], ...]
-
-    def ids(self) -> list[int]:
-        return [image_id for image_id, _ in self.ranking]
-
-    def __len__(self) -> int:
-        return len(self.ranking)
-
 
 def rank_database(
     query_gd: GlobalDescriptor, db_gds: dict[int, GlobalDescriptor], k: int
-) -> RankedCandidates:
-    """Exact k-smallest L2 distances over the database; ties break toward
-    the smaller image id. k larger than the database is clamped with a
-    warning."""
+) -> list[tuple[int, float]]:
+    """(image id, L2 distance) of the k closest database images, closest
+    first; ties break toward the smaller image id. k larger than the
+    database returns the whole database."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > len(db_gds):
-        logger.warning("k=%d exceeds database size %d; clamping", k, len(db_gds))
-        k = len(db_gds)
-    ids = sorted(db_gds)
     q = query_gd.values.astype(np.float64)
     entries = []
-    for image_id in ids:
+    for image_id in sorted(db_gds):
         gd = db_gds[image_id]
         if gd.dim != query_gd.dim:
             raise DimMismatch(
@@ -60,4 +27,4 @@ def rank_database(
         diff = gd.values.astype(np.float64) - q
         entries.append((float(np.sqrt(diff @ diff)), image_id))
     entries.sort()
-    return RankedCandidates(tuple((image_id, dist) for dist, image_id in entries[:k]))
+    return [(image_id, dist) for dist, image_id in entries[:k]]

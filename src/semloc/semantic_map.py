@@ -22,46 +22,38 @@ from .errors import DegenerateGeometry
 from .geometry import PoseEstimate, camera_center
 from .model_ingest import DB_SUBDIR, MODEL_SUBDIR, ClassTable, LabelRaster, RawPoint3D, SfmModel
 
-MAP_CACHE_VERSION = 2  # stored in every cache; bump it when the map build or the layout changes
+MAP_CACHE_VERSION = 3  # stored in every cache; bump it when the map build or the layout changes
+MAP_ARRAYS = ("ids", "positions", "labels", "d_lower", "d_upper", "v_mid", "theta")
 
 
 @dataclass(frozen=True, eq=False)
-class SemanticPoint:
-    id: int
-    position: np.ndarray  # (3,) meters, world frame
-    label: int
-    d_lower: float  # min distance to an observing camera center
-    d_upper: float  # max distance
-    v_mid: np.ndarray  # (3,) unit vector between the two extreme viewpoints
-    theta: float  # radians between the two extreme viewpoints
-    track_len: int
-
-
 class SemanticMap:
-    """Immutable collection of labeled points with packed arrays for
-    vectorized visibility tests and projection."""
+    """Labeled map points as parallel arrays, one row per point in
+    ascending id order."""
 
-    def __init__(self, points: list[SemanticPoint], class_table: ClassTable):
-        self.points = points
-        self.class_table = class_table
-        self._index = {p.id: i for i, p in enumerate(points)}
-        n = len(points)
-        self.ids = np.array([p.id for p in points], dtype=np.int64)
-        self.positions = np.array([p.position for p in points]).reshape(n, 3)
-        self.labels = np.array([p.label for p in points], dtype=np.int64)
-        self.d_lower = np.array([p.d_lower for p in points])
-        self.d_upper = np.array([p.d_upper for p in points])
-        self.v_mid = np.array([p.v_mid for p in points]).reshape(n, 3)
-        self.theta = np.array([p.theta for p in points])
+    ids: np.ndarray  # (n,) int64, strictly increasing
+    positions: np.ndarray  # (n, 3) meters, world frame
+    labels: np.ndarray  # (n,) int64
+    d_lower: np.ndarray  # (n,) min distance to an observing camera center
+    d_upper: np.ndarray  # (n,) max distance
+    v_mid: np.ndarray  # (n, 3) unit vectors between the two extreme viewpoints
+    theta: np.ndarray  # (n,) radians between the two extreme viewpoints
+    class_table: ClassTable
+
+    def __post_init__(self):
+        if np.any(np.diff(self.ids) <= 0):
+            raise ValueError("map point ids must be strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ids)
 
-    def __contains__(self, point_id: int) -> bool:
-        return point_id in self._index
-
-    def position_of(self, point_id: int) -> np.ndarray:
-        return self.positions[self._index[point_id]]
+    def rows_of(self, point_ids: np.ndarray) -> np.ndarray:
+        """Row of each point id, -1 for ids not in the map."""
+        point_ids = np.asarray(point_ids, dtype=np.int64)
+        rows = np.searchsorted(self.ids, point_ids)
+        found = rows < len(self.ids)
+        found[found] = self.ids[rows[found]] == point_ids[found]
+        return np.where(found, rows, -1)
 
 
 def vote_point_label(
@@ -137,7 +129,7 @@ def build_semantic_map(
     nor geometrically degenerate. Deterministic: points are processed in
     ascending id order.
     """
-    points: list[SemanticPoint] = []
+    kept = []
     for point_id in sorted(model.points):
         raw = model.points[point_id]
         label = vote_point_label(raw, model, rasters, class_table)
@@ -148,19 +140,18 @@ def build_semantic_map(
             d_lower, d_upper, v_mid, theta = compute_visibility_stats(raw, poses)
         except DegenerateGeometry:
             continue
-        points.append(
-            SemanticPoint(
-                id=point_id,
-                position=raw.position.copy(),
-                label=label,
-                d_lower=d_lower,
-                d_upper=d_upper,
-                v_mid=v_mid,
-                theta=theta,
-                track_len=len(raw.track),
-            )
-        )
-    return SemanticMap(points, class_table)
+        kept.append((point_id, raw.position, label, d_lower, d_upper, v_mid, theta))
+    ids, positions, labels, d_lower, d_upper, v_mid, theta = zip(*kept) if kept else [()] * 7
+    return SemanticMap(
+        ids=np.array(ids, dtype=np.int64),
+        positions=np.array(positions, dtype=float).reshape(-1, 3),
+        labels=np.array(labels, dtype=np.int64),
+        d_lower=np.array(d_lower, dtype=float),
+        d_upper=np.array(d_upper, dtype=float),
+        v_mid=np.array(v_mid, dtype=float).reshape(-1, 3),
+        theta=np.array(theta, dtype=float),
+        class_table=class_table,
+    )
 
 
 def map_inputs_sha256(root: Path) -> str:
@@ -193,21 +184,15 @@ def save_map_cache(smap: SemanticMap, path: Path, inputs_sha256: str) -> None:
             fh,
             version=MAP_CACHE_VERSION,
             inputs_sha256=inputs_sha256,
-            ids=smap.ids,
-            positions=smap.positions,
-            labels=smap.labels,
-            d_lower=smap.d_lower,
-            d_upper=smap.d_upper,
-            v_mid=smap.v_mid,
-            theta=smap.theta,
-            track_len=np.array([p.track_len for p in smap.points], dtype=np.int64),
+            **{name: getattr(smap, name) for name in MAP_ARRAYS},
         )
     os.replace(tmp, path)
 
 
 def load_map_cache(path: Path, class_table: ClassTable, inputs_sha256: str) -> SemanticMap | None:
     """The cached map; None when the cache is missing or unreadable, holds
-    another format version or was built from other inputs."""
+    another format version, was built from other inputs or has ids that are
+    not strictly increasing."""
     try:
         with np.load(path) as data:
             if (
@@ -215,19 +200,7 @@ def load_map_cache(path: Path, class_table: ClassTable, inputs_sha256: str) -> S
                 or str(data["inputs_sha256"]) != inputs_sha256
             ):
                 return None
-            points = [
-                SemanticPoint(
-                    id=int(data["ids"][i]),
-                    position=data["positions"][i],
-                    label=int(data["labels"][i]),
-                    d_lower=float(data["d_lower"][i]),
-                    d_upper=float(data["d_upper"][i]),
-                    v_mid=data["v_mid"][i],
-                    theta=float(data["theta"][i]),
-                    track_len=int(data["track_len"][i]),
-                )
-                for i in range(len(data["ids"]))
-            ]
+            arrays = {name: data[name] for name in MAP_ARRAYS}
+        return SemanticMap(**arrays, class_table=class_table)
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
         return None
-    return SemanticMap(points, class_table)

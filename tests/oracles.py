@@ -89,7 +89,8 @@ def visible_from_cameras(centers, X, c_q, theta_min):
 
 
 def visible_from_stats(point, c_q, theta_min):
-    """Same predicate from precomputed stats (point is a SemanticPoint)."""
+    """Same predicate from precomputed stats (point has the fields of one
+    map row: position, d_lower, d_upper, v_mid, theta)."""
     v = [float(a) - float(b) for a, b in zip(c_q, point.position)]
     norm = math.sqrt(sum(x * x for x in v))
     if norm < 1e-9:
@@ -103,8 +104,8 @@ def visible_from_stats(point, c_q, theta_min):
 
 def semantic_score_loop(points, raster_rows, void_id, R, t, fx, fy, cx, cy, theta_min):
     """Naive per-point loop: visibility from stats, projection, nearest
-    pixel, label comparison. points are SemanticPoints; raster_rows is a
-    list of lists."""
+    pixel, label comparison. points have the fields of one map row plus
+    label; raster_rows is a list of lists."""
     height = len(raster_rows)
     width = len(raster_rows[0])
     c_q = [-sum(R[m][i] * t[m] for m in range(3)) for i in range(3)]
@@ -123,6 +124,29 @@ def semantic_score_loop(points, raster_rows, void_id, R, t, fx, fy, cx, cy, thet
         if label != void_id and label == p.label:
             score += 1
     return score
+
+
+def merge_weights(candidates):
+    """Pool (query keypoint, map row) matches by dict: candidates is a list
+    of (pairs, score). Each pair takes its candidate's score; duplicates
+    keep their first-seen place and sum their scores; weights normalize to
+    1, or are uniform when every score is 0.
+
+    Returns (pairs, weights, used_fallback).
+    """
+    merged = {}
+    for pairs, score in candidates:
+        for key in pairs:
+            merged[key] = merged.get(key, 0.0) + float(score)
+    order = list(merged)
+    if not order:
+        return [], [], False
+    total = 0.0
+    for key in order:
+        total += merged[key]
+    if total <= 0.0:
+        return order, [1.0 / len(order)] * len(order), True
+    return order, [merged[key] / total for key in order], False
 
 
 def vote_label(track_pixels_labels, void_id, dynamic_ids):

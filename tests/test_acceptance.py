@@ -7,6 +7,7 @@ a pytest failure on any test is that criterion's FAIL line.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,12 +34,11 @@ from semloc.localizer import (
     assign_weights,
     localize_query,
     semantic_score,
-    visible,
+    visible_mask,
     weighted_ransac_pnp,
     weighted_sample_without_replacement,
-    WeightedMatch,
 )
-from semloc.matching import Match2D3D, knn_ratio_match
+from semloc.matching import knn_ratio_match
 from semloc.model_ingest import (
     ClassTable,
     DescriptorSet,
@@ -48,11 +48,11 @@ from semloc.model_ingest import (
     load_dataset,
     load_ground_truth,
 )
-from semloc.retrieval import RetrievalConfig, rank_database
-from semloc.semantic_map import SemanticMap, build_semantic_map, vote_point_label
+from semloc.retrieval import rank_database
+from semloc.semantic_map import build_semantic_map, vote_point_label
 from semloc.synth import SceneSpec, generate_scene
 import oracles
-from test_localizer import grid_map_points, make_point, stats_point
+from test_localizer import grid_map_points, make_point, map_of, stats_point
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 TABLE = ClassTable(names=tuple(f"c{i}" for i in range(10)), dynamic_ids=frozenset())
@@ -162,7 +162,7 @@ def test_criterion_2_refinement_correctness():
 def test_criterion_3_oracle_equivalence(clean_dataset):
     rng = np.random.default_rng(1003)
 
-    # visible(): 10 points x 10 query centers
+    # visible_mask(): 10 one-point maps x 10 query centers
     checked = 0
     for _ in range(10):
         X = rng.uniform(-3, 3, size=3)
@@ -170,7 +170,7 @@ def test_criterion_3_oracle_equivalence(clean_dataset):
         p = stats_point(1, X, centers)
         for _ in range(10):
             c_q = X + rng.normal(0, 4, size=3) + [0, 0, 6]
-            got = visible(p, c_q, math.radians(5))
+            got = bool(visible_mask(map_of([p]), c_q, math.radians(5))[0])
             want = oracles.visible_from_cameras(
                 [c.tolist() for c in centers], X.tolist(), c_q.tolist(), math.radians(5)
             )
@@ -198,7 +198,7 @@ def test_criterion_3_oracle_equivalence(clean_dataset):
     scrambled = np.where(
         flip, rng.integers(0, len(TABLE.names), size=raster.shape).astype(np.uint8), raster
     )
-    smap = SemanticMap(points, TABLE)
+    smap = map_of(points, TABLE)
     labels = LabelRaster(K.width, K.height, scrambled)
     cfg = LocalizerConfig()
     for _ in range(100):
@@ -209,7 +209,7 @@ def test_criterion_3_oracle_equivalence(clean_dataset):
         want = oracles.semantic_score_loop(
             points, scrambled.tolist(), VOID_ID,
             jitter.rotation.tolist(), jitter.translation.tolist(),
-            K.fx, K.fy, K.cx, K.cy, cfg.theta_min,
+            K.fx, K.fy, K.cx, K.cy, math.radians(cfg.theta_min_deg),
         )
         assert got == want
 
@@ -235,8 +235,8 @@ def test_criterion_3_oracle_equivalence(clean_dataset):
         want = oracles.rank_by_l2(
             query.values.tolist(), {i: db[i].values.tolist() for i in db}, 30
         )
-        assert got.ids() == [i for i, _ in want]
-        for (gi, gd), (wi, wd) in zip(got.ranking, want):
+        assert [i for i, _ in got] == [i for i, _ in want]
+        for (gi, gd), (wi, wd) in zip(got, want):
             assert abs(gd - wd) < 1e-12
 
     # vote_point_label(): every point of the synthetic scene (>= 100)
@@ -251,7 +251,7 @@ def test_criterion_3_oracle_equivalence(clean_dataset):
         assert got == want
         voted += 1
     assert voted >= 100
-    report(3, "visible/semantic_score/knn/rank/vote all equal their oracles")
+    report(3, "visible_mask/semantic_score/knn/rank/vote all equal their oracles")
 
 
 def test_criterion_4_weighted_sampler_statistics():
@@ -268,18 +268,18 @@ def test_criterion_4_weighted_sampler_statistics():
     report(4, f"first-draw freq {freq.round(4).tolist()}, chi-square p={chi.pvalue:.3f}")
 
 
-def _match_stub(query_kp, point3d):
-    return Match2D3D(query_kp=query_kp, query_px=np.zeros(2), point3d=point3d, source_image=0)
+def _candidate(image_id, pairs, temp_pose, score):
+    return ScoredCandidate(image_id, np.array(pairs, dtype=np.int64).reshape(-1, 2), temp_pose, score)
 
 
 def test_criterion_5_normalization_and_scale_invariance():
     # the worked example: scores 100 x 10 matches + 50 x 5 matches
-    a = ScoredCandidate(1, [_match_stub(i, 100 + i) for i in range(10)], PoseEstimate.identity(), 100)
-    b = ScoredCandidate(2, [_match_stub(50 + i, 200 + i) for i in range(5)], PoseEstimate.identity(), 50)
-    weighted, fallback = assign_weights([a, b])
+    a = _candidate(1, [(i, 100 + i) for i in range(10)], PoseEstimate.identity(), 100)
+    b = _candidate(2, [(50 + i, 200 + i) for i in range(5)], PoseEstimate.identity(), 50)
+    _, weights, fallback = assign_weights([a, b])
     assert not fallback
-    assert [wm.weight for wm in weighted[:10]] == [0.08] * 10
-    assert [wm.weight for wm in weighted[10:]] == [0.04] * 5
+    assert weights[:10].tolist() == [0.08] * 10
+    assert weights[10:].tolist() == [0.04] * 5
 
     # scale invariance: weights and the seeded solver trajectory are
     # bit-identical when every score is scaled by one positive constant
@@ -288,39 +288,27 @@ def test_criterion_5_normalization_and_scale_invariance():
     decoy = PoseEstimate(np.eye(3), np.array([-8.0, 0.0, 0.0]))
     gt_points = grid_map_points(rng, gt, 40, start_id=1)
     decoy_points = grid_map_points(rng, decoy, 40, start_id=1000)
-    smap = SemanticMap(gt_points + decoy_points, TABLE)
+    smap = map_of(gt_points + decoy_points, TABLE)
+    # query keypoints 0-39 see the gt points (map rows 0-39), 100-139 the decoys (rows 40-79)
+    keypoints = np.zeros((140, 2))
+    keypoints[:40] = [project(gt, K, p.position) for p in gt_points]
+    keypoints[100:] = [project(decoy, K, p.position) for p in decoy_points]
 
     def candidates(scale):
-        cand_a = ScoredCandidate(
-            1,
-            [
-                Match2D3D(i, project(gt, K, p.position), p.id, 1)
-                for i, p in enumerate(gt_points)
-            ],
-            gt,
-            90 * scale,
-        )
-        cand_b = ScoredCandidate(
-            2,
-            [
-                Match2D3D(100 + i, project(decoy, K, p.position), p.id, 2)
-                for i, p in enumerate(decoy_points)
-            ],
-            decoy,
-            10 * scale,
-        )
+        cand_a = _candidate(1, [(i, i) for i in range(40)], gt, 90 * scale)
+        cand_b = _candidate(2, [(100 + i, 40 + i) for i in range(40)], decoy, 10 * scale)
         return [cand_a, cand_b]
 
-    base_weighted, _ = assign_weights(candidates(1))
+    base_pooled, base_weights, _ = assign_weights(candidates(1))
     base_pose, base_inliers = weighted_ransac_pnp(
-        base_weighted, smap, K, LocalizerConfig(), np.random.default_rng(77)
+        base_pooled, base_weights, smap, keypoints, K, LocalizerConfig(), np.random.default_rng(77)
     )
     for scale in (2, 7, 0.5, 256):
-        scaled_weighted, _ = assign_weights(candidates(scale))
-        for wm_a, wm_b in zip(base_weighted, scaled_weighted):
-            assert wm_a.weight == wm_b.weight
+        pooled, weights, _ = assign_weights(candidates(scale))
+        assert np.array_equal(pooled, base_pooled)
+        assert weights.tolist() == base_weights.tolist()
         pose, inliers = weighted_ransac_pnp(
-            scaled_weighted, smap, K, LocalizerConfig(), np.random.default_rng(77)
+            pooled, weights, smap, keypoints, K, LocalizerConfig(), np.random.default_rng(77)
         )
         assert inliers == base_inliers
         assert np.array_equal(pose.rotation, base_pose.rotation)
@@ -336,10 +324,9 @@ def test_criterion_6_end_to_end_clean(tmp_path):
     smap = build_semantic_map(ds.model, ds.db_rasters, ds.class_table)
     gt_poses = load_ground_truth(tmp_path / "ds" / "ground_truth.txt")
     cfg = LocalizerConfig()
-    ret = RetrievalConfig()
     errors = []
     for query in ds.queries:
-        result = localize_query(query, smap, ds, ret, cfg, query_rng(606, query.name))
+        result = localize_query(query, smap, ds, cfg, query_rng(606, query.name))
         if result.pose is None:
             errors.append(None)
         else:
@@ -357,14 +344,13 @@ def test_criterion_7_semantic_benefit(decoy_bundle):
     ds = load_dataset(corrupted_dir)
     smap = build_semantic_map(ds.model, ds.db_rasters, ds.class_table)
     gt_poses = load_ground_truth(corrupted_dir / "ground_truth.txt")
-    ret = RetrievalConfig(k_day=10)
-    cfg = LocalizerConfig()
+    cfg = LocalizerConfig(k_day=10)
     rates = {}
     for label, uniform in (("semantic", False), ("uniform", True)):
         errors = []
         for query in ds.queries:
             result = localize_query(
-                query, smap, ds, ret, cfg, query_rng(5, query.name), uniform_weights=uniform
+                query, smap, ds, replace(cfg, uniform_weights=uniform), query_rng(5, query.name)
             )
             errors.append(
                 None if result.pose is None else pose_error(result.pose, gt_poses[query.name])
@@ -378,18 +364,17 @@ def test_criterion_7_semantic_benefit(decoy_bundle):
     decoy = PoseEstimate(np.eye(3), np.array([-8.0, 0.0, 0.0]))
     gt_points = grid_map_points(rng, gt, 40, start_id=1)
     decoy_points = grid_map_points(rng, decoy, 60, start_id=1000)
-    smap2 = SemanticMap(gt_points + decoy_points, TABLE)
-    weighted = [
-        WeightedMatch(Match2D3D(i, project(gt, K, p.position), p.id, 1), 0.9 / 40)
-        for i, p in enumerate(gt_points)
-    ] + [
-        WeightedMatch(Match2D3D(100 + i, project(decoy, K, p.position), p.id, 2), 0.1 / 60)
-        for i, p in enumerate(decoy_points)
-    ]
-    pose_s, _ = weighted_ransac_pnp(weighted, smap2, K, cfg, np.random.default_rng(15))
+    smap2 = map_of(gt_points + decoy_points, TABLE)
+    keypoints = np.array(
+        [project(gt, K, p.position) for p in gt_points]
+        + [project(decoy, K, p.position) for p in decoy_points]
+    )
+    matches = np.column_stack((np.arange(100), np.arange(100)))
+    weights = np.array([0.9 / 40] * 40 + [0.1 / 60] * 60)
+    pose_s, _ = weighted_ransac_pnp(matches, weights, smap2, keypoints, K, cfg, np.random.default_rng(15))
     assert pose_s is not None and pose_error(pose_s, gt)[0] < 0.05
-    uniform = [WeightedMatch(wm.match, 1.0 / len(weighted)) for wm in weighted]
-    pose_u, _ = weighted_ransac_pnp(uniform, smap2, K, cfg, np.random.default_rng(15))
+    uniform = np.full(100, 1.0 / 100)
+    pose_u, _ = weighted_ransac_pnp(matches, uniform, smap2, keypoints, K, cfg, np.random.default_rng(15))
     assert pose_u is not None and pose_error(pose_u, decoy)[0] < 0.05
     assert pose_error(pose_u, gt)[0] > 1.0
     report(

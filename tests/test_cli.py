@@ -1,4 +1,5 @@
 import json
+import logging
 import shutil
 from collections import Counter
 
@@ -103,6 +104,19 @@ class TestPipelineCommands:
         ) == 0
         report = json.loads((run / "report.json").read_text())
         assert report["config"]["uniform_weights"] is True
+
+    def test_clamped_k_warned_once_per_run(self, cli_dataset, tmp_path, caplog):
+        _, data = cli_dataset  # 3 day queries, 8 database images
+        for k, warnings in (("9", 1), ("8", 0)):
+            caplog.clear()
+            run = tmp_path / f"k{k}"
+            with caplog.at_level(logging.WARNING):
+                assert main(["localize", "--data", str(data), "--out", str(run), "--k-day", k]) == 0
+            clamps = [r for r in caplog.records if "exceeds database size" in r.getMessage()]
+            assert len(clamps) == warnings
+            report = json.loads((run / "report.json").read_text())
+            assert len(report["queries"]) == 3
+            assert all(len(q["candidates"]) == 8 for q in report["queries"])
 
     def test_missing_raster_exits_2_and_names_file(self, cli_dataset, tmp_path, capsys):
         _, data = cli_dataset

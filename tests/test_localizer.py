@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semloc.geometry import (
     CameraIntrinsics,
@@ -14,20 +17,16 @@ from semloc.geometry import (
 from semloc.localizer import (
     LocalizerConfig,
     ScoredCandidate,
-    ViewingRay,
     assign_weights,
     localize_query,
     semantic_score,
     temporary_pose,
-    visible,
     visible_mask,
     weighted_ransac_pnp,
     weighted_sample_without_replacement,
-    WeightedMatch,
 )
-from semloc.matching import Match2D3D
 from semloc.model_ingest import ClassTable, LabelRaster, VOID_ID, load_ground_truth
-from semloc.semantic_map import SemanticMap, SemanticPoint, compute_visibility_stats
+from semloc.semantic_map import SemanticMap, compute_visibility_stats
 from semloc.model_ingest import RawPoint3D
 import oracles
 
@@ -37,8 +36,9 @@ THETA_MIN = math.radians(5.0)
 
 
 def make_point(pid, position, label=1, d_lower=1.0, d_upper=100.0,
-               v_mid=(0.0, 0.0, -1.0), theta=math.pi / 2, track_len=2):
-    return SemanticPoint(
+               v_mid=(0.0, 0.0, -1.0), theta=math.pi / 2):
+    """One map point's fields, as the oracles read them."""
+    return SimpleNamespace(
         id=pid,
         position=np.asarray(position, dtype=float),
         label=label,
@@ -46,8 +46,26 @@ def make_point(pid, position, label=1, d_lower=1.0, d_upper=100.0,
         d_upper=d_upper,
         v_mid=np.asarray(v_mid, dtype=float),
         theta=theta,
-        track_len=track_len,
     )
+
+
+def map_of(points, table=TABLE):
+    """The SemanticMap whose rows are `points`, which are in ascending id order."""
+    return SemanticMap(
+        ids=np.array([p.id for p in points], dtype=np.int64),
+        positions=np.array([p.position for p in points], dtype=float).reshape(-1, 3),
+        labels=np.array([p.label for p in points], dtype=np.int64),
+        d_lower=np.array([p.d_lower for p in points], dtype=float),
+        d_upper=np.array([p.d_upper for p in points], dtype=float),
+        v_mid=np.array([p.v_mid for p in points], dtype=float).reshape(-1, 3),
+        theta=np.array([p.theta for p in points], dtype=float),
+        class_table=table,
+    )
+
+
+def visible_one(p, c_q, theta_min):
+    """visible_mask on the one-point map of p."""
+    return bool(visible_mask(map_of([p]), np.asarray(c_q, dtype=float), theta_min)[0])
 
 
 def stats_point(pid, X, centers, label=1):
@@ -55,31 +73,31 @@ def stats_point(pid, X, centers, label=1):
     poses = [PoseEstimate(np.eye(3), -np.asarray(c, dtype=float)) for c in centers]
     d_lower, d_upper, v_mid, theta = compute_visibility_stats(raw, poses)
     return make_point(pid, X, label=label, d_lower=d_lower, d_upper=d_upper,
-                      v_mid=v_mid, theta=theta, track_len=len(centers))
+                      v_mid=v_mid, theta=theta)
 
 
 class TestVisible:
     def test_collinear_band(self):
         p = stats_point(1, [0, 0, 0], [[0, 0, 2], [0, 0, 6]])
         assert p.theta == 0.0
-        assert visible(p, np.array([0.0, 0.0, 4.0]), THETA_MIN)
+        assert visible_one(p, np.array([0.0, 0.0, 4.0]), THETA_MIN)
 
     def test_beyond_upper_distance(self):
         p = stats_point(1, [0, 0, 0], [[0, 0, 2], [0, 0, 6]])
-        assert not visible(p, np.array([0.0, 0.0, 8.0]), THETA_MIN)
+        assert not visible_one(p, np.array([0.0, 0.0, 8.0]), THETA_MIN)
 
     def test_inclusive_at_database_camera(self):
         p = stats_point(1, [0, 0, 0], [[0, 0, 2], [0, 0, 6]])
-        assert visible(p, np.array([0.0, 0.0, 2.0]), THETA_MIN)
-        assert visible(p, np.array([0.0, 0.0, 6.0]), THETA_MIN)
+        assert visible_one(p, np.array([0.0, 0.0, 2.0]), THETA_MIN)
+        assert visible_one(p, np.array([0.0, 0.0, 6.0]), THETA_MIN)
 
     def test_outside_cone(self):
         p = stats_point(1, [0, 0, 0], [[0, 0, 2], [0, 0, 6]])
-        assert not visible(p, np.array([4.0, 0.0, 0.1]), THETA_MIN)
+        assert not visible_one(p, np.array([4.0, 0.0, 0.1]), THETA_MIN)
 
     def test_at_point_is_invisible(self):
         p = stats_point(1, [0, 0, 0], [[0, 0, 2], [0, 0, 6]])
-        assert not visible(p, np.zeros(3), THETA_MIN)
+        assert not visible_one(p, np.zeros(3), THETA_MIN)
 
     def test_matches_rederivation_oracle(self):
         rng = np.random.default_rng(0)
@@ -89,7 +107,7 @@ class TestVisible:
             p = stats_point(1, X, centers)
             for _ in range(10):
                 c_q = X + rng.normal(0, 4, size=3) + [0, 0, 6]
-                got = visible(p, c_q, THETA_MIN)
+                got = visible_one(p, c_q, THETA_MIN)
                 want = oracles.visible_from_cameras(
                     [c.tolist() for c in centers], X.tolist(), c_q.tolist(), THETA_MIN
                 )
@@ -101,30 +119,27 @@ class TestVisible:
             stats_point(i, rng.uniform(-3, 3, 3), rng.uniform(-3, 3, (4, 3)) + [0, 0, 9])
             for i in range(40)
         ]
-        smap = SemanticMap(points, TABLE)
+        smap = map_of(points)
         for _ in range(10):
             c_q = rng.uniform(-5, 5, size=3) + [0, 0, 7]
             mask = visible_mask(smap, c_q, THETA_MIN)
             for i, p in enumerate(points):
-                assert mask[i] == visible(p, c_q, THETA_MIN)
-
-    def test_viewing_ray_norm(self):
-        ray = ViewingRay.between(np.array([3.0, 4.0, 0.0]), np.zeros(3))
-        assert np.isclose(ray.norm, 5.0)
-        assert np.allclose(ray.v, [3.0, 4.0, 0.0])
+                assert mask[i] == visible_one(p, c_q, THETA_MIN)
+                assert mask[i] == oracles.visible_from_stats(p, c_q.tolist(), THETA_MIN)
 
 
 def synthetic_matches(rng, pose, n, smap_points, outlier_fraction=0.0):
-    """Matches consistent with pose, optionally with gross pixel outliers."""
-    matches = []
+    """(matches, query keypoints) consistent with pose, optionally with
+    gross pixel outliers; smap_points[i] is map row i and keypoint i."""
+    pixels = []
     n_out = int(round(outlier_fraction * n))
     for i, p in enumerate(smap_points[:n]):
         px = project(pose, K, p.position)
         assert px is not None
         if i < n_out:
             px = rng.uniform([0, 0], [K.width, K.height])
-        matches.append(Match2D3D(query_kp=i, query_px=px, point3d=p.id, source_image=1))
-    return matches
+        pixels.append(px)
+    return np.column_stack((np.arange(n), np.arange(n))), np.array(pixels)
 
 
 def grid_map_points(rng, pose, n, label=1, start_id=1):
@@ -144,18 +159,18 @@ class TestTemporaryPose:
         rng = np.random.default_rng(2)
         pose = PoseEstimate.identity()
         points = grid_map_points(rng, pose, 11)
-        smap = SemanticMap(points, TABLE)
-        matches = synthetic_matches(rng, pose, 11, points)
+        smap = map_of(points)
+        matches, keypoints = synthetic_matches(rng, pose, 11, points)
         cfg = LocalizerConfig(temp_pose_min_matches=12)
-        assert temporary_pose(matches, smap, K, cfg, np.random.default_rng(0)) is None
+        assert temporary_pose(matches, smap, keypoints, K, cfg, np.random.default_rng(0)) is None
 
     def test_recovers_noiseless_pose(self):
         rng = np.random.default_rng(3)
         gt = PoseEstimate(quat_to_rot(rng.normal(size=4)), rng.normal(size=3))
         points = grid_map_points(rng, gt, 50)
-        smap = SemanticMap(points, TABLE)
-        matches = synthetic_matches(rng, gt, 50, points)
-        got = temporary_pose(matches, smap, K, LocalizerConfig(), np.random.default_rng(4))
+        smap = map_of(points)
+        matches, keypoints = synthetic_matches(rng, gt, 50, points)
+        got = temporary_pose(matches, smap, keypoints, K, LocalizerConfig(), np.random.default_rng(4))
         assert got is not None
         t_err, r_err = pose_error(got, gt)
         assert t_err < 1e-4 and r_err < 1e-4
@@ -164,9 +179,9 @@ class TestTemporaryPose:
         rng = np.random.default_rng(5)
         gt = PoseEstimate(quat_to_rot(rng.normal(size=4)), rng.normal(size=3))
         points = grid_map_points(rng, gt, 50)
-        smap = SemanticMap(points, TABLE)
-        matches = synthetic_matches(rng, gt, 50, points, outlier_fraction=0.6)
-        got = temporary_pose(matches, smap, K, LocalizerConfig(), np.random.default_rng(6))
+        smap = map_of(points)
+        matches, keypoints = synthetic_matches(rng, gt, 50, points, outlier_fraction=0.6)
+        got = temporary_pose(matches, smap, keypoints, K, LocalizerConfig(), np.random.default_rng(6))
         assert got is not None
         t_err, _ = pose_error(got, gt)
         assert t_err < 0.01
@@ -204,16 +219,16 @@ class TestSemanticScore:
 
     def test_ground_truth_pose_counts_all_visible(self):
         pose, points, raster = self._grid_scene()
-        smap = SemanticMap(points, TABLE)
+        smap = map_of(points)
         labels = LabelRaster(K.width, K.height, raster)
         cfg = LocalizerConfig()
-        mask = visible_mask(smap, camera_center(pose), cfg.theta_min)
+        mask = visible_mask(smap, camera_center(pose), math.radians(cfg.theta_min_deg))
         assert mask.all()
         assert semantic_score(smap, labels, pose, K, cfg) == len(points)
 
     def test_off_image_projections_score_zero(self):
         pose, points, raster = self._grid_scene()
-        smap = SemanticMap(points, TABLE)
+        smap = map_of(points)
         labels = LabelRaster(K.width, K.height, raster)
         # shift sideways: band still passes (d_upper=50) but pixels leave the frame
         displaced = PoseEstimate(np.eye(3), np.array([-30.0, 0.0, 0.0]))
@@ -222,7 +237,7 @@ class TestSemanticScore:
     def test_matches_double_loop_oracle_under_corruption(self):
         rng = np.random.default_rng(7)
         pose, points, raster = self._grid_scene()
-        smap = SemanticMap(points, TABLE)
+        smap = map_of(points)
         flip = rng.random(raster.shape) < 0.3
         scrambled = np.where(
             flip, rng.integers(0, len(TABLE.names), size=raster.shape).astype(np.uint8), raster
@@ -242,13 +257,13 @@ class TestSemanticScore:
                 jitter.rotation.tolist(),
                 jitter.translation.tolist(),
                 K.fx, K.fy, K.cx, K.cy,
-                cfg.theta_min,
+                math.radians(cfg.theta_min_deg),
             )
             assert got == want
 
     def test_void_pixels_never_count(self):
         pose, points, raster = self._grid_scene()
-        smap = SemanticMap(points, TABLE)
+        smap = map_of(points)
         all_void = LabelRaster(K.width, K.height, np.full_like(raster, VOID_ID))
         assert semantic_score(smap, all_void, pose, K, LocalizerConfig()) == 0
 
@@ -268,38 +283,58 @@ class TestSemanticScore:
             assert gt_score > 0
 
 
-def match_stub(query_kp, point3d):
-    return Match2D3D(query_kp=query_kp, query_px=np.zeros(2), point3d=point3d, source_image=0)
+def candidate(image_id, pairs, temp_pose, score):
+    """ScoredCandidate whose matches are the (query keypoint, map row) pairs."""
+    return ScoredCandidate(image_id, np.array(pairs, dtype=np.int64).reshape(-1, 2), temp_pose, score)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12),
+            st.integers(0, 200),
+        ),
+        max_size=6,
+    )
+)
+@settings(derandomize=True, deadline=None)
+def test_assign_weights_equals_merge_loop_oracle(cands):
+    pooled, weights, fallback = assign_weights(
+        [candidate(i, pairs, None, score) for i, (pairs, score) in enumerate(cands)]
+    )
+    want_pairs, want_weights, want_fallback = oracles.merge_weights(cands)
+    assert [tuple(m) for m in pooled.tolist()] == want_pairs
+    assert weights.tolist() == want_weights  # same order, same bits
+    assert fallback == want_fallback
 
 
 class TestAssignWeights:
     def test_worked_example(self):
-        a = ScoredCandidate(1, [match_stub(i, 100 + i) for i in range(10)], PoseEstimate.identity(), 100)
-        b = ScoredCandidate(2, [match_stub(20 + i, 200 + i) for i in range(5)], PoseEstimate.identity(), 50)
-        weighted, fallback = assign_weights([a, b])
+        a = candidate(1, [(i, 100 + i) for i in range(10)], PoseEstimate.identity(), 100)
+        b = candidate(2, [(20 + i, 200 + i) for i in range(5)], PoseEstimate.identity(), 50)
+        pooled, weights, fallback = assign_weights([a, b])
         assert not fallback
-        assert len(weighted) == 15
-        for wm in weighted[:10]:
-            assert wm.weight == 100.0 / 1250.0  # 0.08
-        for wm in weighted[10:]:
-            assert wm.weight == 50.0 / 1250.0  # 0.04
-        assert np.isclose(sum(wm.weight for wm in weighted), 1.0, atol=1e-9)
+        assert len(pooled) == 15
+        for w in weights[:10]:
+            assert w == 100.0 / 1250.0  # 0.08
+        for w in weights[10:]:
+            assert w == 50.0 / 1250.0  # 0.04
+        assert np.isclose(weights.sum(), 1.0, atol=1e-9)
 
     def test_all_zero_scores_fall_back_to_uniform(self):
-        a = ScoredCandidate(1, [match_stub(i, i) for i in range(5)], None, 0)
-        b = ScoredCandidate(2, [match_stub(10 + i, 10 + i) for i in range(3)], None, 0)
-        weighted, fallback = assign_weights([a, b])
+        a = candidate(1, [(i, i) for i in range(5)], None, 0)
+        b = candidate(2, [(10 + i, 10 + i) for i in range(3)], None, 0)
+        pooled, weights, fallback = assign_weights([a, b])
         assert fallback
-        assert len(weighted) == 8
-        assert all(wm.weight == 0.125 for wm in weighted)
+        assert len(pooled) == 8
+        assert all(w == 0.125 for w in weights)
 
     def test_shared_match_merges_raw_weights(self):
-        shared = match_stub(3, 33)
-        a = ScoredCandidate(1, [shared, match_stub(0, 1)], PoseEstimate.identity(), 100)
-        b = ScoredCandidate(2, [match_stub(3, 33)], PoseEstimate.identity(), 50)
-        weighted, _ = assign_weights([a, b])
-        assert len(weighted) == 2
-        by_key = {wm.match.key(): wm.weight for wm in weighted}
+        a = candidate(1, [(3, 33), (0, 1)], PoseEstimate.identity(), 100)
+        b = candidate(2, [(3, 33)], PoseEstimate.identity(), 50)
+        pooled, weights, _ = assign_weights([a, b])
+        assert len(pooled) == 2
+        by_key = {tuple(m): w for m, w in zip(pooled.tolist(), weights)}
         total = 150.0 + 100.0
         assert by_key[(3, 33)] == 150.0 / total
         assert by_key[(0, 1)] == 100.0 / total
@@ -308,44 +343,44 @@ class TestAssignWeights:
         rng = np.random.default_rng(8)
         for _ in range(20):
             cands = [
-                ScoredCandidate(
+                candidate(
                     i,
-                    [match_stub(int(k), int(k)) for k in rng.choice(30, size=8, replace=False)],
+                    [(int(k), int(k)) for k in rng.choice(30, size=8, replace=False)],
                     PoseEstimate.identity(),
                     int(rng.integers(0, 50)),
                 )
                 for i in range(4)
             ]
-            base, _ = assign_weights(cands)
-            base_w = {wm.match.key(): wm.weight for wm in base}
+            base, base_weights, _ = assign_weights(cands)
+            base_w = {tuple(m): w for m, w in zip(base.tolist(), base_weights)}
             boosted = [ScoredCandidate(c.image_id, c.matches, c.temp_pose, c.score) for c in cands]
             boosted[1] = ScoredCandidate(
                 boosted[1].image_id, boosted[1].matches, boosted[1].temp_pose, boosted[1].score + 25
             )
-            after, _ = assign_weights(boosted)
-            after_w = {wm.match.key(): wm.weight for wm in after}
-            for m in boosted[1].matches:
-                assert after_w[m.key()] >= base_w[m.key()] - 1e-15
+            after, after_weights, _ = assign_weights(boosted)
+            after_w = {tuple(m): w for m, w in zip(after.tolist(), after_weights)}
+            for m in boosted[1].matches.tolist():
+                assert after_w[tuple(m)] >= base_w[tuple(m)] - 1e-15
 
     def test_scale_invariance_is_bit_exact(self):
         rng = np.random.default_rng(9)
         cands = [
-            ScoredCandidate(
+            candidate(
                 i,
-                [match_stub(int(k), int(k)) for k in rng.choice(40, size=10, replace=False)],
+                [(int(k), int(k)) for k in rng.choice(40, size=10, replace=False)],
                 PoseEstimate.identity(),
                 int(rng.integers(1, 200)),
             )
             for i in range(5)
         ]
-        base, _ = assign_weights(cands)
+        base, base_weights, _ = assign_weights(cands)
         for c in (2, 7, 0.5, 256):
             scaled = [
                 ScoredCandidate(x.image_id, x.matches, x.temp_pose, x.score * c) for x in cands
             ]
-            got, _ = assign_weights(scaled)
-            for wm_a, wm_b in zip(base, got):
-                assert wm_a.weight == wm_b.weight  # bitwise
+            got, got_weights, _ = assign_weights(scaled)
+            assert np.array_equal(got, base)
+            assert got_weights.tolist() == base_weights.tolist()  # bitwise
 
 
 class TestWeightedSampler:
@@ -375,29 +410,25 @@ class TestWeightedSampler:
 
 
 class TestWeightedRansacPnp:
-    def _cluster(self, rng, pose, n, weight_total, start_id, start_kp):
+    def _cluster(self, rng, pose, n, weight_total, start_id):
+        """Map points in front of pose, their exact pixels, and weights
+        summing to weight_total."""
         points = grid_map_points(rng, pose, n, start_id=start_id)
-        weighted = []
-        for i, p in enumerate(points):
-            px = project(pose, K, p.position)
-            weighted.append(
-                WeightedMatch(
-                    Match2D3D(start_kp + i, px, p.point3d if hasattr(p, "point3d") else p.id, 0),
-                    weight_total / n,
-                )
-            )
-        return points, weighted
+        pixels = np.array([project(pose, K, p.position) for p in points])
+        return points, pixels, np.full(n, weight_total / n)
 
     def test_outlier_free_any_weights(self):
         rng = np.random.default_rng(12)
         gt = PoseEstimate(quat_to_rot(rng.normal(size=4)), rng.normal(size=3))
-        points, weighted = self._cluster(rng, gt, 30, 1.0, 1, 0)
+        points, keypoints, _ = self._cluster(rng, gt, 30, 1.0, 1)
         # arbitrary positive weights, renormalized
         raw = rng.uniform(0.1, 5.0, size=30)
         raw /= raw.sum()
-        weighted = [WeightedMatch(wm.match, w) for wm, w in zip(weighted, raw)]
-        smap = SemanticMap(points, TABLE)
-        pose, inliers = weighted_ransac_pnp(weighted, smap, K, LocalizerConfig(), np.random.default_rng(13))
+        matches = np.column_stack((np.arange(30), np.arange(30)))
+        smap = map_of(points)
+        pose, inliers = weighted_ransac_pnp(
+            matches, raw, smap, keypoints, K, LocalizerConfig(), np.random.default_rng(13)
+        )
         assert pose is not None and inliers == 30
         assert pose_error(pose, gt)[0] < 1e-4
 
@@ -405,37 +436,38 @@ class TestWeightedRansacPnp:
         rng = np.random.default_rng(14)
         gt = PoseEstimate.identity()
         decoy = PoseEstimate(np.eye(3), np.array([-8.0, 0.0, 0.0]))
-        gt_points, gt_weighted = self._cluster(rng, gt, 40, 0.9, 1, 0)
-        decoy_points, decoy_weighted = self._cluster(rng, decoy, 60, 0.1, 1000, 1000)
-        smap = SemanticMap(gt_points + decoy_points, TABLE)
-        weighted = gt_weighted + decoy_weighted
+        gt_points, gt_pixels, gt_weights = self._cluster(rng, gt, 40, 0.9, 1)
+        decoy_points, decoy_pixels, decoy_weights = self._cluster(rng, decoy, 60, 0.1, 1000)
+        smap = map_of(gt_points + decoy_points)
+        keypoints = np.vstack((gt_pixels, decoy_pixels))
+        matches = np.column_stack((np.arange(100), np.arange(100)))
+        weights = np.concatenate((gt_weights, decoy_weights))
         cfg = LocalizerConfig()
 
-        pose, _ = weighted_ransac_pnp(weighted, smap, K, cfg, np.random.default_rng(15))
+        pose, _ = weighted_ransac_pnp(matches, weights, smap, keypoints, K, cfg, np.random.default_rng(15))
         assert pose is not None
         assert pose_error(pose, gt)[0] < 0.05  # semantic weights pick the GT cluster
 
-        uniform = [WeightedMatch(wm.match, 1.0 / len(weighted)) for wm in weighted]
-        pose_u, _ = weighted_ransac_pnp(uniform, smap, K, cfg, np.random.default_rng(15))
+        uniform = np.full(100, 1.0 / 100)
+        pose_u, _ = weighted_ransac_pnp(matches, uniform, smap, keypoints, K, cfg, np.random.default_rng(15))
         assert pose_u is not None
         assert pose_error(pose_u, decoy)[0] < 0.05  # majority cluster wins uniformly
         assert pose_error(pose_u, gt)[0] > 1.0
 
     def test_too_few_matches(self):
-        smap = SemanticMap([], TABLE)
-        assert weighted_ransac_pnp([], smap, K, LocalizerConfig(), np.random.default_rng(0)) == (None, 0)
+        got = weighted_ransac_pnp(
+            np.empty((0, 2), dtype=np.int64), np.empty(0), map_of([]), np.empty((0, 2)), K,
+            LocalizerConfig(), np.random.default_rng(0),
+        )
+        assert got == (None, 0)
 
 
 class TestLocalizeQuery:
     def test_end_to_end_on_clean_scene(self, clean_scene, clean_dataset, clean_map):
-        from semloc.retrieval import RetrievalConfig
-
         gt_poses = load_ground_truth(clean_scene.root / "ground_truth.txt")
         cfg = LocalizerConfig()
         for query in clean_dataset.queries[:2]:
-            result = localize_query(
-                query, clean_map, clean_dataset, RetrievalConfig(), cfg, np.random.default_rng(16)
-            )
+            result = localize_query(query, clean_map, clean_dataset, cfg, np.random.default_rng(16))
             assert result.pose is not None
             assert result.inliers >= 4
             t_err, r_err = pose_error(result.pose, gt_poses[query.name])
@@ -448,51 +480,39 @@ class TestLocalizeQuery:
     ):
         # zero corruption, zero pixel noise: both weighting modes localize
         # every query to the millimeter floor
-        from semloc.retrieval import RetrievalConfig
-
         gt_poses = load_ground_truth(clean_scene.root / "ground_truth.txt")
         for uniform in (False, True):
             for query in clean_dataset.queries:
                 result = localize_query(
-                    query, clean_map, clean_dataset, RetrievalConfig(), LocalizerConfig(),
-                    np.random.default_rng(21), uniform_weights=uniform,
+                    query, clean_map, clean_dataset, LocalizerConfig(uniform_weights=uniform),
+                    np.random.default_rng(21),
                 )
                 assert result.pose is not None
                 assert pose_error(result.pose, gt_poses[query.name])[0] <= 1e-3
 
     def test_all_candidates_below_min_matches_uses_fallback(self, clean_scene, clean_dataset, clean_map):
-        from semloc.retrieval import RetrievalConfig
-
         cfg = LocalizerConfig(temp_pose_min_matches=10**6)
         query = clean_dataset.queries[0]
-        result = localize_query(
-            query, clean_map, clean_dataset, RetrievalConfig(), cfg, np.random.default_rng(17)
-        )
+        result = localize_query(query, clean_map, clean_dataset, cfg, np.random.default_rng(17))
         assert result.used_fallback
         assert all(c.temp_pose is None and c.score == 0 for c in result.candidates)
         assert result.pose is not None  # uniform RANSAC still solves the clean scene
 
     def test_zero_lifted_matches_fails(self, clean_dataset):
-        from semloc.retrieval import RetrievalConfig
-
-        empty_map = SemanticMap([], clean_dataset.class_table)
+        empty_map = map_of([], clean_dataset.class_table)
         query = clean_dataset.queries[0]
         result = localize_query(
-            query, empty_map, clean_dataset, RetrievalConfig(), LocalizerConfig(),
-            np.random.default_rng(18),
+            query, empty_map, clean_dataset, LocalizerConfig(), np.random.default_rng(18)
         )
         assert result.pose is None
         assert result.inliers == 0
 
     def test_seeded_determinism(self, clean_dataset, clean_map):
-        from semloc.retrieval import RetrievalConfig
-
         query = clean_dataset.queries[1]
         runs = []
         for _ in range(2):
             result = localize_query(
-                query, clean_map, clean_dataset, RetrievalConfig(), LocalizerConfig(),
-                np.random.default_rng(19),
+                query, clean_map, clean_dataset, LocalizerConfig(), np.random.default_rng(19)
             )
             runs.append(result)
         assert np.array_equal(runs[0].pose.rotation, runs[1].pose.rotation)
@@ -501,12 +521,10 @@ class TestLocalizeQuery:
         assert [c.score for c in runs[0].candidates] == [c.score for c in runs[1].candidates]
 
     def test_uniform_weights_keeps_diagnostic_scores(self, clean_dataset, clean_map):
-        from semloc.retrieval import RetrievalConfig
-
         query = clean_dataset.queries[0]
         result = localize_query(
-            query, clean_map, clean_dataset, RetrievalConfig(), LocalizerConfig(),
-            np.random.default_rng(20), uniform_weights=True,
+            query, clean_map, clean_dataset, LocalizerConfig(uniform_weights=True),
+            np.random.default_rng(20),
         )
         assert result.pose is not None
         assert not result.used_fallback

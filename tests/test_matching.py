@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semloc.errors import DimMismatch, TooFewDescriptors
 from semloc.geometry import PoseEstimate
 from semloc.matching import Match2D2D, knn_ratio_match, lift_matches
-from semloc.model_ingest import ClassTable, DbImageRecord, DescriptorSet
-from semloc.semantic_map import SemanticMap, SemanticPoint
+from semloc.model_ingest import ClassTable, DbImageRecord, DescriptorSet, NO_POINT
 import oracles
+from test_localizer import make_point, map_of
 
 
 def descs(rows):
@@ -87,60 +89,94 @@ class TestKnnRatioMatch:
         assert len(knn_ratio_match(q, db, ratio=1.0)) <= 30
 
 
+@st.composite
+def integer_descriptor_pair(draw):
+    """Query and db descriptor rows of small integers: every squared
+    distance is an exact integer, so any two L2 computations agree to the bit."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    query = draw(st.lists(row, min_size=1, max_size=8))
+    db = draw(st.lists(row, min_size=2, max_size=8))
+    return query, db
+
+
+@given(integer_descriptor_pair(), st.sampled_from([0.0, 0.5, 0.8, 0.9, 1.0]))
+@settings(derandomize=True, deadline=None)
+def test_knn_ratio_match_equals_oracle_on_integer_descriptors(pair, ratio):
+    query, db = pair
+    got = {(m.query_kp, m.db_kp) for m in knn_ratio_match(descs(query), descs(db), ratio)}
+    assert got == oracles.knn_ratio_matches(query, db, ratio)
+
+
 def tiny_map(point_ids):
     table = ClassTable(names=("road", "building"), dynamic_ids=frozenset())
     points = [
-        SemanticPoint(
-            id=pid,
-            position=np.array([float(pid), 0.0, 5.0]),
-            label=1,
-            d_lower=1.0,
-            d_upper=10.0,
-            v_mid=np.array([0.0, 0.0, 1.0]),
-            theta=0.5,
-            track_len=2,
-        )
+        make_point(pid, [float(pid), 0.0, 5.0], d_lower=1.0, d_upper=10.0,
+                   v_mid=[0.0, 0.0, 1.0], theta=0.5)
         for pid in point_ids
     ]
-    return SemanticMap(points, table)
+    return map_of(points, table)
+
+
+def db_image(point3d_ids):
+    n = len(point3d_ids)
+    return DbImageRecord(
+        name="img",
+        camera_id=1,
+        pose=PoseEstimate.identity(),
+        keypoints=np.zeros((n, 2)),
+        point3d_ids=np.asarray(point3d_ids, dtype=np.int64),
+    )
+
+
+@given(
+    st.sets(st.integers(0, 20)),
+    st.lists(st.sampled_from([NO_POINT, *range(21)]), min_size=1, max_size=15),
+    st.data(),
+)
+@settings(derandomize=True, deadline=None)
+def test_lift_matches_equals_track_loop(map_ids, point3d_ids, data):
+    smap = tiny_map(sorted(map_ids))
+    pairs = data.draw(
+        st.lists(st.tuples(st.integers(0, 30), st.integers(0, len(point3d_ids) - 1)), max_size=15)
+    )
+    matches = [Match2D2D(q, d, 0.0) for q, d in pairs]
+    rows = {pid: row for row, pid in enumerate(sorted(map_ids))}
+    want = []
+    for m in matches:
+        pid = point3d_ids[m.db_kp]
+        if pid != NO_POINT and pid in rows:
+            want.append([m.query_kp, rows[pid]])
+    lifted = lift_matches(matches, db_image(point3d_ids), smap)
+    assert lifted.shape == (len(want), 2)
+    assert lifted.tolist() == want
 
 
 class TestLiftMatches:
-    def _db_image(self, point3d_ids):
-        n = len(point3d_ids)
-        return DbImageRecord(
-            name="img",
-            camera_id=1,
-            pose=PoseEstimate.identity(),
-            keypoints=np.zeros((n, 2)),
-            point3d_ids=np.asarray(point3d_ids, dtype=np.int64),
-        )
-
     def test_alive_point_lifts(self):
-        image = self._db_image([7])
+        image = db_image([7])
         smap = tiny_map([7])
-        query_kps = np.array([[10.0, 20.0]])
-        lifted = lift_matches([Match2D2D(0, 0, 0.1)], image, smap, 42, query_kps)
-        assert len(lifted) == 1
-        assert lifted[0].point3d == 7
-        assert lifted[0].source_image == 42
-        assert np.array_equal(lifted[0].query_px, [10.0, 20.0])
+        lifted = lift_matches([Match2D2D(0, 0, 0.1)], image, smap)
+        assert lifted.tolist() == [[0, 0]]
+        assert smap.ids[lifted[0, 1]] == 7
 
     def test_untracked_keypoint_dropped(self):
-        image = self._db_image([-1])
-        lifted = lift_matches([Match2D2D(0, 0, 0.1)], image, tiny_map([7]), 1, np.zeros((1, 2)))
-        assert lifted == []
+        image = db_image([-1])
+        lifted = lift_matches([Match2D2D(0, 0, 0.1)], image, tiny_map([7]))
+        assert lifted.shape == (0, 2)
 
     def test_pruned_point_dropped(self):
-        image = self._db_image([9])  # point 9 not in the map (pruned)
-        lifted = lift_matches([Match2D2D(0, 0, 0.1)], image, tiny_map([7]), 1, np.zeros((1, 2)))
-        assert lifted == []
+        image = db_image([9])  # point 9 not in the map (pruned)
+        lifted = lift_matches([Match2D2D(0, 0, 0.1)], image, tiny_map([7]))
+        assert lifted.shape == (0, 2)
 
     def test_never_fabricates(self):
         rng = np.random.default_rng(5)
         ids = rng.choice([-1, 7, 9], size=20).astype(np.int64)
-        image = self._db_image(ids)
+        image = db_image(ids)
         matches = [Match2D2D(i, i, 0.1) for i in range(20)]
-        lifted = lift_matches(matches, image, tiny_map([7]), 1, np.zeros((20, 2)))
+        smap = tiny_map([7])
+        lifted = lift_matches(matches, image, smap)
         assert len(lifted) <= len(matches)
-        assert all(m.point3d == 7 for m in lifted)
+        assert all(smap.ids[lifted[:, 1]] == 7)
+        assert all(ids[lifted[:, 0]] == 7)  # query kp i was matched to db kp i

@@ -5,7 +5,8 @@ import pytest
 
 from semloc.errors import DimMismatch
 from semloc.model_ingest import GlobalDescriptor
-from semloc.retrieval import RetrievalConfig, rank_database
+from semloc.localizer import LocalizerConfig
+from semloc.retrieval import rank_database
 import oracles
 
 
@@ -25,14 +26,14 @@ class TestRankDatabase:
         db = {i: gd(random_unit(rng, 8)) for i in range(1, 6)}
         query = GlobalDescriptor(dim=8, values=db[3].values.copy())
         ranked = rank_database(query, db, 2)
-        assert ranked.ranking[0] == (3, 0.0)
+        assert ranked[0] == (3, 0.0)
 
     def test_dim2_toy_example(self):
         db = {1: gd([1.0, 0.0]), 2: gd([0.0, 1.0]), 3: gd([-1.0, 0.0])}
         ranked = rank_database(gd([1.0, 0.0]), db, 2)
-        assert ranked.ids() == [1, 2]
-        assert ranked.ranking[0][1] == 0.0
-        assert np.isclose(ranked.ranking[1][1], np.sqrt(2.0))
+        assert [i for i, _ in ranked] == [1, 2]
+        assert ranked[0][1] == 0.0
+        assert np.isclose(ranked[1][1], np.sqrt(2.0))
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(1)
@@ -45,16 +46,16 @@ class TestRankDatabase:
                 {i: db[i].values.tolist() for i in db},
                 30,
             )
-            assert got.ids() == [i for i, _ in want]
+            assert [i for i, _ in got] == [i for i, _ in want]
             assert len(got) == 30
-            dists = [d for _, d in got.ranking]
+            dists = [d for _, d in got]
             assert all(a <= b for a, b in zip(dists, dists[1:]))
 
     def test_l2_order_equals_descending_dot_order(self):
         rng = np.random.default_rng(2)
         db = {i: gd(random_unit(rng, 12)) for i in range(50)}
         query = gd(random_unit(rng, 12))
-        by_l2 = rank_database(query, db, 50).ids()
+        by_l2 = [i for i, _ in rank_database(query, db, 50)]
         q = query.values.astype(np.float64)
         dots = {i: float(db[i].values.astype(np.float64) @ q) for i in db}
         by_dot = sorted(db, key=lambda i: (-dots[i], i))
@@ -64,15 +65,19 @@ class TestRankDatabase:
         shared = gd([1.0, 1.0, 0.0])
         db = {7: shared, 2: GlobalDescriptor(3, shared.values.copy()), 5: GlobalDescriptor(3, shared.values.copy())}
         ranked = rank_database(GlobalDescriptor(3, shared.values.copy()), db, 3)
-        assert ranked.ids() == [2, 5, 7]
+        assert [i for i, _ in ranked] == [2, 5, 7]
 
     def test_k_clamped_with_warning(self, caplog):
+        """k above the database size returns the whole database, ranked; the
+        clamp warning is the `localize` command's, once per run."""
         rng = np.random.default_rng(3)
         db = {i: gd(random_unit(rng, 4)) for i in range(3)}
+        query = gd(random_unit(rng, 4))
         with caplog.at_level(logging.WARNING):
-            ranked = rank_database(gd(random_unit(rng, 4)), db, 10)
-        assert len(ranked) == 3
-        assert any("clamp" in rec.message for rec in caplog.records)
+            ranked = rank_database(query, db, 10)
+        assert ranked == rank_database(query, db, 3)
+        assert sorted(i for i, _ in ranked) == [0, 1, 2]
+        assert caplog.records == []
 
     def test_dim_mismatch(self):
         db = {1: gd([1.0, 0.0, 0.0])}
@@ -80,7 +85,7 @@ class TestRankDatabase:
             rank_database(gd([1.0, 0.0]), db, 1)
 
     def test_config_k_for_condition(self):
-        cfg = RetrievalConfig()
+        cfg = LocalizerConfig()
         assert cfg.k_day == 30 and cfg.k_night == 50
         assert cfg.k_for("day") == 30
         assert cfg.k_for("night") == 50

@@ -13,8 +13,10 @@ from semloc.model_ingest import (
     SfmModel,
 )
 from semloc.semantic_map import (
+    SemanticMap,
     build_semantic_map,
     compute_visibility_stats,
+    MAP_CACHE_VERSION,
     load_map_cache,
     save_map_cache,
     vote_point_label,
@@ -145,8 +147,8 @@ class TestVisibilityStats:
 class TestBuildSemanticMap:
     def test_labels_match_ground_truth(self, clean_scene, clean_dataset, clean_map):
         assert len(clean_map) > 0
-        for p in clean_map.points:
-            assert p.label == clean_scene.point_labels[p.id]
+        for pid, label in zip(clean_map.ids.tolist(), clean_map.labels.tolist()):
+            assert label == clean_scene.point_labels[pid]
 
     def test_dynamic_fraction_removed(self, tmp_path):
         spec = SceneSpec(
@@ -164,7 +166,7 @@ class TestBuildSemanticMap:
         smap = build_semantic_map(ds.model, ds.db_rasters, ds.class_table)
         assert len(gt.dynamic_point_ids) == 20
         assert len(smap) == 180  # exactly the static points survive
-        assert not any(pid in smap for pid in gt.dynamic_point_ids)
+        assert (smap.rows_of(sorted(gt.dynamic_point_ids)) == -1).all()
 
     def test_empty_model_gives_empty_map(self):
         model = SfmModel(cameras={}, images={}, points={})
@@ -185,18 +187,21 @@ class TestBuildSemanticMap:
 
     def test_point_invariants_and_bisector_property(self, clean_dataset, clean_map):
         model = clean_dataset.model
-        for p in clean_map.points:
-            assert 0 < p.d_lower <= p.d_upper
-            assert np.isclose(np.linalg.norm(p.v_mid), 1.0, atol=1e-9)
-            assert 0 <= p.theta <= math.pi
-            assert not clean_map.class_table.is_dynamic(p.label)
-            assert p.label != clean_map.class_table.void_id
+        m = clean_map
+        for pid, position, label, d_lower, d_upper, v_mid, theta in zip(
+            m.ids.tolist(), m.positions, m.labels.tolist(), m.d_lower, m.d_upper, m.v_mid, m.theta
+        ):
+            assert 0 < d_lower <= d_upper
+            assert np.isclose(np.linalg.norm(v_mid), 1.0, atol=1e-9)
+            assert 0 <= theta <= math.pi
+            assert not m.class_table.is_dynamic(label)
+            assert label != m.class_table.void_id
             dirs = []
-            for image_id, _kp in model.points[p.id].track:
+            for image_id, _kp in model.points[pid].track:
                 c = camera_center(model.images[image_id].pose)
-                d = np.linalg.norm(c - p.position)
-                assert p.d_lower - 1e-12 <= d <= p.d_upper + 1e-12
-                dirs.append((c - p.position) / d)
+                d = np.linalg.norm(c - position)
+                assert d_lower - 1e-12 <= d <= d_upper + 1e-12
+                dirs.append((c - position) / d)
             # the two extreme directions sit within theta/2 of the bisector
             best = min(
                 (float(dirs[i] @ dirs[j]), i, j)
@@ -204,8 +209,8 @@ class TestBuildSemanticMap:
                 for j in range(i + 1, len(dirs))
             )
             for idx in (best[1], best[2]):
-                angle = math.acos(np.clip(dirs[idx] @ p.v_mid, -1, 1))
-                assert angle <= p.theta / 2 + 1e-9
+                angle = math.acos(np.clip(dirs[idx] @ v_mid, -1, 1))
+                assert angle <= theta / 2 + 1e-9
 
 
 class TestMapCache:
@@ -221,7 +226,6 @@ class TestMapCache:
         assert np.array_equal(loaded.d_upper, clean_map.d_upper)
         assert np.array_equal(loaded.v_mid, clean_map.v_mid)
         assert np.array_equal(loaded.theta, clean_map.theta)
-        assert [p.track_len for p in loaded.points] == [p.track_len for p in clean_map.points]
 
     def test_cache_reused_only_for_its_inputs(self, clean_map, tmp_path):
         path = tmp_path / "map.npz"
@@ -234,3 +238,39 @@ class TestMapCache:
             arrays = {k: data[k] for k in data.files if k not in ("version", "inputs_sha256")}
         np.savez(path, **arrays)
         assert load_map_cache(path, clean_map.class_table, "a" * 64) is None
+        # a cache of the previous format version: same layout plus track_len
+        np.savez(
+            path, version=2, inputs_sha256="a" * 64, track_len=np.full(len(arrays["ids"]), 2), **arrays
+        )
+        assert load_map_cache(path, clean_map.class_table, "a" * 64) is None
+        # ids that are unsorted or duplicated
+        for ids in (arrays["ids"][::-1], np.concatenate((arrays["ids"][:1], arrays["ids"][:-1]))):
+            np.savez(
+                path, version=MAP_CACHE_VERSION, inputs_sha256="a" * 64, **{**arrays, "ids": ids}
+            )
+            assert load_map_cache(path, clean_map.class_table, "a" * 64) is None
+
+
+class TestSemanticMapArrays:
+    def _map(self, ids):
+        n = len(ids)
+        return SemanticMap(
+            ids=np.array(ids, dtype=np.int64),
+            positions=np.zeros((n, 3)),
+            labels=np.zeros(n, dtype=np.int64),
+            d_lower=np.ones(n),
+            d_upper=np.ones(n),
+            v_mid=np.tile([0.0, 0.0, 1.0], (n, 1)),
+            theta=np.zeros(n),
+            class_table=TABLE,
+        )
+
+    @pytest.mark.parametrize("ids", [[1, 4, 4, 9], [1, 9, 4]], ids=["duplicate", "unsorted"])
+    def test_ids_not_strictly_increasing_rejected(self, ids):
+        with pytest.raises(ValueError):
+            self._map(ids)
+
+    def test_rows_of(self):
+        smap = self._map([2, 5, 11])
+        assert smap.rows_of([11, 2, 5, 3, 0, 12, -1]).tolist() == [2, 0, 1, -1, -1, -1, -1]
+        assert self._map([]).rows_of([1]).tolist() == [-1]

@@ -109,7 +109,7 @@ class TestCorrupt:
         assert manifest["wrong_retrieval"]["replicas"] == 1
         for query in ds.queries:
             ranked = rank_database(query.global_desc, ds.db_global, 10)
-            names = [ds.model.images[i].name for i in ranked.ids()]
+            names = [ds.model.images[i].name for i, _ in ranked]
             assert sum(name in decoy_names for name in names) == 5
             # each source immediately precedes its clone (exact distance tie)
             for a, b in zip(names[::2], names[1::2]):
@@ -141,19 +141,17 @@ class TestCorrupt:
             pose = gt_poses[query.name]
             corrupted_idx = set(manifest["outlier_keypoints"][query.name])
             ranked = rank_database(query.global_desc, ds.db_global, 5)
-            for image_id in ranked.ids():
+            for image_id, _ in ranked:
                 matches = knn_ratio_match(query.descriptors, ds.db_descriptors[image_id], 0.9)
-                lifted = lift_matches(
-                    matches, ds.model.images[image_id], smap, image_id, query.keypoints
-                )
-                for m in lifted:
-                    pred = project(pose, query.camera, smap.position_of(m.point3d))
-                    fails = pred is None or np.linalg.norm(pred - m.query_px) > 5.0
+                lifted = lift_matches(matches, ds.model.images[image_id], smap)
+                for query_kp, row in lifted.tolist():
+                    pred = project(pose, query.camera, smap.positions[row])
+                    fails = pred is None or np.linalg.norm(pred - query.keypoints[query_kp]) > 5.0
                     lifted_total += 1
                     lifted_bad += fails
                     # failures are exactly the scrambled keypoints
                     if fails:
-                        assert m.query_kp in corrupted_idx
+                        assert query_kp in corrupted_idx
         rate = lifted_bad / lifted_total
         assert abs(rate - 0.3) < 0.01
 
