@@ -241,9 +241,12 @@ def cmd_evaluate(args) -> int:
     meta: dict[str, dict] = {}
     report_path = run_dir / "report.json"
     if report_path.exists():
-        with open(report_path) as fh:
-            payload = json.load(fh)
-        meta = {entry["name"]: entry for entry in payload.get("queries", [])}
+        try:
+            payload = json.loads(report_path.read_text())
+            meta = {entry["name"]: entry for entry in payload.get("queries", [])}
+        except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+            print(f"validation: cannot read report: {report_path}: {exc!r}", file=sys.stderr)
+            return 2
 
     rows = []
     for name in sorted(gt):

@@ -340,27 +340,31 @@ def reprojection_jacobian(
     pose: PoseEstimate, K: CameraIntrinsics, points: np.ndarray
 ) -> np.ndarray:
     """(2n, 6) Jacobian of the residuals w.r.t. the local pose update
-    (w, dt), where the updated pose is (exp([w]x) @ R, t + dt).
+    (w, dt), where the updated pose is (exp([w]x) @ R, t + dt). The rows
+    of points at depth <= _MIN_DEPTH are zero.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = points.shape[0]
     rotated = points @ pose.rotation.T  # R @ X per row
     x_cam = rotated + pose.translation
-    J = np.zeros((2 * n, 6))
-    for i in range(n):
-        x, y, z = x_cam[i]
-        if z <= _MIN_DEPTH:
-            J[2 * i : 2 * i + 2, :] = 0.0
-            continue
-        d_proj = np.array(
-            [
-                [K.fx / z, 0.0, -K.fx * x / (z * z)],
-                [0.0, K.fy / z, -K.fy * y / (z * z)],
-            ]
-        )
-        d_cam = np.hstack([-skew(rotated[i]), np.eye(3)])
-        J[2 * i : 2 * i + 2, :] = d_proj @ d_cam
-    return J
+    x, y, z = x_cam.T
+    # per point [-skew(R @ X) | I], with -skew's -0.0 diagonal kept
+    d_cam = np.zeros((n, 3, 6))
+    rx, ry, rz = rotated.T
+    d_cam[:, [0, 1, 2], [0, 1, 2]] = -0.0
+    d_cam[:, 0, 1], d_cam[:, 0, 2] = rz, -ry
+    d_cam[:, 1, 0], d_cam[:, 1, 2] = -rz, rx
+    d_cam[:, 2, 0], d_cam[:, 2, 1] = ry, -rx
+    d_cam[:, [0, 1, 2], [3, 4, 5]] = 1.0
+    d_proj = np.zeros((n, 2, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_proj[:, 0, 0] = K.fx / z
+        d_proj[:, 0, 2] = -K.fx * x / (z * z)
+        d_proj[:, 1, 1] = K.fy / z
+        d_proj[:, 1, 2] = -K.fy * y / (z * z)
+        J = d_proj @ d_cam
+    J[z <= _MIN_DEPTH] = 0.0
+    return J.reshape(2 * n, 6)
 
 
 def refine_pnp(

@@ -18,47 +18,83 @@ class Match2D2D:
     distance: float  # L2 to the nearest db descriptor
 
 
+# Query rows per block are sized so that the block's (rows, db) float64
+# temporaries, and the candidate differences recomputed exactly, stay
+# within this many bytes.
+MATCH_BLOCK_BYTES = 32 * 2**20
+# GEMM result, partition copy, mask and candidate indices; or, for the
+# exact pass, the two gathered rows, their difference and its square
+_BLOCK_TEMPORARIES = 4
+
+
 def knn_ratio_match(
     query_descs: DescriptorSet, db_descs: DescriptorSet, ratio: float = 0.9
 ) -> list[Match2D2D]:
-    """Nearest-neighbor matching with the ratio test d1/d2 <= ratio,
-    one-to-one in the database keypoints.
+    """Nearest-neighbor matching with Lowe's strict ratio test
+    d1 < ratio * d2, one-to-one in the database keypoints.
 
-    On a conflict for the same db keypoint the smaller-d1 match wins
-    (ties toward the smaller query index). Requires >= 2 db descriptors.
+    d1 and d2 are the two smallest L2 distances of a query row over the db
+    rows, counted with multiplicity: two equally near db rows give
+    d1 == d2 and no match, and ratio 0 accepts nothing. On a conflict for
+    the same db keypoint the smaller-d1 match wins (ties toward the smaller
+    query index). Requires >= 2 db descriptors.
+
+    Candidate columns come from a squared-norm GEMM, |d|^2 - 2 q.d, over
+    blocks of query rows whose temporaries stay within MATCH_BLOCK_BYTES.
+    A row keeps every column within a rounding margin of its second-smallest
+    approximate value; the margin is twice a bound on the error of both the
+    GEMM and the exact expression, so the kept columns hold every column as
+    near as the exact second neighbour. d1 and d2 are the exact
+    np.linalg.norm(q - d) on those columns, and the nearest is the lowest
+    column among equal distances.
     """
     if query_descs.dim != db_descs.dim:
         raise DimMismatch(f"descriptor dims {query_descs.dim} != {db_descs.dim}")
     if db_descs.rows < 2:
         raise TooFewDescriptors(f"ratio test needs >= 2 db descriptors, got {db_descs.rows}")
 
+    query = query_descs.data.astype(np.float64)
     db = db_descs.data.astype(np.float64)
-    accepted: list[Match2D2D] = []
-    chunk = 256
-    for start in range(0, query_descs.rows, chunk):
-        block = query_descs.data[start : start + chunk].astype(np.float64)
-        # (q, db) distances via explicit differences
-        dists = np.linalg.norm(block[:, None, :] - db[None, :, :], axis=2)
-        for row in range(dists.shape[0]):
-            d = dists[row]
-            best = int(np.argmin(d))
-            d1 = float(d[best])
-            d_rest = np.delete(d, best)
-            d2 = float(d_rest.min())
-            if d1 <= ratio * d2:
-                accepted.append(Match2D2D(start + row, best, d1))
+    db_sq = np.einsum("ij,ij->i", db, db)
+    q_norm = np.sqrt(np.einsum("ij,ij->i", query, query))
+    # each form of |q - d|^2 is off by at most about
+    # (dim + 2) * eps * (|q| + |d|)^2; the margin is twice the sum of both
+    # bounds, doubled again to spare
+    margin = 8.0 * (query_descs.dim + 2) * np.finfo(np.float64).eps
+    margin = margin * (q_norm + np.sqrt(db_sq.max())) ** 2
+
+    block = max(1, MATCH_BLOCK_BYTES // (_BLOCK_TEMPORARIES * 8 * db_descs.rows))
+    pair_chunk = max(1, MATCH_BLOCK_BYTES // (_BLOCK_TEMPORARIES * 8 * query_descs.dim))
+    q_idx, db_idx, d1 = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    for start in range(0, query_descs.rows, block):
+        approx = db_sq - 2.0 * (query[start : start + block] @ db.T)
+        second = np.partition(approx, 1, axis=1)[:, 1]
+        rows, cols = np.nonzero(approx <= (second + margin[start : start + block])[:, None])
+        del approx
+        rows += start
+        dist = np.concatenate([
+            np.linalg.norm(query[rows[i : i + pair_chunk]] - db[cols[i : i + pair_chunk]], axis=1)
+            for i in range(0, len(rows), pair_chunk)
+        ])
+        # by row, then distance, then column: a row's first two entries are
+        # its nearest (lowest column on a tie) and its second neighbour
+        order = np.lexsort((cols, dist, rows))
+        rows, cols, dist = rows[order], cols[order], dist[order]
+        first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        accepted = first[dist[first] < ratio * dist[first + 1]]
+        q_idx.append(rows[accepted])
+        db_idx.append(cols[accepted])
+        d1.append(dist[accepted])
+    q_idx, db_idx, d1 = map(np.concatenate, (q_idx, db_idx, d1))
 
     # one-to-one db usage: smaller distance wins, then smaller query index
-    accepted.sort(key=lambda m: (m.distance, m.query_kp))
-    used_db: set[int] = set()
-    kept = []
-    for m in accepted:
-        if m.db_kp in used_db:
-            continue
-        used_db.add(m.db_kp)
-        kept.append(m)
-    kept.sort(key=lambda m: m.query_kp)
-    return kept
+    order = np.lexsort((q_idx, d1))
+    _, winners = np.unique(db_idx[order], return_index=True)
+    kept = np.sort(order[winners])  # q_idx ascends, so this is query order
+    return [
+        Match2D2D(q, d, distance)
+        for q, d, distance in zip(q_idx[kept].tolist(), db_idx[kept].tolist(), d1[kept].tolist())
+    ]
 
 
 def lift_matches(

@@ -1,7 +1,13 @@
 """Independent brute-force oracles, written with plain Python loops and the
-math module so they share no code path with the implementations they check."""
+math module so they share no code path with the implementations they check.
+
+The bit-exact references at the end are the exception: they repeat the
+numpy expressions whose rounding the implementations must keep, once per
+element or over the full matrix, so results compare bit for bit."""
 
 import math
+
+import numpy as np
 
 
 def dist(a, b):
@@ -18,7 +24,8 @@ def rank_by_l2(query_values, db_values_by_id, k):
 
 
 def knn_ratio_matches(query_rows, db_rows, ratio):
-    """All-pairs ratio-test matching with one-to-one db usage.
+    """All-pairs matching with the strict ratio test d1 < ratio * d2 and
+    one-to-one db usage.
 
     Returns a set of (query_idx, db_idx) pairs.
     """
@@ -28,7 +35,7 @@ def knn_ratio_matches(query_rows, db_rows, ratio):
         dists.sort()
         d1, best = dists[0]
         d2 = dists[1][0]
-        if d1 <= ratio * d2:
+        if d1 < ratio * d2:
             accepted.append((d1, qi, best))
     accepted.sort()
     used = set()
@@ -194,3 +201,50 @@ def rotation_angle_deg(R_a, R_b):
     if trace - 1.0 > 2.0 * math.cos(math.radians(1.0)) - 1.0:
         return math.degrees(math.asin(min(1.0, sin_angle)))
     return math.degrees(math.acos(max(-1.0, min(1.0, (trace - 1.0) / 2.0))))
+
+
+def knn_ratio_matches_full_matrix(query_rows, db_rows, ratio):
+    """The strict ratio test with one-to-one db usage over the full
+    (query, db) distance matrix, each distance computed as
+    np.linalg.norm(q - d) in float64.
+
+    Returns [(query_idx, db_idx, distance)] in query order.
+    """
+    q = np.asarray(query_rows, dtype=np.float64)
+    db = np.asarray(db_rows, dtype=np.float64)
+    dists = np.linalg.norm(q[:, None, :] - db[None, :, :], axis=2)
+    accepted = []
+    for qi, row in enumerate(dists.tolist()):
+        order = sorted(range(len(row)), key=lambda j: (row[j], j))
+        d1, d2 = row[order[0]], row[order[1]]
+        if d1 < ratio * d2:
+            accepted.append((d1, qi, order[0]))
+    accepted.sort()
+    used = set()
+    result = []
+    for d1, qi, di in accepted:
+        if di not in used:
+            used.add(di)
+            result.append((qi, di, d1))
+    return sorted(result)
+
+
+def reprojection_jacobian_loop(R, t, fx, fy, points):
+    """(2n, 6) Jacobian of the pixel residuals w.r.t. the update
+    (exp([w]x) @ R, t + dt), one point at a time: d(pixel)/d(camera point)
+    times [-[R X]x | I], zero rows for points at depth <= 1e-9."""
+    R = np.asarray(R, dtype=float)
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    rotated = points @ R.T
+    rows = []
+    for r in rotated:
+        x, y, z = r + np.asarray(t, dtype=float)
+        if z <= 1e-9:
+            rows.append(np.zeros((2, 6)))
+            continue
+        d_proj = np.array([[fx / z, 0.0, -fx * x / (z * z)], [0.0, fy / z, -fy * y / (z * z)]])
+        neg_skew = np.array(
+            [[-0.0, r[2], -r[1]], [-r[2], -0.0, r[0]], [r[1], -r[0], -0.0]]
+        )
+        rows.append(d_proj @ np.hstack([neg_skew, np.eye(3)]))
+    return np.concatenate(rows) if rows else np.zeros((0, 6))

@@ -2,6 +2,7 @@ import json
 import logging
 import shutil
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,9 @@ def cli_dataset(tmp_path_factory):
     data_dir = root / "ds"
     assert main(["synth", "--spec", str(spec_path), "--out", str(data_dir)]) == 0
     return root, data_dir
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _copy(data, dst):
@@ -86,6 +90,19 @@ class TestPipelineCommands:
         for other in (run_b, run_c):
             assert (run_a / "poses.txt").read_bytes() == (other / "poses.txt").read_bytes()
             assert (run_a / "report.json").read_bytes() == (other / "report.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, golden",
+        [([], "cli_poses.txt"), (["--uniform-weights"], "cli_poses_uniform.txt")],
+    )
+    def test_poses_equal_golden_bytes(self, cli_dataset, tmp_path, flags, golden):
+        # the golden files hold the poses this scene gave before the array
+        # matcher and the batched Jacobian, written with numpy 2.4 on x86-64;
+        # a hot-path rewrite must keep every bit of them
+        _, data = cli_dataset
+        run = tmp_path / "run"
+        assert main(["localize", "--data", str(data), "--out", str(run), "--seed", "2", *flags]) == 0
+        assert (run / "poses.txt").read_bytes() == (GOLDEN / golden).read_bytes()
 
     def test_uniform_weights_flag(self, cli_dataset):
         root, data = cli_dataset
@@ -235,6 +252,18 @@ class TestPipelineCommands:
         assert "empty" in captured.err
         eval_report = json.loads((run / "eval_report.json").read_text())
         assert eval_report["overall"] == [0.0, 0.0, 0.0]
+
+
+    def test_evaluate_malformed_report_exits_2(self, cli_dataset, tmp_path, capsys):
+        _, data = cli_dataset
+        run = tmp_path / "bad_report"
+        run.mkdir()
+        shutil.copy(data / "ground_truth.txt", run / "poses.txt")
+        (run / "report.json").write_text("{")
+        code = main(["evaluate", "--run", str(run), "--gt", str(data / "ground_truth.txt")])
+        assert code == 2
+        assert "validation: cannot read report" in capsys.readouterr().err
+        assert not (run / "eval_report.json").exists()
 
 
 class TestErrorPaths:

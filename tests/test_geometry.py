@@ -244,6 +244,26 @@ class TestRefinePnp:
                 fd[i] = (cost(delta) - cost(-delta)) / (2 * eps)
             assert np.linalg.norm(grad - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
 
+    def test_jacobian_equals_per_point_loop_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for n in (0, 1, 7, 40, 200):
+            pose = random_pose(rng)
+            # around the camera: some points in front, some behind
+            center = camera_center(pose)
+            pts = center + rng.normal(scale=6.0, size=(n, 3))
+            if n:
+                pts[0] = center  # depth exactly 0
+            J = reprojection_jacobian(pose, K, pts)
+            want = oracles.reprojection_jacobian_loop(
+                pose.rotation, pose.translation, K.fx, K.fy, pts
+            )
+            assert J.shape == (2 * n, 6)
+            assert J.tobytes() == want.tobytes()
+            depth = (pts @ pose.rotation.T + pose.translation)[:, 2]
+            if n >= 40:
+                assert (depth <= 0).any() and (depth > 0).any()
+                assert not J.reshape(n, 12)[depth <= 1e-9].any()
+
     def test_behind_camera_init_raises(self):
         pts = np.array([[0.0, 0.0, -5.0], [1.0, 0.0, -5.0], [0.0, 1.0, -5.0], [1.0, 1.0, -5.0]])
         pixels = np.full((4, 2), 100.0)

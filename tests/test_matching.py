@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semloc.matching as matching
 from semloc.errors import DimMismatch, TooFewDescriptors
 from semloc.geometry import PoseEstimate
 from semloc.matching import Match2D2D, knn_ratio_match, lift_matches
@@ -18,7 +21,7 @@ def descs(rows):
 
 class TestKnnRatioMatch:
     def test_accepts_at_relaxed_threshold(self):
-        # nearest at 0.8, second at 1.0: 0.8 <= 0.9 * 1.0
+        # nearest at 0.8, second at 1.0: 0.8 < 0.9 * 1.0
         q = descs([[0.0, 0.0]])
         db = descs([[0.8, 0.0], [1.0, 0.0]])
         matches = knn_ratio_match(q, db, ratio=0.9)
@@ -74,6 +77,19 @@ class TestKnnRatioMatch:
         assert len(matches) == 10
         assert {m.db_kp for m in matches} == set(perm.tolist())
 
+    def test_identical_db_rows_give_no_match(self):
+        # d1 == d2, at distance 0 as well as above it
+        for ratio in (0.9, 1.0):
+            assert knn_ratio_match(descs([[0.0, 0.0]]), descs([[0.0, 0.0]] * 2), ratio) == []
+            q = descs([[0.5, 0.0]])
+            assert knn_ratio_match(q, descs([[1.0, 0.0], [1.0, 0.0], [5.0, 0.0]]), ratio) == []
+
+    def test_ratio_zero_rejects_exact_match(self):
+        q = descs([[1.0, 2.0]])
+        db = descs([[1.0, 2.0], [5.0, 5.0]])
+        assert knn_ratio_match(q, db, ratio=0.0) == []
+        assert len(knn_ratio_match(q, db, ratio=0.5)) == 1
+
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             knn_ratio_match(descs([[0.0, 0.0]]), descs([[0.0, 0.0, 0.0]] * 2))
@@ -106,6 +122,101 @@ def test_knn_ratio_match_equals_oracle_on_integer_descriptors(pair, ratio):
     query, db = pair
     got = {(m.query_kp, m.db_kp) for m in knn_ratio_match(descs(query), descs(db), ratio)}
     assert got == oracles.knn_ratio_matches(query, db, ratio)
+
+
+def as_triples(matches):
+    return [(m.query_kp, m.db_kp, m.distance) for m in matches]
+
+
+def bits(triples):
+    return [(q, d, float(dist).hex()) for q, d, dist in triples]
+
+
+@st.composite
+def float_descriptor_pair(draw):
+    """Float32 query and db rows at mixed scales, with planted exact
+    duplicates, near-ties one ulp apart, and queries on or between db rows."""
+    dim = draw(st.integers(1, 12))
+    n_db = draw(st.integers(2, 16))
+    # a large component shared by every row, which |d|^2 - 2 q.d cancels
+    offset = np.float32(draw(st.sampled_from([0.0, 1e4, 1e6])))
+    scales = draw(st.lists(st.sampled_from([1e-3, 1.0, 1e3]), min_size=n_db, max_size=n_db))
+    value = st.floats(-10, 10, allow_nan=False, width=32)
+    db = np.array(
+        [[draw(value) for _ in range(dim)] for _ in range(n_db)], dtype=np.float32
+    ) * np.asarray(scales, dtype=np.float32)[:, None]
+    index = st.integers(0, n_db - 1)
+    for _ in range(draw(st.integers(0, 3))):  # exact duplicates
+        db[draw(index)] = db[draw(index)]
+    for _ in range(draw(st.integers(0, 3))):  # near-ties
+        i, j = draw(index), draw(index)
+        db[i] = db[j]
+        db[i, 0] = np.nextafter(db[i, 0], np.float32(np.inf))
+    query = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["free", "on", "between"]))
+        if kind == "on":
+            query.append(db[draw(index)])
+        elif kind == "between":
+            query.append((db[draw(index)] + db[draw(index)]) / np.float32(2))
+        else:
+            query.append(np.array([draw(value) for _ in range(dim)], dtype=np.float32))
+    query = np.array(query, dtype=np.float32)
+    query[:, 0] += offset
+    db[:, 0] += offset
+    return query, db
+
+
+# ratio 1.5 accepts exact ties, so it pins the lowest-column tie-break
+@given(float_descriptor_pair(), st.sampled_from([0.0, 0.8, 0.9, 1.0, 1.5]))
+@settings(derandomize=True, deadline=None, max_examples=200)
+def test_knn_ratio_match_equals_full_matrix_bit_for_bit(pair, ratio):
+    query, db = pair
+    got = knn_ratio_match(descs(query), descs(db), ratio)
+    want = oracles.knn_ratio_matches_full_matrix(query, db, ratio)
+    assert bits(as_triples(got)) == bits(want)
+
+
+def test_exact_order_survives_gemm_cancellation():
+    # |d|^2 - 2 q.d of rows that share a component of 1e6 rounds away most
+    # of the 1e-3 steps that order them; the kept columns must still hold
+    # the exact nearest two
+    rng = np.random.default_rng(0)
+    small = rng.permutation(np.arange(1, 41)) * 1e-3
+    db = np.column_stack([np.full(40, 1e6), small]).astype(np.float32)
+    query = np.column_stack([np.full(10, 1e6), np.arange(10) * 4.3e-3]).astype(np.float32)
+    got = knn_ratio_match(descs(query), descs(db), 0.9)
+    assert len(got) == 9
+    assert bits(as_triples(got)) == bits(oracles.knn_ratio_matches_full_matrix(query, db, 0.9))
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+def test_knn_ratio_match_over_many_blocks(monkeypatch, rows_per_block):
+    rng = np.random.default_rng(rows_per_block)
+    db = rng.normal(size=(40, 8)).astype(np.float32)
+    db[7] = db[3]
+    query = np.concatenate(
+        [db[:20] + rng.normal(scale=0.05, size=(20, 8)), rng.normal(size=(11, 8))]
+    ).astype(np.float32)
+    row_bytes = matching._BLOCK_TEMPORARIES * 8 * len(db)
+    monkeypatch.setattr(matching, "MATCH_BLOCK_BYTES", rows_per_block * row_bytes)
+    got = knn_ratio_match(descs(query), descs(db), 0.9)
+    assert bits(as_triples(got)) == bits(oracles.knn_ratio_matches_full_matrix(query, db, 0.9))
+    assert len(got) >= 15
+
+
+def test_knn_ratio_match_memory_is_bounded():
+    # the full (2000, 2000, 128) float64 difference tensor would be 4 GB
+    rng = np.random.default_rng(0)
+    query = descs(rng.normal(size=(2000, 128)))
+    db = descs(rng.normal(size=(2000, 128)))
+    tracemalloc.start()
+    try:
+        knn_ratio_match(query, db, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
 
 
 def tiny_map(point_ids):
