@@ -110,76 +110,250 @@ def camera_center(pose: PoseEstimate) -> np.ndarray:
     return -pose.rotation.T @ pose.translation
 
 
-def project(pose: PoseEstimate, K: CameraIntrinsics, X: np.ndarray) -> np.ndarray | None:
-    """Project a world point; returns the pixel, or None when at/behind the camera."""
-    x_cam = pose.rotation @ np.asarray(X, dtype=float) + pose.translation
-    if x_cam[2] <= _MIN_DEPTH:
-        return None
-    return np.array(
-        [
-            K.fx * x_cam[0] / x_cam[2] + K.cx,
-            K.fy * x_cam[1] / x_cam[2] + K.cy,
-        ]
-    )
+def project_poses(
+    rotations: np.ndarray, translations: np.ndarray, K: CameraIntrinsics, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project points through a stack of H poses.
+
+    rotations: (H, 3, 3); translations: (H, 3); X: (n, 3), shared by every
+    pose, or (H, n, 3). Returns (pixels, in_front): pixels is (H, n, 2) and
+    only valid where in_front is True; rows at or behind the camera hold NaN.
+    """
+    # camera coordinates as (H, 3, n): rows of n points keep the loops long
+    x_cam = rotations @ np.swapaxes(X, -1, -2) + translations[:, :, None]
+    z = x_cam[:, 2]
+    in_front = z > _MIN_DEPTH
+    px = x_cam[:, :2] * np.array([[K.fx], [K.fy]])
+    px /= np.where(in_front, z, np.nan)[:, None]  # NaN at or behind the camera
+    px += np.array([[K.cx], [K.cy]])
+    return px.transpose(0, 2, 1), in_front
 
 
 def project_many(
     pose: PoseEstimate, K: CameraIntrinsics, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of an (n, 3) array.
-
-    Returns (pixels, in_front): pixels is (n, 2) and only valid where
-    in_front is True; rows at or behind the camera hold NaN.
-    """
+    """Vectorized projection of an (n, 3) array: project_poses for one pose."""
     X = np.asarray(X, dtype=float).reshape(-1, 3)
-    x_cam = X @ pose.rotation.T + pose.translation
-    z = x_cam[:, 2]
-    in_front = z > _MIN_DEPTH
-    px = np.full((X.shape[0], 2), np.nan)
-    zs = np.where(in_front, z, 1.0)
-    px[:, 0] = np.where(in_front, K.fx * x_cam[:, 0] / zs + K.cx, np.nan)
-    px[:, 1] = np.where(in_front, K.fy * x_cam[:, 1] / zs + K.cy, np.nan)
-    return px, in_front
+    px, in_front = project_poses(pose.rotation[None], pose.translation[None], K, X)
+    return px[0], in_front[0]
+
+
+def project(pose: PoseEstimate, K: CameraIntrinsics, X: np.ndarray) -> np.ndarray | None:
+    """Project a world point; returns the pixel, or None when at/behind the camera."""
+    px, in_front = project_many(pose, K, X)
+    return px[0] if in_front[0] else None
 
 
 def _bearings(pixels: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
-    """Unit viewing rays in camera frame for (n, 2) pixels."""
-    rays = np.column_stack(
-        [
-            (pixels[:, 0] - K.cx) / K.fx,
-            (pixels[:, 1] - K.cy) / K.fy,
-            np.ones(len(pixels)),
-        ]
-    )
-    return rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    """Unit viewing rays in camera frame for (..., 2) pixels."""
+    rays = np.ones(pixels.shape[:-1] + (3,))
+    rays[..., :2] = (pixels - (K.cx, K.cy)) / (K.fx, K.fy)
+    rays /= np.sqrt((rays * rays).sum(axis=-1, keepdims=True))  # as np.linalg.norm sums
+    return rays
+
+
+# Side k of a P3P triangle joins points _SIDE_I[k] and _SIDE_J[k]: the sides
+# a, b, c are P2P3, P1P3 and P1P2, the cosines ca, cb, cg are between the
+# rays of the same pairs, and law-of-cosines constraint k ties s_i and s_j.
+_SIDE_I = np.array([1, 0, 0])
+_SIDE_J = np.array([2, 2, 1])
+_PAIRS = np.stack([_SIDE_I, _SIDE_J], axis=1)
+_NEXT = np.array([1, 2, 0])  # cross product component order
+_PREV = np.array([2, 0, 1])
+_ROW = np.arange(3)
+_EARLIER = np.tri(8, 8, -1, dtype=bool)  # [k, j]: slot j comes before slot k
+
+
+def _quartic_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """np.roots of each row of (M, 5) quartic coefficients, highest first.
+
+    Returns (roots (M, 4) complex, present (M, 4) bool, errors). Rows with a
+    zero leading or trailing coefficient, or a companion matrix that is not
+    finite, go through np.roots itself, which strips those zeros and may
+    raise: errors maps such a row to its LinAlgError. The other rows share
+    one stacked eigvals of the companion matrices np.roots builds.
+    """
+    m = len(coeffs)
+    companion = np.zeros((m, 4, 4))
+    companion[:, _ROW + 1, _ROW] = 1.0
+    companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
+    # a zero leading coefficient leaves the companion row infinite or NaN
+    direct = np.isfinite(companion[:, 0]).all(axis=1) & (coeffs[:, 4] != 0)
+    roots = np.zeros((m, 4), dtype=complex)
+    if direct.any():
+        try:
+            roots[direct] = np.linalg.eigvals(companion[direct])
+        except np.linalg.LinAlgError:  # one matrix did not converge: solve each row alone
+            direct[:] = False
+    present = np.repeat(direct[:, None], 4, axis=1)
+    errors: dict[int, Exception] = {}
+    for row in np.flatnonzero(~direct):
+        try:
+            found = np.roots(coeffs[row])
+        except np.linalg.LinAlgError as exc:
+            errors[int(row)] = exc
+            continue
+        roots[row, : len(found)] = found
+        present[row, : len(found)] = True
+    return roots, present, errors
+
+
+def _p3p_candidates(roots, present, b2, c2_b2, ca, cb, cg, q) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate (s1, s2, s3) camera-to-point distances from the roots
+    v = s3/s1 of the resection quartic.
+
+    b2, c2_b2 (c2 / b2), the cosines and q are (M, 1) columns. Returns
+    (s (M, 8, 3), valid (M, 8)): two slots per root in root order, the
+    second used only by the quadratic fallback in u.
+    """
+    v = roots.real
+    keep = present & ~(np.abs(roots.imag) > 1e-4 * np.maximum(1.0, np.abs(v))) & (v > 0)
+    denom_s1 = 1.0 + v * v - 2.0 * v * cb
+    keep &= ~(denom_s1 <= 1e-15)
+    denom = 2.0 * (cg - v * ca)
+    linear = np.abs(denom) > 1e-9
+    u = np.full(v.shape + (2,), np.nan)
+    u[..., 0] = ((q - 1.0) * v * v - 2.0 * q * cb * v + 1.0 + q) / denom
+    fallback = keep & ~linear
+    if fallback.any():  # the quadratic in u from sides b and c; NaN when it has no root
+        rt = np.sqrt(cg * cg - 1.0 + c2_b2 * denom_s1)
+        u[..., 0] = np.where(linear, u[..., 0], cg + rt)
+        u[..., 1] = np.where(fallback, cg - rt, np.nan)
+    valid = keep[..., None] & (u > 0) & (u < np.inf)
+    s1 = np.sqrt(b2 / denom_s1)[..., None]
+    s = np.empty(u.shape + (3,))
+    s[..., 0] = s1
+    s[..., 1] = u * s1
+    s[..., 2] = v[..., None] * s1
+    return s.reshape(len(v), 8, 3), valid.reshape(len(v), 8)
+
+
+def _law_of_cosines(pairs: np.ndarray, sq: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """(M, 3) residuals of the three law-of-cosines constraints, given the
+    (M, 3, 2) distance pairs (s_i, s_j) of each side, the squared sides
+    and the ray cosines."""
+    si, sj = pairs[..., 0], pairs[..., 1]
+    return si * si + sj * sj - 2.0 * si * sj * cos - sq
+
+
+def _newton_polish(s: np.ndarray, sq: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """Newton iteration on the law-of-cosines constraints for M candidate
+    (M, 3) distances, with (M, 3) squared sides and ray cosines.
+
+    A candidate stops moving once every residual is below 1e-14 of its
+    longest squared side. Returns the polished distances, with NaN rows for
+    the candidates that fail: a singular or non-finite step, a residual
+    above 1e-9 of that side after 12 steps, or a distance that is not
+    positive.
+    """
+    s = s.copy()
+    scale = sq.max(axis=1)
+    alive = np.ones(len(s), dtype=bool)
+    for _ in range(12):
+        F = _law_of_cosines(s[:, _PAIRS], sq, cos)
+        moving = alive & ~(np.abs(F).max(axis=1) < 1e-14 * scale)
+        if not moving.any():
+            break
+        pairs, c = s[moving][:, _PAIRS], cos[moving][..., None]
+        J = np.zeros((len(pairs), 3, 3))
+        # d F_k / d s_i = 2 s_i - 2 s_j cos_k, and the same with i, j swapped
+        J[:, _ROW[:, None], _PAIRS] = 2.0 * pairs - 2.0 * pairs[..., ::-1] * c
+        s[moving] += _solve_each(J, -F[moving])
+        bad = ~np.isfinite(s).all(axis=1)
+        s[bad] = np.nan
+        alive &= ~bad
+    else:  # still moving after 12 steps
+        F = _law_of_cosines(s[:, _PAIRS], sq, cos)
+    s[(np.abs(F).max(axis=1) > 1e-9 * scale) | (s <= 0).any(axis=1)] = np.nan
+    return s
+
+
+def _solve_each(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of (M, 3, 3) systems with (M, 3) right-hand sides;
+    the rows of a singular system come back NaN."""
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # a stacked solve fails as a whole
+        out = np.full_like(rhs, np.nan)
+        for i in range(len(J)):
+            try:
+                out[i] = np.linalg.solve(J[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def _kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rigid transform with dst = R @ src + t (least squares over the rows)."""
-    c_src = src.mean(axis=0)
-    c_dst = dst.mean(axis=0)
-    H = (src - c_src).T @ (dst - c_dst)
+    """Rigid transforms with dst = R @ src + t, least squares over the
+    three rows of each of the (S, 3, 3) pairs."""
+    c_src = src.sum(axis=1) / 3  # as mean() divides
+    c_dst = dst.sum(axis=1) / 3
+    H = (src - c_src[:, None]).transpose(0, 2, 1) @ (dst - c_dst[:, None])
     U, _, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    D = np.diag([1.0, 1.0, d])
-    R = Vt.T @ D @ U.T
-    return R, c_dst - R @ c_src
+    V, Ut = Vt.transpose(0, 2, 1), U.transpose(0, 2, 1)
+    D = np.zeros_like(H)
+    D[:, _ROW, _ROW] = 1.0
+    D[:, 2, 2] = np.sign(np.linalg.det(V @ Ut))
+    R = V @ D @ Ut
+    return R, c_dst - (R @ c_src[:, :, None])[:, :, 0]
 
 
-def _p3p_distance_candidates(
-    a2: float, b2: float, c2: float, ca: float, cb: float, cg: float
-) -> list[np.ndarray]:
-    """Candidate (s1, s2, s3) camera-to-point distances for the three-point
-    resection problem, via the classic quartic in v = s3/s1.
+def _first_unique(s: np.ndarray) -> np.ndarray:
+    """Keeps each row's (M, k, 3) candidates, NaN rows absent, in slot
+    order, dropping one within 1e-6 (times the larger of 1 and its largest
+    distance) of an earlier kept one. Returns the kept mask."""
+    kept = ~np.isnan(s[:, :, 0])
+    k = s.shape[1]
+    if k == 1:
+        return kept
+    tol = 1e-6 * np.maximum(1.0, s.max(axis=2))
+    close = np.abs(s[:, :, None] - s[:, None]).max(axis=3) < tol[:, :, None]
+    close &= _EARLIER[:k, :k]
+    if close.any():
+        for j in range(1, k):
+            kept[:, j] &= ~(close[:, j, :j] & kept[:, :j]).any(axis=1)
+    return kept
 
-    a2, b2, c2: squared distances |P2P3|, |P1P3|, |P1P2|;
-    ca, cb, cg: ray-pair cosines opposite those sides.
+
+def solve_p3p_many(
+    pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
+    """Minimal three-point pose solver over a stack of B samples.
+
+    pixels: (B, 3, 2) observed pixels; points: (B, 3, 3) world points.
+    Returns (rotations (H, 3, 3), translations (H, 3), sample (H,), failures).
+    The poses of one sample are contiguous, in sample order: up to four,
+    each reprojecting the sample's three points to within 1e-6 px, sorted
+    by their camera-to-point distances. failures[b] is None when sample b
+    has a pose, and otherwise the exception solve_p3p raises for it.
     """
+    pixels = np.asarray(pixels, dtype=float).reshape(-1, 3, 2)
+    points = np.asarray(points, dtype=float).reshape(-1, 3, 3)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _solve_p3p_many(pixels, points, K)
+
+
+def _solve_p3p_many(pixels, points, K):
+    """solve_p3p_many on (B, 3, 2) and (B, 3, 3) float arrays."""
+    n = len(points)
+    e = points[:, 1:] - points[:, :1]
+    e1, e2 = e[:, 0], e[:, 1]
+    normal = e1[:, _NEXT] * e2[:, _PREV] - e1[:, _PREV] * e2[:, _NEXT]
+    area = 0.5 * np.sqrt((normal[:, None, :] @ normal[:, :, None])[:, 0, 0])
+    rays = _bearings(pixels, K)
+    sides = points[:, _SIDE_I] - points[:, _SIDE_J]
+    sq = (sides * sides).sum(axis=2)
+    cos = (rays[:, _SIDE_I, None, :] @ rays[:, _SIDE_J, :, None])[:, :, 0, 0]
+    a2, b2, c2 = sq.T
+    ca, cb, cg = cos.T
+    # the classic quartic in v = s3/s1; float_power squares as Python's ** does
     q = (a2 - c2) / b2
     r = (a2 + c2) / b2
-    A4 = (q - 1.0) ** 2 - 4.0 * (c2 / b2) * ca * ca
-    A3 = 4.0 * (q * (1.0 - q) * cb - (1.0 - r) * ca * cg + 2.0 * (c2 / b2) * ca * ca * cb)
-    A2 = 2.0 * (
+    c2_b2, a2_b2, one_r = c2 / b2, a2 / b2, 1.0 - r
+    coeffs = np.empty((n, 5))
+    coeffs[:, 0] = np.float_power(q - 1.0, 2) - 4.0 * c2_b2 * ca * ca
+    coeffs[:, 1] = 4.0 * (q * (1.0 - q) * cb - one_r * ca * cg + 2.0 * c2_b2 * ca * ca * cb)
+    coeffs[:, 2] = 2.0 * (
         q * q
         - 1.0
         + 2.0 * q * q * cb * cb
@@ -187,137 +361,74 @@ def _p3p_distance_candidates(
         - 4.0 * r * ca * cb * cg
         + 2.0 * ((b2 - a2) / b2) * cg * cg
     )
-    A1 = 4.0 * (-q * (1.0 + q) * cb + 2.0 * (a2 / b2) * cg * cg * cb - (1.0 - r) * ca * cg)
-    A0 = (1.0 + q) ** 2 - 4.0 * (a2 / b2) * cg * cg
+    coeffs[:, 3] = 4.0 * (-q * (1.0 + q) * cb + 2.0 * a2_b2 * cg * cg * cb - one_r * ca * cg)
+    coeffs[:, 4] = np.float_power(1.0 + q, 2) - 4.0 * a2_b2 * cg * cg
 
-    coeffs = np.array([A4, A3, A2, A1, A0])
-    if not np.all(np.isfinite(coeffs)) or np.max(np.abs(coeffs)) < 1e-18:
-        raise NoRealSolution("degenerate resection polynomial")
-    roots = np.roots(coeffs)
-
-    candidates: list[np.ndarray] = []
-    for root in roots:
-        if abs(root.imag) > 1e-4 * max(1.0, abs(root.real)):
-            continue
-        v = float(root.real)
-        if v <= 0:
-            continue
-        denom_s1 = 1.0 + v * v - 2.0 * v * cb
-        if denom_s1 <= 1e-15:
-            continue
-        s1sq = b2 / denom_s1
-        s1 = np.sqrt(s1sq)
-        denom = 2.0 * (cg - v * ca)
-        us: list[float] = []
-        if abs(denom) > 1e-9:
-            us.append(((q - 1.0) * v * v - 2.0 * q * cb * v + 1.0 + q) / denom)
+    non_finite = ~(np.isfinite(pixels).all(axis=(1, 2)) & np.isfinite(points).all(axis=(1, 2)))
+    flat = area <= 1e-9
+    coincident = np.abs(cos).max(axis=1) >= 1.0 - 1e-12
+    largest = np.abs(coeffs).max(axis=1)  # NaN when a coefficient is
+    no_quartic = ~((largest >= 1e-18) & (largest < np.inf))
+    failures: list[Exception | None] = [None] * n
+    failed = non_finite | flat | coincident | no_quartic
+    for b in np.flatnonzero(failed):  # the first check a sample fails names its fault
+        if non_finite[b]:
+            failures[b] = DegenerateConfiguration("non-finite solver input")
+        elif flat[b]:
+            failures[b] = DegenerateConfiguration(f"triangle area {area[b]:.3e} below threshold")
+        elif coincident[b]:
+            failures[b] = DegenerateConfiguration("two viewing rays coincide")
         else:
-            # fall back to the quadratic in u from sides b and c
-            disc = cg * cg - 1.0 + (c2 / b2) * (1.0 + v * v - 2.0 * v * cb)
-            if disc >= 0:
-                rt = np.sqrt(disc)
-                us.extend([cg + rt, cg - rt])
-        for u in us:
-            if u <= 0 or not np.isfinite(u):
-                continue
-            candidates.append(np.array([s1, u * s1, v * s1]))
-    return candidates
+            failures[b] = NoRealSolution("degenerate resection polynomial")
+    live = np.flatnonzero(~failed)
 
+    roots, present, root_errors = _quartic_roots(coeffs[live])
+    for i, exc in root_errors.items():
+        failures[live[i]] = exc
+    columns = np.array([b2, c2_b2, ca, cb, cg, q])[:, live, None]  # (6, M, 1)
+    s, valid = _p3p_candidates(roots, present, *columns)
+    rows, slots = valid.nonzero()
+    polished = _newton_polish(s[rows, slots], sq[live[rows]], cos[live[rows]])
+    # each row's polished candidates, in slot order, from its first slot on
+    ok = ~np.isnan(polished[:, 0])
+    rows, polished = rows[ok], polished[ok]
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    s = np.full((len(live), int(rank.max(initial=0)) + 1, 3), np.nan)
+    s[rows, rank] = polished
+    rows, slots = _first_unique(s).nonzero()
+    dist = s[rows, slots]
+    order = np.lexsort((dist[:, 2], dist[:, 1], dist[:, 0], rows))  # sorted(key=tuple)
+    sample, dist = live[rows[order]], dist[order]
 
-def _polish_distances(
-    s: np.ndarray, a2: float, b2: float, c2: float, ca: float, cb: float, cg: float
-) -> np.ndarray | None:
-    """Newton iteration on the three law-of-cosines constraints."""
-    scale = max(a2, b2, c2)
-    for _ in range(12):
-        s1, s2, s3 = s
-        F = np.array(
-            [
-                s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * ca - a2,
-                s1 * s1 + s3 * s3 - 2.0 * s1 * s3 * cb - b2,
-                s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * cg - c2,
-            ]
-        )
-        if np.max(np.abs(F)) < 1e-14 * scale:
-            break
-        J = np.array(
-            [
-                [0.0, 2.0 * s2 - 2.0 * s3 * ca, 2.0 * s3 - 2.0 * s2 * ca],
-                [2.0 * s1 - 2.0 * s3 * cb, 0.0, 2.0 * s3 - 2.0 * s1 * cb],
-                [2.0 * s1 - 2.0 * s2 * cg, 2.0 * s2 - 2.0 * s1 * cg, 0.0],
-            ]
-        )
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return None
-        s = s + step
-        if not np.all(np.isfinite(s)):
-            return None
-    s1, s2, s3 = s
-    resid = max(
-        abs(s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * ca - a2),
-        abs(s1 * s1 + s3 * s3 - 2.0 * s1 * s3 * cb - b2),
-        abs(s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * cg - c2),
-    )
-    if resid > 1e-9 * scale or np.any(s <= 0):
-        return None
-    return s
+    corners = points[sample]
+    R, t = _kabsch(corners, rays[sample] * dist[:, :, None])
+    reproj, in_front = project_poses(R, t, K, corners)
+    ok = in_front.all(axis=1) & ~(np.abs(reproj - pixels[sample]) > 1e-6).any(axis=(1, 2))
+    keep = np.flatnonzero(ok)
+    keep = keep[np.arange(len(keep)) - np.searchsorted(sample[keep], sample[keep]) < 4]
+    posed = failed.copy()
+    posed[sample[keep]] = True
+    for b in np.flatnonzero(~posed):
+        if failures[b] is None:
+            failures[b] = NoRealSolution("no pose reprojects the three points")
+    return R[keep], t[keep], sample[keep], failures
 
 
 def solve_p3p(
     pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics
 ) -> list[PoseEstimate]:
-    """Minimal three-point pose solver.
+    """Minimal three-point pose solver: solve_p3p_many for one sample.
 
     pixels: (3, 2) observed pixels; points: (3, 3) world points.
     Returns up to four poses, each reprojecting all three points to within
     1e-6 px, ordered deterministically. Raises DegenerateConfiguration for
-    collinear or coincident points, NoRealSolution when no pose exists.
+    non-finite input, collinear or coincident points or coincident rays,
+    NoRealSolution when no pose exists.
     """
-    pixels = np.asarray(pixels, dtype=float).reshape(3, 2)
-    points = np.asarray(points, dtype=float).reshape(3, 3)
-    if not np.all(np.isfinite(pixels)) or not np.all(np.isfinite(points)):
-        raise DegenerateConfiguration("non-finite solver input")
-    area = 0.5 * np.linalg.norm(np.cross(points[1] - points[0], points[2] - points[0]))
-    if area <= 1e-9:
-        raise DegenerateConfiguration(f"triangle area {area:.3e} below threshold")
-
-    rays = _bearings(pixels, K)
-    a2 = float(np.sum((points[1] - points[2]) ** 2))
-    b2 = float(np.sum((points[0] - points[2]) ** 2))
-    c2 = float(np.sum((points[0] - points[1]) ** 2))
-    ca = float(rays[1] @ rays[2])
-    cb = float(rays[0] @ rays[2])
-    cg = float(rays[0] @ rays[1])
-    if max(abs(ca), abs(cb), abs(cg)) >= 1.0 - 1e-12:
-        raise DegenerateConfiguration("two viewing rays coincide")
-
-    solutions: list[np.ndarray] = []
-    for cand in _p3p_distance_candidates(a2, b2, c2, ca, cb, cg):
-        s = _polish_distances(cand, a2, b2, c2, ca, cb, cg)
-        if s is None:
-            continue
-        if any(np.max(np.abs(s - prev)) < 1e-6 * max(1.0, float(np.max(s))) for prev in solutions):
-            continue
-        solutions.append(s)
-
-    poses = []
-    for s in sorted(solutions, key=tuple):
-        cam_pts = rays * s[:, None]
-        R, t = _kabsch(points, cam_pts)
-        pose = PoseEstimate(R, t)
-        reproj_ok = True
-        for px, X in zip(pixels, points):
-            pred = project(pose, K, X)
-            if pred is None or np.max(np.abs(pred - px)) > 1e-6:
-                reproj_ok = False
-                break
-        if reproj_ok:
-            poses.append(pose)
-    if not poses:
-        raise NoRealSolution("no pose reprojects the three points")
-    return poses[:4]
+    R, t, _, failures = solve_p3p_many(pixels, points, K)
+    if failures[0] is not None:
+        raise failures[0]
+    return [PoseEstimate(r, tt) for r, tt in zip(R, t)]
 
 
 def reprojection_residuals(

@@ -20,9 +20,11 @@ from .geometry import (
     CameraIntrinsics,
     PoseEstimate,
     camera_center,
-    project_many,
+    project_many,  # perfbench swaps it by name; the RANSAC loop verifies through project_poses
+    project_poses,
     refine_pnp,
-    solve_p3p,
+    solve_p3p,  # noqa: F401  not called here; it stays bound because perfbench swaps it by name
+    solve_p3p_many,
 )
 from .matching import knn_ratio_match, lift_matches
 from .model_ingest import Dataset, LabelRaster, QueryRecord
@@ -91,27 +93,58 @@ def visible_mask(smap: SemanticMap, c_q: np.ndarray, theta_min: float) -> np.nda
     )
 
 
-def weighted_sample_without_replacement(
-    rng: np.random.Generator, weights: np.ndarray, count: int
-) -> list[int]:
-    """Draw `count` distinct indices with probabilities proportional to
-    `weights`, sequentially renormalizing after each draw. The first draw
-    follows the weights exactly."""
-    w = np.asarray(weights, dtype=float).copy()
-    if np.sum(w > 0) < count:
-        raise ValueError(f"need {count} positive weights, have {int(np.sum(w > 0))}")
-    picked = []
-    for _ in range(count):
-        cum = np.cumsum(w)
-        r = rng.random() * cum[-1]
-        idx = int(np.searchsorted(cum, r, side="right"))
-        if idx >= len(w) or w[idx] <= 0:  # float edge at the top of the range
-            idx = int(np.flatnonzero(w > 0)[-1])
-        picked.append(idx)
-        w[idx] = 0.0
+def weighted_samples(
+    rng: np.random.Generator, weights: np.ndarray, rows: int, count: int
+) -> np.ndarray:
+    """Draw `rows` samples of `count` distinct indices each, with
+    probabilities proportional to `weights`, sequentially renormalizing
+    after each draw. The first draw of a sample follows the weights exactly.
+
+    Takes one rng.random((rows, count)); row i picks the same indices as
+    the i-th of `rows` successive one-row calls. Returns a (rows, count)
+    int array.
+    """
+    w = np.asarray(weights, dtype=float)
+    positive = int((w > 0).sum())
+    if positive < count:
+        raise ValueError(f"need {count} positive weights, have {positive}")
+    n = len(w)
+    left = np.empty((rows, n))
+    left[:] = w
+    u = rng.random((rows, count))
+    picked = np.empty((rows, count), dtype=np.intp)
+    row = np.arange(rows)
+    for j in range(count):
+        cum = left.cumsum(axis=1)
+        # np.searchsorted(cum, r, side="right") of every row; like it, a NaN r
+        # (a zero draw times an infinite sum) lands past the end
+        idx = (~(cum > (u[:, j] * cum[:, -1])[:, None])).sum(axis=1)
+        edge = (idx >= n) | (left[row, np.minimum(idx, n - 1)] <= 0)
+        if edge.any():  # float edge at the top of the range: the last positive weight
+            idx[edge] = n - 1 - np.argmax(left[edge, ::-1] > 0, axis=1)
+        picked[:, j] = idx
+        left[row, idx] = 0.0
     return picked
 
 
+# not called here; it stays bound because perfbench swaps it by name
+def weighted_sample_without_replacement(
+    rng: np.random.Generator, weights: np.ndarray, count: int
+) -> list[int]:
+    """One sample of weighted_samples: `count` distinct indices."""
+    return weighted_samples(rng, weights, 1, count)[0].tolist()
+
+
+# A block of RANSAC samples holds at most RANSAC_BLOCK_MAX samples, and
+# fewer when its verification temporaries would pass RANSAC_BLOCK_BYTES:
+# a sample has up to four poses, and verifying one pose on one point peaks
+# at VERIFY_BYTES_PER_POINT (51-57 bytes measured with tracemalloc).
+RANSAC_BLOCK_MAX = 64
+RANSAC_BLOCK_BYTES = 4 << 20
+VERIFY_BYTES_PER_POINT = 64
+
+
+# perfbench swaps it by name; temporary_pose and weighted_ransac_pnp look it up per call
 def _ransac_loop(
     points: np.ndarray,
     pixels: np.ndarray,
@@ -127,33 +160,55 @@ def _ransac_loop(
     Sampling follows `weights`; inlier counting is unweighted. Iterations
     adapt to the best inlier ratio under the requested confidence, capped
     at max_iters.
+
+    Samples are drawn, solved and verified in blocks: the first block is
+    one sample, each later one as many as were done before it, within the
+    iterations left and the block caps. The results are then replayed in
+    sample order with the adaptive stop after each sample, so the outcome
+    is that of one sample at a time. When the stop falls inside a block,
+    the rng is rewound to the block's start and advanced by the draws of
+    the samples used, as if the rest had never been drawn.
     """
     n = len(points)
     best_pose, best_inliers, best_count = None, None, 0
     needed = max_iters
     it = 0
+    per_sample = 4 * max(n, 1) * VERIFY_BYTES_PER_POINT
+    cap = max(1, min(RANSAC_BLOCK_MAX, RANSAC_BLOCK_BYTES // per_sample))
     while it < min(max_iters, needed):
-        it += 1
-        idx = weighted_sample_without_replacement(rng, weights, 3)
-        try:
-            hypotheses = solve_p3p(pixels[idx], points[idx], K)
-        except (DegenerateConfiguration, NoRealSolution):
-            continue
-        for pose in hypotheses:
-            pred, in_front = project_many(pose, K, points)
-            with np.errstate(invalid="ignore"):
-                err = np.linalg.norm(pred - pixels, axis=1)
-            inliers = in_front & (err <= inlier_px)
-            count = int(inliers.sum())
-            if count > best_count:
-                best_pose, best_inliers, best_count = pose, inliers, count
-                ratio = count / n
-                if ratio >= 1.0:
-                    needed = it
-                else:
-                    needed = math.ceil(
-                        math.log(1.0 - confidence) / math.log(1.0 - ratio**3)
-                    )
+        block = min(max(it, 1), cap, min(max_iters, needed) - it)
+        state = rng.bit_generator.state
+        idx = weighted_samples(rng, weights, block, 3)
+        R, t, sample, failures = solve_p3p_many(pixels[idx], points[idx], K)
+        pred, in_front = project_poses(R, t, K, points)
+        dx, dy = pred[..., 0] - pixels[:, 0], pred[..., 1] - pixels[:, 1]
+        inliers = in_front & (np.sqrt(dx * dx + dy * dy) <= inlier_px)  # as np.linalg.norm sums
+        counts = inliers.sum(axis=1).tolist()
+        bounds = np.searchsorted(sample, np.arange(block + 1)).tolist()
+        for j in range(block):
+            it += 1
+            failure = failures[j]
+            if failure is not None and not isinstance(
+                failure, (DegenerateConfiguration, NoRealSolution)
+            ):
+                raise failure  # an np.roots error is a fault, not a degenerate sample
+            for h in range(bounds[j], bounds[j + 1]):
+                count = counts[h]
+                if count > best_count:
+                    best_pose = PoseEstimate(R[h], t[h])
+                    best_inliers, best_count = inliers[h].copy(), count
+                    ratio = count / n
+                    if ratio >= 1.0:
+                        needed = it
+                    else:
+                        needed = math.ceil(
+                            math.log(1.0 - confidence) / math.log(1.0 - ratio**3)
+                        )
+            if it >= min(max_iters, needed):
+                if j + 1 < block:
+                    rng.bit_generator.state = state
+                    rng.random(3 * (j + 1))
+                break
     return best_pose, best_inliers, best_count
 
 

@@ -3,11 +3,14 @@ math module so they share no code path with the implementations they check.
 
 The bit-exact references at the end are the exception: they repeat the
 numpy expressions whose rounding the implementations must keep, once per
-element or over the full matrix, so results compare bit for bit."""
+element, once per RANSAC sample or over the full matrix, so results
+compare bit for bit. They raise the package's own exception types."""
 
 import math
 
 import numpy as np
+
+from semloc.errors import DegenerateConfiguration, NoRealSolution
 
 
 def dist(a, b):
@@ -248,3 +251,252 @@ def reprojection_jacobian_loop(R, t, fx, fy, points):
         )
         rows.append(d_proj @ np.hstack([neg_skew, np.eye(3)]))
     return np.concatenate(rows) if rows else np.zeros((0, 6))
+
+
+def _bearings_loop(pixels, K):
+    rays = np.column_stack(
+        [
+            (pixels[:, 0] - K.cx) / K.fx,
+            (pixels[:, 1] - K.cy) / K.fy,
+            np.ones(len(pixels)),
+        ]
+    )
+    return rays / np.linalg.norm(rays, axis=1, keepdims=True)
+
+
+def _project_point_loop(R, t, K, X):
+    x_cam = R @ np.asarray(X, dtype=float) + t
+    if x_cam[2] <= 1e-9:
+        return None
+    return np.array(
+        [
+            K.fx * x_cam[0] / x_cam[2] + K.cx,
+            K.fy * x_cam[1] / x_cam[2] + K.cy,
+        ]
+    )
+
+
+def project_many_loop(R, t, K, X):
+    """(pixels, in_front) of an (n, 3) array for one pose, NaN behind the
+    camera, with the numpy expressions of the per-pose projection."""
+    X = np.asarray(X, dtype=float).reshape(-1, 3)
+    x_cam = X @ R.T + t
+    z = x_cam[:, 2]
+    in_front = z > 1e-9
+    px = np.full((X.shape[0], 2), np.nan)
+    zs = np.where(in_front, z, 1.0)
+    px[:, 0] = np.where(in_front, K.fx * x_cam[:, 0] / zs + K.cx, np.nan)
+    px[:, 1] = np.where(in_front, K.fy * x_cam[:, 1] / zs + K.cy, np.nan)
+    return px, in_front
+
+
+def _kabsch_loop(src, dst):
+    c_src = src.mean(axis=0)
+    c_dst = dst.mean(axis=0)
+    H = (src - c_src).T @ (dst - c_dst)
+    U, _, Vt = np.linalg.svd(H)
+    d = np.sign(np.linalg.det(Vt.T @ U.T))
+    D = np.diag([1.0, 1.0, d])
+    R = Vt.T @ D @ U.T
+    return R, c_dst - R @ c_src
+
+
+def p3p_distance_candidates_loop(a2, b2, c2, ca, cb, cg):
+    """Candidate (s1, s2, s3) camera-to-point distances from the classic
+    quartic in v = s3/s1, one root at a time in Python floats."""
+    q = (a2 - c2) / b2
+    r = (a2 + c2) / b2
+    A4 = (q - 1.0) ** 2 - 4.0 * (c2 / b2) * ca * ca
+    A3 = 4.0 * (q * (1.0 - q) * cb - (1.0 - r) * ca * cg + 2.0 * (c2 / b2) * ca * ca * cb)
+    A2 = 2.0 * (
+        q * q
+        - 1.0
+        + 2.0 * q * q * cb * cb
+        + 2.0 * ((b2 - c2) / b2) * ca * ca
+        - 4.0 * r * ca * cb * cg
+        + 2.0 * ((b2 - a2) / b2) * cg * cg
+    )
+    A1 = 4.0 * (-q * (1.0 + q) * cb + 2.0 * (a2 / b2) * cg * cg * cb - (1.0 - r) * ca * cg)
+    A0 = (1.0 + q) ** 2 - 4.0 * (a2 / b2) * cg * cg
+
+    coeffs = np.array([A4, A3, A2, A1, A0])
+    if not np.all(np.isfinite(coeffs)) or np.max(np.abs(coeffs)) < 1e-18:
+        raise NoRealSolution("degenerate resection polynomial")
+    roots = np.roots(coeffs)
+    return candidates_from_roots_loop(roots, a2, b2, c2, ca, cb, cg)
+
+
+def candidates_from_roots_loop(roots, a2, b2, c2, ca, cb, cg):
+    """The candidates of p3p_distance_candidates_loop for given roots
+    v = s3/s1, in root order."""
+    q = (a2 - c2) / b2
+    candidates = []
+    for root in roots:
+        if abs(root.imag) > 1e-4 * max(1.0, abs(root.real)):
+            continue
+        v = float(root.real)
+        if v <= 0:
+            continue
+        denom_s1 = 1.0 + v * v - 2.0 * v * cb
+        if denom_s1 <= 1e-15:
+            continue
+        s1sq = b2 / denom_s1
+        s1 = np.sqrt(s1sq)
+        denom = 2.0 * (cg - v * ca)
+        us = []
+        if abs(denom) > 1e-9:
+            us.append(((q - 1.0) * v * v - 2.0 * q * cb * v + 1.0 + q) / denom)
+        else:
+            # fall back to the quadratic in u from sides b and c
+            disc = cg * cg - 1.0 + (c2 / b2) * (1.0 + v * v - 2.0 * v * cb)
+            if disc >= 0:
+                rt = np.sqrt(disc)
+                us.extend([cg + rt, cg - rt])
+        for u in us:
+            if u <= 0 or not np.isfinite(u):
+                continue
+            candidates.append(np.array([s1, u * s1, v * s1]))
+    return candidates
+
+
+def polish_distances_loop(s, a2, b2, c2, ca, cb, cg):
+    """Newton iteration on the three law-of-cosines constraints for one
+    candidate; None when it fails."""
+    scale = max(a2, b2, c2)
+    for _ in range(12):
+        s1, s2, s3 = s
+        F = np.array(
+            [
+                s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * ca - a2,
+                s1 * s1 + s3 * s3 - 2.0 * s1 * s3 * cb - b2,
+                s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * cg - c2,
+            ]
+        )
+        if np.max(np.abs(F)) < 1e-14 * scale:
+            break
+        J = np.array(
+            [
+                [0.0, 2.0 * s2 - 2.0 * s3 * ca, 2.0 * s3 - 2.0 * s2 * ca],
+                [2.0 * s1 - 2.0 * s3 * cb, 0.0, 2.0 * s3 - 2.0 * s1 * cb],
+                [2.0 * s1 - 2.0 * s2 * cg, 2.0 * s2 - 2.0 * s1 * cg, 0.0],
+            ]
+        )
+        try:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            return None
+        s = s + step
+        if not np.all(np.isfinite(s)):
+            return None
+    s1, s2, s3 = s
+    resid = max(
+        abs(s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * ca - a2),
+        abs(s1 * s1 + s3 * s3 - 2.0 * s1 * s3 * cb - b2),
+        abs(s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * cg - c2),
+    )
+    if resid > 1e-9 * scale or np.any(s <= 0):
+        return None
+    return s
+
+
+def solve_p3p_loop(pixels, points, K):
+    """The minimal three-point solver one sample and one candidate at a
+    time: quartic roots by np.roots, per-candidate Newton polishing and
+    Kabsch, and a per-point 1e-6 px reprojection check. Returns up to four
+    (R, t) in the order sorted by the (s1, s2, s3) distances; raises
+    DegenerateConfiguration or NoRealSolution like the batched solver."""
+    pixels = np.asarray(pixels, dtype=float).reshape(3, 2)
+    points = np.asarray(points, dtype=float).reshape(3, 3)
+    if not np.all(np.isfinite(pixels)) or not np.all(np.isfinite(points)):
+        raise DegenerateConfiguration("non-finite solver input")
+    area = 0.5 * np.linalg.norm(np.cross(points[1] - points[0], points[2] - points[0]))
+    if area <= 1e-9:
+        raise DegenerateConfiguration(f"triangle area {area:.3e} below threshold")
+
+    rays = _bearings_loop(pixels, K)
+    a2 = float(np.sum((points[1] - points[2]) ** 2))
+    b2 = float(np.sum((points[0] - points[2]) ** 2))
+    c2 = float(np.sum((points[0] - points[1]) ** 2))
+    ca = float(rays[1] @ rays[2])
+    cb = float(rays[0] @ rays[2])
+    cg = float(rays[0] @ rays[1])
+    if max(abs(ca), abs(cb), abs(cg)) >= 1.0 - 1e-12:
+        raise DegenerateConfiguration("two viewing rays coincide")
+
+    solutions = []
+    for cand in p3p_distance_candidates_loop(a2, b2, c2, ca, cb, cg):
+        s = polish_distances_loop(cand, a2, b2, c2, ca, cb, cg)
+        if s is None:
+            continue
+        if any(np.max(np.abs(s - prev)) < 1e-6 * max(1.0, float(np.max(s))) for prev in solutions):
+            continue
+        solutions.append(s)
+
+    poses = []
+    for s in sorted(solutions, key=tuple):
+        cam_pts = rays * s[:, None]
+        R, t = _kabsch_loop(points, cam_pts)
+        reproj_ok = True
+        for px, X in zip(pixels, points):
+            pred = _project_point_loop(R, t, K, X)
+            if pred is None or np.max(np.abs(pred - px)) > 1e-6:
+                reproj_ok = False
+                break
+        if reproj_ok:
+            poses.append((R, t))
+    if not poses:
+        raise NoRealSolution("no pose reprojects the three points")
+    return poses[:4]
+
+
+def weighted_sample_loop(rng, weights, count):
+    """`count` distinct indices drawn one rng.random() at a time, with
+    probabilities proportional to the weights left after each draw."""
+    w = np.asarray(weights, dtype=float).copy()
+    if np.sum(w > 0) < count:
+        raise ValueError(f"need {count} positive weights, have {int(np.sum(w > 0))}")
+    picked = []
+    for _ in range(count):
+        cum = np.cumsum(w)
+        r = rng.random() * cum[-1]
+        idx = int(np.searchsorted(cum, r, side="right"))
+        if idx >= len(w) or w[idx] <= 0:  # float edge at the top of the range
+            idx = int(np.flatnonzero(w > 0)[-1])
+        picked.append(idx)
+        w[idx] = 0.0
+    return picked
+
+
+def ransac_loop_loop(points, pixels, K, weights, inlier_px, confidence, max_iters, rng):
+    """Hypothesize-and-verify one sample at a time: weighted_sample_loop,
+    solve_p3p_loop and one projection per hypothesis, with the adaptive stop
+    after each sample. Returns (R, t, inlier mask, count), None for the
+    first three when no hypothesis has an inlier."""
+    n = len(points)
+    best_pose, best_inliers, best_count = None, None, 0
+    needed = max_iters
+    it = 0
+    while it < min(max_iters, needed):
+        it += 1
+        idx = weighted_sample_loop(rng, weights, 3)
+        try:
+            hypotheses = solve_p3p_loop(pixels[idx], points[idx], K)
+        except (DegenerateConfiguration, NoRealSolution):
+            continue
+        for pose in hypotheses:
+            pred, in_front = project_many_loop(*pose, K, points)
+            with np.errstate(invalid="ignore"):
+                err = np.linalg.norm(pred - pixels, axis=1)
+            inliers = in_front & (err <= inlier_px)
+            count = int(inliers.sum())
+            if count > best_count:
+                best_pose, best_inliers, best_count = pose, inliers, count
+                ratio = count / n
+                if ratio >= 1.0:
+                    needed = it
+                else:
+                    needed = math.ceil(
+                        math.log(1.0 - confidence) / math.log(1.0 - ratio**3)
+                    )
+    R, t = best_pose if best_pose is not None else (None, None)
+    return R, t, best_inliers, best_count

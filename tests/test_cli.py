@@ -35,6 +35,32 @@ def cli_dataset(tmp_path_factory):
     return root, data_dir
 
 
+@pytest.fixture(scope="module")
+def decoy_cli_dataset(tmp_path_factory):
+    """Half of each top-k are decoys and half the query keypoints outliers,
+    so the temporary RANSAC loops run about 35 samples and the final ones
+    about 290: the adaptive stop falls inside a block of samples."""
+    root = tmp_path_factory.mktemp("cli_decoy")
+    spec_path = root / "decoy.json"
+    spec_path.write_text(
+        json.dumps(
+            {
+                "scene": {
+                    "n_points": 150,
+                    "n_db_images": 8,
+                    "n_queries": 3,
+                    "pixel_sigma": 0.5,
+                    "seed": 31,
+                },
+                "corruption": {"wrong_retrieval_rate": 0.5, "outlier_match_rate": 0.5},
+            }
+        )
+    )
+    data_dir = root / "ds"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(data_dir)]) == 0
+    return data_dir
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -102,6 +128,19 @@ class TestPipelineCommands:
         _, data = cli_dataset
         run = tmp_path / "run"
         assert main(["localize", "--data", str(data), "--out", str(run), "--seed", "2", *flags]) == 0
+        assert (run / "poses.txt").read_bytes() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, golden",
+        [([], "decoy_poses.txt"), (["--uniform-weights"], "decoy_poses_uniform.txt")],
+    )
+    def test_decoy_poses_equal_golden_bytes(self, decoy_cli_dataset, tmp_path, flags, golden):
+        # written by the one-sample-at-a-time RANSAC loop, with numpy 2.4 on
+        # x86-64; the batched loop must stop, rewind its rng and pick the
+        # same hypotheses to keep every bit
+        run = tmp_path / "run"
+        argv = ["localize", "--data", str(decoy_cli_dataset), "--out", str(run), "--seed", "2"]
+        assert main([*argv, "--k-day", "6", *flags]) == 0
         assert (run / "poses.txt").read_bytes() == (GOLDEN / golden).read_bytes()
 
     def test_uniform_weights_flag(self, cli_dataset):

@@ -1,9 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semloc.errors import DegenerateConfiguration, NumericalFailure
+import semloc.geometry as geometry
+from semloc.errors import DegenerateConfiguration, NoRealSolution, NumericalFailure
 from semloc.geometry import (
     CameraIntrinsics,
     PoseEstimate,
@@ -11,6 +15,7 @@ from semloc.geometry import (
     pose_error,
     project,
     project_many,
+    project_poses,
     quat_to_rot,
     refine_pnp,
     reprojection_jacobian,
@@ -18,6 +23,7 @@ from semloc.geometry import (
     rot_to_quat,
     so3_exp,
     solve_p3p,
+    solve_p3p_many,
 )
 import oracles
 
@@ -94,6 +100,24 @@ class TestProject:
             else:
                 assert in_front[i]
                 assert np.allclose(px[i], single, atol=1e-12)
+
+    def test_project_poses_equals_per_pose_reference_bit_for_bit(self):
+        # the stacked projection that verifies RANSAC hypotheses, and
+        # project_many through it, keep the bits of one (n, 3) @ R.T per pose
+        rng = np.random.default_rng(16)
+        poses = [random_pose(rng) for _ in range(7)]
+        X = rng.uniform(-20, 20, size=(60, 3))
+        X[0] = camera_center(poses[0])  # depth exactly 0
+        R = np.array([p.rotation for p in poses])
+        t = np.array([p.translation for p in poses])
+        px, in_front = project_poses(R, t, K, X)
+        assert (~in_front).any() and in_front.any()
+        for h, pose in enumerate(poses):
+            want, want_front = oracles.project_many_loop(pose.rotation, pose.translation, K, X)
+            assert px[h].tobytes() == want.tobytes()
+            assert np.array_equal(in_front[h], want_front)
+            single, single_front = project_many(pose, K, X)
+            assert single.tobytes() == want.tobytes() and np.array_equal(single_front, want_front)
 
     def test_unproject_consistency(self):
         rng = np.random.default_rng(3)
@@ -183,6 +207,229 @@ class TestSolveP3P:
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.rotation, sb.rotation)
             assert np.array_equal(sa.translation, sb.translation)
+
+
+def right_triangle(rng, corner):
+    """Three points on the plane z = 5 + offset with integer coordinates
+    and a right angle at point `corner`, so that q = (a2 - c2) / b2 is
+    exactly 1 (corner 0) or -1 (corner 2)."""
+    scale, offset = rng.integers(1, 4), rng.integers(-3, 4, size=3).astype(float)
+    legs = {0: [(0, 0), (3, 0), (0, 4)], 2: [(3, 0), (0, 4), (0, 0)]}[corner]
+    return np.array([[scale * x, scale * y, 5.0] for x, y in legs]) + offset
+
+
+# pixels whose rays (1, 0, 1) and (-1, 0, 1) are orthogonal under K
+ORTHOGONAL_PIXELS = [[K.cx + K.fx, K.cy], [K.cx - K.fx, K.cy]]
+
+
+@st.composite
+def p3p_sample(draw):
+    """(pixels, points) of one P3P sample: an exact or noisy view of three
+    points, random pixels, or a degenerate kind. The kinds "a4_zero" and
+    "a0_zero" make the leading or trailing quartic coefficient exactly 0."""
+    kind = draw(
+        st.sampled_from(
+            ["exact", "noisy", "noisy", "random", "collinear", "coincident_rays",
+             "non_finite", "a4_small", "a0_small"]
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pose = random_pose(rng)
+    points = random_scene_points(rng, pose, 3)
+    pixels = np.array([project(pose, K, p) for p in points])
+    free_pixel = rng.uniform([0, 0], [K.width, K.height])
+    if kind == "noisy":
+        pixels = pixels + rng.normal(0.0, 2.0, size=(3, 2))
+    elif kind == "random":
+        pixels = rng.uniform([0, 0], [K.width, K.height], size=(3, 2))
+    elif kind == "collinear":
+        points[2] = points[0] + rng.uniform(-2.0, 2.0) * (points[1] - points[0])
+    elif kind == "coincident_rays":
+        pixels[rng.integers(1, 3)] = pixels[0]
+    elif kind == "non_finite":
+        target = pixels if rng.random() < 0.5 else points
+        target.flat[rng.integers(target.size)] = rng.choice([np.nan, np.inf, -np.inf])
+    elif kind == "a4_small":  # cos(ray 2, ray 3) ~ 0 and q = 1
+        pixels = np.array([free_pixel, *ORTHOGONAL_PIXELS])
+        points = right_triangle(rng, 0)
+    elif kind == "a0_small":  # cos(ray 1, ray 2) ~ 0 and q = -1
+        pixels = np.array([*ORTHOGONAL_PIXELS, free_pixel])
+        points = right_triangle(rng, 2)
+    return pixels, points
+
+
+def pose_bits(poses):
+    return [(R.tobytes(), t.tobytes()) for R, t in poses]
+
+
+@given(st.lists(p3p_sample(), min_size=1, max_size=6))
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_batched_p3p_equals_scalar_solver_bit_for_bit(block):
+    pixels = np.array([px for px, _ in block])
+    points = np.array([pts for _, pts in block])
+    R, t, sample, failures = solve_p3p_many(pixels, points, K)
+    assert len(failures) == len(block)
+    assert np.all(np.diff(sample) >= 0)
+    for b, (px, pts) in enumerate(block):
+        got = list(zip(R[sample == b], t[sample == b]))
+        try:
+            want = oracles.solve_p3p_loop(px, pts, K)
+        except (DegenerateConfiguration, NoRealSolution) as exc:
+            assert type(failures[b]) is type(exc) and str(failures[b]) == str(exc)
+            assert got == []
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                solve_p3p(px, pts, K)
+            continue
+        assert failures[b] is None
+        assert pose_bits(got) == pose_bits(want)
+        assert pose_bits((p.rotation, p.translation) for p in solve_p3p(px, pts, K)) == pose_bits(want)
+
+
+def test_large_block_equals_scalar_solver_bit_for_bit():
+    # about 1 in 1300 samples squares q - 1 or 1 + q to a different last
+    # bit with x * x than with Python's **, which the scalar solver uses;
+    # one block of 2000 noisy views holds several of them
+    rng = np.random.default_rng(2)
+    pixels, points = [], []
+    for _ in range(2000):
+        pose = random_pose(rng)
+        pts = random_scene_points(rng, pose, 3)
+        pixels.append(np.array([project(pose, K, p) for p in pts]) + rng.normal(0.0, 1.0, size=(3, 2)))
+        points.append(pts)
+    R, t, sample, _ = solve_p3p_many(np.array(pixels), np.array(points), K)
+    for b in range(len(pixels)):
+        try:
+            want = oracles.solve_p3p_loop(pixels[b], points[b], K)
+        except (DegenerateConfiguration, NoRealSolution):
+            want = []
+        assert pose_bits(zip(R[sample == b], t[sample == b])) == pose_bits(want)
+
+
+@given(
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0.0, 1e-7, 5e-7, 2e-6])), max_size=5),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(derandomize=True, deadline=None)
+def test_first_unique_keeps_the_scalar_dedupe_rule(rows):
+    # candidates drawn from a few base points plus offsets on both sides of
+    # the 1e-6 tolerance; the scalar rule compares each with the kept ones
+    base = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.000001], [4.0, 0.5, 2.0], [0.3, 0.2, 0.1]])
+    k = max(1, max(len(r) for r in rows))
+    s = np.full((len(rows), k, 3), np.nan)
+    for i, row in enumerate(rows):
+        for j, (b, offset) in enumerate(row):
+            s[i, j] = base[b] + offset
+    kept = geometry._first_unique(s)
+    for i, row in enumerate(rows):
+        solutions, want = [], []
+        for j in range(len(row)):
+            c = s[i, j]
+            if any(np.max(np.abs(c - prev)) < 1e-6 * max(1.0, float(np.max(c))) for prev in solutions):
+                want.append(False)
+                continue
+            solutions.append(c)
+            want.append(True)
+        assert kept[i].tolist() == want + [False] * (k - len(row))
+
+
+@st.composite
+def quartic_stack(draw):
+    """(M, 5) quartic coefficients, highest first: random rows, rows with a
+    zero leading or trailing coefficient (np.roots strips those), and rows
+    whose companion matrix overflows (np.roots raises on them)."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        c = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=5)
+        kind = draw(st.sampled_from(["full", "full", "a4_zero", "a0_zero", "both_zero", "a4_tiny"]))
+        if kind in ("a4_zero", "both_zero"):
+            c[0] = 0.0
+        if kind in ("a0_zero", "both_zero"):
+            c[4] = 0.0
+        if kind == "a4_tiny":
+            c[0] = 1e-310
+        rows.append(c)
+    return np.array(rows)
+
+
+@given(quartic_stack())
+@settings(derandomize=True, deadline=None)
+def test_quartic_roots_equal_np_roots_row_by_row(coeffs):
+    with np.errstate(all="ignore"):
+        roots, present, errors = geometry._quartic_roots(coeffs)
+    for row, c in enumerate(coeffs):
+        try:
+            with np.errstate(all="ignore"):
+                want = np.roots(c).astype(complex)
+        except np.linalg.LinAlgError as exc:
+            assert type(errors[row]) is type(exc) and str(errors[row]) == str(exc)
+            assert not present[row].any()
+            continue
+        assert row not in errors
+        assert present[row].tolist() == [True] * len(want) + [False] * (4 - len(want))
+        assert roots[row][present[row]].astype(complex).tobytes() == want.tobytes()
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1e-6, 0.3])), min_size=1, max_size=4
+    ),
+    st.sampled_from([(0.5, 0.25), (0.25, 0.5), (0.3, 0.7), (0.9, 0.2)]),
+    st.floats(-0.9, 0.9),
+    st.sampled_from([1.0, 4.0, 0.25]),
+    st.booleans(),
+)
+@settings(derandomize=True, deadline=None)
+def test_candidates_from_roots_equal_scalar_loop(roots, cosines, cb, c2, fallback):
+    # with fallback, the first root is cg / ca exactly, so 2 (cg - v ca)
+    # is 0 and u comes from the quadratic of sides b and c (two values, or
+    # none when its discriminant is negative)
+    ca, cg = cosines
+    roots = np.array([complex(re, im) for re, im in roots])
+    if fallback:
+        roots[0] = cg / ca
+    a2, b2 = 2.0, 3.0
+    want = oracles.candidates_from_roots_loop(roots, a2, b2, c2, ca, cb, cg)
+    padded = np.zeros((1, 4), dtype=complex)
+    padded[0, : len(roots)] = roots
+    present = np.zeros((1, 4), dtype=bool)
+    present[0, : len(roots)] = True
+    columns = [np.array([[x]]) for x in (b2, c2 / b2, ca, cb, cg, (a2 - c2) / b2)]
+    with np.errstate(all="ignore"):
+        s, valid = geometry._p3p_candidates(padded, present, *columns)
+    assert [c.tobytes() for c in s[0][valid[0]]] == [c.tobytes() for c in want]
+
+
+def test_singular_newton_step_drops_only_its_candidate():
+    # the middle candidate starts where the Jacobian's first two rows are
+    # equal (s1 = s2 = s3 * ca with ca = cb), so its stacked solve is
+    # singular; the candidates of real samples around it still polish
+    rng = np.random.default_rng(15)
+    stack = []
+    while len(stack) < 6:
+        pose = random_pose(rng)
+        pts = random_scene_points(rng, pose, 3)
+        px = np.array([project(pose, K, p) for p in pts]) + rng.normal(0.0, 1.0, size=(3, 2))
+        rays = np.column_stack([(px[:, 0] - K.cx) / K.fx, (px[:, 1] - K.cy) / K.fy, np.ones(3)])
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        sq = [float(np.sum((pts[i] - pts[j]) ** 2)) for i, j in ((1, 2), (0, 2), (0, 1))]
+        cos = [float(rays[i] @ rays[j]) for i, j in ((1, 2), (0, 2), (0, 1))]
+        for cand in oracles.p3p_distance_candidates_loop(*sq, *cos):
+            stack.append((cand + rng.normal(0.0, 1e-3, size=3), sq, cos))
+    stack.insert(3, (np.array([1.0, 1.0, 2.0]), [5.0, 5.0, 4.0], [0.5, 0.5, 0.3]))
+    s, sq, cos = (np.array(x, dtype=float) for x in zip(*stack))
+    with np.errstate(all="ignore"):
+        got = geometry._newton_polish(s, sq, cos)
+    for i in range(len(s)):
+        want = oracles.polish_distances_loop(s[i], *sq[i], *cos[i])
+        if want is None:
+            assert np.isnan(got[i]).all()
+        else:
+            assert got[i].tobytes() == want.tobytes()
+    assert np.isnan(got[3]).all()
+    assert not np.isnan(got[:3]).any() and not np.isnan(got[4:]).any()
 
 
 class TestRefinePnp:

@@ -14,6 +14,7 @@ from semloc.geometry import (
     project,
     quat_to_rot,
 )
+import semloc.localizer as localizer
 from semloc.localizer import (
     LocalizerConfig,
     ScoredCandidate,
@@ -24,6 +25,7 @@ from semloc.localizer import (
     visible_mask,
     weighted_ransac_pnp,
     weighted_sample_without_replacement,
+    weighted_samples,
 )
 from semloc.model_ingest import ClassTable, LabelRaster, VOID_ID, load_ground_truth
 from semloc.semantic_map import SemanticMap, compute_visibility_stats
@@ -407,6 +409,124 @@ class TestWeightedSampler:
             weighted_sample_without_replacement(
                 np.random.default_rng(0), np.array([1.0, 1.0, 0.0]), 3
             )
+
+
+class TopOfRange:
+    """Stand-in generator whose every draw is the largest double below 1."""
+
+    def random(self, size=None):
+        top = np.nextafter(1.0, 0.0)
+        return top if size is None else np.full(size, top)
+
+
+SPECIAL_WEIGHTS = [
+    [0.0, 0.0, 1.0, 0.0, 2.0, 3.0, 0.0],  # zero weights
+    [1e-3, 1e12, 2e-3, 1e-3, 5e-4],  # one dominant weight
+    [1e308, 0.0, 1e308, 5.0, 0.0],  # the running sum overflows: every draw is past the top
+    [3e-320, 0.0, 5e-320, 2e-320, 0.0],  # subnormal total
+]
+
+
+@given(
+    st.one_of(
+        st.sampled_from(SPECIAL_WEIGHTS),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=3, max_size=40),
+    ),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+)
+@settings(derandomize=True, deadline=None)
+def test_weighted_samples_equal_per_draw_loop(weights, rows, seed):
+    weights = np.array(weights)
+    block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if np.sum(weights > 0) < 3:
+        with pytest.raises(ValueError):
+            weighted_samples(block_rng, weights, rows, 3)
+        return
+    with np.errstate(over="ignore"):
+        want = [oracles.weighted_sample_loop(loop_rng, weights, 3) for _ in range(rows)]
+        assert weighted_samples(block_rng, weights, rows, 3).tolist() == want
+    assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("weights, picks", [(SPECIAL_WEIGHTS[3], [3, 2, 0]), (SPECIAL_WEIGHTS[2], [3, 2, 0])])
+def test_top_of_range_draw_falls_back_to_last_positive_weight(weights, picks):
+    # a draw at the top of the range passes every running sum (the subnormal
+    # total does not round below itself, the overflowed one is inf), so each
+    # pick is the last positive weight left
+    weights = np.array(weights)
+    with np.errstate(over="ignore"):
+        assert [oracles.weighted_sample_loop(TopOfRange(), weights, 3) for _ in range(2)] == [picks] * 2
+        assert weighted_samples(TopOfRange(), weights, 2, 3).tolist() == [picks] * 2
+
+
+def ransac_instance(seed, n, outlier_rate, noise_px):
+    """Points in front of a random pose, their pixels with Gaussian noise,
+    and a share of the pixels replaced by uniform outliers."""
+    rng = np.random.default_rng(seed)
+    pose = PoseEstimate(quat_to_rot(rng.normal(size=4)), rng.normal(size=3))
+    points = np.array([p.position for p in grid_map_points(rng, pose, n)])
+    pixels = np.array([project(pose, K, p) for p in points]) + rng.normal(0.0, noise_px, size=(n, 2))
+    bad = rng.random(n) < outlier_rate
+    pixels[bad] = rng.uniform([0, 0], [K.width, K.height], size=(int(bad.sum()), 2))
+    weights = rng.uniform(0.0, 1.0, size=n) * (rng.random(n) < 0.8)
+    return points, pixels, weights
+
+
+@pytest.mark.parametrize(
+    "seed, outlier_rate, noise_px, confidence, temp_iters, block_max, stop",
+    [
+        (29, 0.1, 0.3, 0.5, 500, 64, "one sample"),
+        (23, 0.5, 0.5, 0.99, 500, 64, "mid-block"),
+        (23, 0.5, 0.5, 0.99, 500, 3, "mid-block"),  # many blocks at the cap
+        (24, 0.9, 0.5, 0.99, 20, 64, "max_iters"),
+        (25, 0.0, 0.0, 0.99, 500, 64, "all inliers"),
+    ],
+)
+def test_ransac_loop_equals_one_sample_at_a_time(
+    monkeypatch, seed, outlier_rate, noise_px, confidence, temp_iters, block_max, stop
+):
+    # the temporary loop, then the final loop on the same rng, as a query
+    # runs them; `stop` names how the temporary loop ends, or for
+    # "mid-block" either loop
+    monkeypatch.setattr(localizer, "RANSAC_BLOCK_MAX", block_max)
+    drawn, used = [], []  # per loop: block sizes drawn, samples the reference drew
+    block_sampler, loop_sampler = localizer.weighted_samples, oracles.weighted_sample_loop
+
+    def counted_block(rng, w, rows, count):
+        drawn[-1].append(rows)
+        return block_sampler(rng, w, rows, count)
+
+    def counted_sample(rng, w, count):
+        used[-1] += 1
+        return loop_sampler(rng, w, count)
+
+    monkeypatch.setattr(localizer, "weighted_samples", counted_block)
+    monkeypatch.setattr(oracles, "weighted_sample_loop", counted_sample)
+    points, pixels, weights = ransac_instance(seed, 60, outlier_rate, noise_px)
+    block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    counts = []
+    for loop_weights, max_iters in ((np.ones(len(points)), temp_iters), (weights, 300)):
+        drawn.append([]), used.append(0)
+        pose, inliers, count = localizer._ransac_loop(
+            points, pixels, K, loop_weights, 10.0, confidence, max_iters, block_rng
+        )
+        R, t, want_inliers, want_count = oracles.ransac_loop_loop(
+            points, pixels, K, loop_weights, 10.0, confidence, max_iters, loop_rng
+        )
+        assert (pose.rotation.tobytes(), pose.translation.tobytes()) == (R.tobytes(), t.tobytes())
+        assert np.array_equal(inliers, want_inliers) and count == want_count
+        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert drawn[-1][0] == 1 and max(drawn[-1]) <= block_max
+        counts.append(count)
+    if stop == "one sample":
+        assert used[0] == 1 and counts[0] < len(points)
+    elif stop == "mid-block":
+        assert any(sum(d) > u for d, u in zip(drawn, used))
+    elif stop == "max_iters":
+        assert used[0] == temp_iters == sum(drawn[0])
+    else:
+        assert used[0] == 1 and counts[0] == len(points)
 
 
 class TestWeightedRansacPnp:
