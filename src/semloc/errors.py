@@ -41,6 +41,10 @@ class TooFewDescriptors(SemlocError):
     """The database side of a KNN match has fewer than two descriptors."""
 
 
+class NonFiniteDescriptors(SemlocError):
+    """Descriptor squared norms or distance bounds overflow or are NaN."""
+
+
 class DegenerateGeometry(SemlocError):
     """Visibility statistics are undefined for this camera/point layout."""
 

@@ -26,7 +26,7 @@ from .geometry import (
     solve_p3p,  # noqa: F401  not called here; it stays bound because perfbench swaps it by name
     solve_p3p_many,
 )
-from .matching import knn_ratio_match, lift_matches
+from .matching import MATCH_DTYPE, knn_ratio_match, lift_matches
 from .model_ingest import Dataset, LabelRaster, QueryRecord
 from .retrieval import rank_database
 from .semantic_map import SemanticMap
@@ -368,7 +368,7 @@ def localize_query(
                 query.descriptors, dataset.db_descriptors[image_id], cfg.ratio
             )
         except TooFewDescriptors:
-            matches_2d = []
+            matches_2d = np.recarray(0, dtype=MATCH_DTYPE)
         matches = lift_matches(matches_2d, dataset.model.images[image_id], smap)
         temp = temporary_pose(matches, smap, query.keypoints, query.camera, cfg, rng)
         score = (

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +28,7 @@ from semloc.localizer import (
     weighted_sample_without_replacement,
     weighted_samples,
 )
-from semloc.model_ingest import ClassTable, LabelRaster, VOID_ID, load_ground_truth
+from semloc.model_ingest import ClassTable, DescriptorSet, LabelRaster, VOID_ID, load_ground_truth
 from semloc.semantic_map import SemanticMap, compute_visibility_stats
 from semloc.model_ingest import RawPoint3D
 import oracles
@@ -617,6 +618,29 @@ class TestLocalizeQuery:
         assert result.used_fallback
         assert all(c.temp_pose is None and c.score == 0 for c in result.candidates)
         assert result.pose is not None  # uniform RANSAC still solves the clean scene
+
+    def test_db_image_with_one_descriptor_gives_empty_candidate(
+        self, clean_scene, clean_dataset, clean_map
+    ):
+        # the ratio test needs two db descriptors; that candidate contributes
+        # nothing and the query localizes from the others
+        query = clean_dataset.queries[0]
+        cfg = LocalizerConfig()
+        top = localizer.rank_database(
+            query.global_desc, clean_dataset.db_global, cfg.k_for(query.condition)
+        )[0][0]
+        descriptors = dict(clean_dataset.db_descriptors)
+        descriptors[top] = DescriptorSet(descriptors[top].dim, descriptors[top].data[:1])
+        dataset = replace(clean_dataset, db_descriptors=descriptors)
+        result = localize_query(query, clean_map, dataset, cfg, np.random.default_rng(22))
+        emptied = [c for c in result.candidates if c.image_id == top]
+        assert len(emptied) == 1
+        assert emptied[0].matches.shape == (0, 2)
+        assert emptied[0].temp_pose is None and emptied[0].score == 0
+        assert all(c.temp_pose is not None for c in result.candidates if c.image_id != top)
+        gt = load_ground_truth(clean_scene.root / "ground_truth.txt")[query.name]
+        assert result.pose is not None
+        assert pose_error(result.pose, gt)[0] <= 1e-3
 
     def test_zero_lifted_matches_fails(self, clean_dataset):
         empty_map = map_of([], clean_dataset.class_table)

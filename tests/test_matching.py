@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semloc.matching as matching
-from semloc.errors import DimMismatch, TooFewDescriptors
+from semloc.errors import DimMismatch, NonFiniteDescriptors, TooFewDescriptors
 from semloc.geometry import PoseEstimate
-from semloc.matching import Match2D2D, knn_ratio_match, lift_matches
+from semloc.matching import MATCH_DTYPE, knn_ratio_match, lift_matches
 from semloc.model_ingest import ClassTable, DbImageRecord, DescriptorSet, NO_POINT
 import oracles
 from test_localizer import make_point, map_of
@@ -17,6 +17,11 @@ from test_localizer import make_point, map_of
 def descs(rows):
     data = np.asarray(rows, dtype=np.float32)
     return DescriptorSet(dim=data.shape[1], data=data)
+
+
+def records(triples):
+    """A knn_ratio_match result holding these (query_kp, db_kp, distance)."""
+    return np.rec.fromrecords(triples, dtype=MATCH_DTYPE)
 
 
 class TestKnnRatioMatch:
@@ -32,7 +37,7 @@ class TestKnnRatioMatch:
     def test_rejects_ambiguous_match(self):
         q = descs([[0.0, 0.0]])
         db = descs([[0.95, 0.0], [1.0, 0.0]])
-        assert knn_ratio_match(q, db, ratio=0.9) == []
+        assert len(knn_ratio_match(q, db, ratio=0.9)) == 0
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(0)
@@ -65,7 +70,7 @@ class TestKnnRatioMatch:
         rng = np.random.default_rng(2)
         q = descs(rng.normal(size=(20, 8)))
         db = descs(rng.normal(size=(30, 8)))
-        assert knn_ratio_match(q, db, ratio=0.0) == []
+        assert len(knn_ratio_match(q, db, ratio=0.0)) == 0
 
     def test_ratio_one_accepts_unique_nearest(self):
         rng = np.random.default_rng(3)
@@ -80,14 +85,14 @@ class TestKnnRatioMatch:
     def test_identical_db_rows_give_no_match(self):
         # d1 == d2, at distance 0 as well as above it
         for ratio in (0.9, 1.0):
-            assert knn_ratio_match(descs([[0.0, 0.0]]), descs([[0.0, 0.0]] * 2), ratio) == []
+            assert len(knn_ratio_match(descs([[0.0, 0.0]]), descs([[0.0, 0.0]] * 2), ratio)) == 0
             q = descs([[0.5, 0.0]])
-            assert knn_ratio_match(q, descs([[1.0, 0.0], [1.0, 0.0], [5.0, 0.0]]), ratio) == []
+            assert len(knn_ratio_match(q, descs([[1.0, 0.0], [1.0, 0.0], [5.0, 0.0]]), ratio)) == 0
 
     def test_ratio_zero_rejects_exact_match(self):
         q = descs([[1.0, 2.0]])
         db = descs([[1.0, 2.0], [5.0, 5.0]])
-        assert knn_ratio_match(q, db, ratio=0.0) == []
+        assert len(knn_ratio_match(q, db, ratio=0.0)) == 0
         assert len(knn_ratio_match(q, db, ratio=0.5)) == 1
 
     def test_dim_mismatch(self):
@@ -103,6 +108,39 @@ class TestKnnRatioMatch:
         q = descs(rng.normal(size=(30, 8)))
         db = descs(rng.normal(size=(50, 8)))
         assert len(knn_ratio_match(q, db, ratio=1.0)) <= 30
+
+    def test_result_is_a_record_array(self):
+        # the reads callers make: len(), and per match .query_kp, .db_kp, .distance
+        q = descs([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
+        db = descs([[0.1, 0.0], [1.0, 0.0], [5.0, 5.2]])
+        got = knn_ratio_match(q, db, ratio=0.9)
+        assert isinstance(got, np.recarray)
+        assert len(got) == 2
+        assert [(m.query_kp, m.db_kp) for m in got] == [(0, 0), (1, 2)]
+        assert [float(m.distance) for m in got] == pytest.approx([0.1, 0.2])
+        assert np.issubdtype(got.query_kp.dtype, np.integer)
+        assert np.issubdtype(got.db_kp.dtype, np.integer)
+        assert got.distance.dtype == np.float64
+        assert knn_ratio_match(q, db, ratio=0.0).dtype == got.dtype
+
+    @pytest.mark.parametrize(
+        "query, db",
+        [
+            # float64 rows whose squared norms overflow
+            ([[1e160, 0.0]], [[1e160, 0.0], [0.0, 1e160]]),
+            ([[0.0, 0.0]], [[1e160, 1e160], [0.0, 1.0]]),
+            ([[1e160, 1e160]], [[0.0, 0.0], [0.0, 1.0]]),
+            # norms that are finite alone but overflow the margin together
+            ([[1.3e154, 0.0]], [[0.0, 1.3e154], [0.0, 0.0]]),
+            ([[np.nan, 0.0]], [[0.0, 0.0], [0.0, 1.0]]),
+            ([[0.0, 0.0]], [[0.0, 0.0], [np.inf, 1.0]]),
+            (np.zeros((0, 2)), [[0.0, 0.0], [np.nan, 1.0]]),
+        ],
+    )
+    def test_non_finite_squared_distances_raise(self, query, db):
+        query, db = np.asarray(query, dtype=np.float64), np.asarray(db, dtype=np.float64)
+        with pytest.raises(NonFiniteDescriptors, match="not finite"):
+            knn_ratio_match(DescriptorSet(2, query), DescriptorSet(2, db), 0.9)
 
 
 @st.composite
@@ -122,6 +160,30 @@ def test_knn_ratio_match_equals_oracle_on_integer_descriptors(pair, ratio):
     query, db = pair
     got = {(m.query_kp, m.db_kp) for m in knn_ratio_match(descs(query), descs(db), ratio)}
     assert got == oracles.knn_ratio_matches(query, db, ratio)
+
+
+row_values = st.one_of(
+    st.sampled_from([-np.inf, -1.0, 0.0, 1.0, np.inf]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda cols: st.lists(st.lists(row_values, min_size=cols, max_size=cols), min_size=1, max_size=6)
+    )
+)
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_second_smallest_equals_partition(rows):
+    # the small value pool repeats row minima and mixes in +-inf
+    a = np.array(rows, dtype=np.float64)
+    before = a.tobytes()
+    got = matching._second_smallest(a)
+    assert a.tobytes() == before  # each row's minimum is restored bit for bit
+    if a.shape[1] == 1:
+        assert np.all(got == np.inf)  # np.partition(a, 1) rejects one column
+    else:
+        assert np.array_equal(got, np.partition(a, 1, axis=1)[:, 1])
 
 
 def as_triples(matches):
@@ -251,7 +313,7 @@ def test_lift_matches_equals_track_loop(map_ids, point3d_ids, data):
     pairs = data.draw(
         st.lists(st.tuples(st.integers(0, 30), st.integers(0, len(point3d_ids) - 1)), max_size=15)
     )
-    matches = [Match2D2D(q, d, 0.0) for q, d in pairs]
+    matches = records([(q, d, 0.0) for q, d in pairs])
     rows = {pid: row for row, pid in enumerate(sorted(map_ids))}
     want = []
     for m in matches:
@@ -264,28 +326,33 @@ def test_lift_matches_equals_track_loop(map_ids, point3d_ids, data):
 
 
 class TestLiftMatches:
+    def test_empty_record_array_lifts_to_nothing(self):
+        lifted = lift_matches(np.recarray(0, dtype=MATCH_DTYPE), db_image([7]), tiny_map([7]))
+        assert lifted.shape == (0, 2)
+        assert np.issubdtype(lifted.dtype, np.integer)
+
     def test_alive_point_lifts(self):
         image = db_image([7])
         smap = tiny_map([7])
-        lifted = lift_matches([Match2D2D(0, 0, 0.1)], image, smap)
+        lifted = lift_matches(records([(0, 0, 0.1)]), image, smap)
         assert lifted.tolist() == [[0, 0]]
         assert smap.ids[lifted[0, 1]] == 7
 
     def test_untracked_keypoint_dropped(self):
         image = db_image([-1])
-        lifted = lift_matches([Match2D2D(0, 0, 0.1)], image, tiny_map([7]))
+        lifted = lift_matches(records([(0, 0, 0.1)]), image, tiny_map([7]))
         assert lifted.shape == (0, 2)
 
     def test_pruned_point_dropped(self):
         image = db_image([9])  # point 9 not in the map (pruned)
-        lifted = lift_matches([Match2D2D(0, 0, 0.1)], image, tiny_map([7]))
+        lifted = lift_matches(records([(0, 0, 0.1)]), image, tiny_map([7]))
         assert lifted.shape == (0, 2)
 
     def test_never_fabricates(self):
         rng = np.random.default_rng(5)
         ids = rng.choice([-1, 7, 9], size=20).astype(np.int64)
         image = db_image(ids)
-        matches = [Match2D2D(i, i, 0.1) for i in range(20)]
+        matches = records([(i, i, 0.1) for i in range(20)])
         smap = tiny_map([7])
         lifted = lift_matches(matches, image, smap)
         assert len(lifted) <= len(matches)
