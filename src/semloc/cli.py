@@ -88,7 +88,7 @@ def _load_or_build_map(dataset: Dataset) -> SemanticMap:
         return smap
     smap = build_semantic_map(dataset.model, dataset.db_rasters, dataset.class_table)
     save_map_cache(smap, cache, inputs)
-    print(f"built semantic map: {len(smap)} points kept of {len(dataset.model.points)} ({cache})")
+    print(f"built semantic map: {len(smap)} points kept of {len(dataset.model.point_ids)} ({cache})")
     return smap
 
 

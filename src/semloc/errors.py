@@ -45,10 +45,6 @@ class NonFiniteDescriptors(SemlocError):
     """Descriptor squared norms or distance bounds overflow or are NaN."""
 
 
-class DegenerateGeometry(SemlocError):
-    """Visibility statistics are undefined for this camera/point layout."""
-
-
 class DegenerateConfiguration(SemlocError):
     """Minimal-solver input points are collinear or coincident."""
 

@@ -16,6 +16,9 @@ train-id convention, void = 255. Binary sidecar formats are little-endian:
 .ldsc = "LDSC" u32-count u32-dim f32[count*dim]; .kpts = "KPTS" u32-count
 f32[count*2]; .gdsc = "GDSC" u32-dim f32[dim].
 
+The SfM model's points load as a track table (see SfmModel), which is
+checked against the images' keypoint links in array form.
+
 Nothing here repairs data silently except the unit renormalization of
 global descriptors; every other deviation, a non-finite number included,
 raises or lands in the validation report.
@@ -70,15 +73,6 @@ class LabelRaster:
     height: int
     labels: np.ndarray  # (height, width) uint8
 
-    def at(self, px) -> int:
-        """Label at the nearest pixel (round-half-up, the last half pixel
-        of each axis clamped onto the last column or row); raises
-        IndexError outside [0, width) x [0, height)."""
-        x, y = float(px[0]), float(px[1])
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise IndexError(f"pixel ({x}, {y}) outside {self.width}x{self.height}")
-        return int(self.labels[min(int(y + 0.5), self.height - 1), min(int(x + 0.5), self.width - 1)])
-
 
 @dataclass(frozen=True, eq=False)
 class DescriptorSet:
@@ -92,14 +86,6 @@ class DescriptorSet:
         return self.data.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class GlobalDescriptor:
-    """Whole-image retrieval descriptor, unit L2 norm."""
-
-    dim: int
-    values: np.ndarray  # (dim,) float32
-
-
 @dataclass(eq=False)
 class DbImageRecord:
     name: str
@@ -110,16 +96,16 @@ class DbImageRecord:
 
 
 @dataclass(eq=False)
-class RawPoint3D:
-    position: np.ndarray  # (3,) float64, world frame
-    track: list[tuple[int, int]]  # (image-id, keypoint-index)
-
-
-@dataclass(eq=False)
 class SfmModel:
+    """A COLMAP model whose points form a track table: point row r has id
+    point_ids[r], position positions[r] and the observations in the rows of
+    `tracks` whose first column is r, grouped by row, each in file order."""
+
     cameras: dict[int, CameraIntrinsics]
     images: dict[int, DbImageRecord]
-    points: dict[int, RawPoint3D]
+    point_ids: np.ndarray  # (n,) int64, strictly increasing
+    positions: np.ndarray  # (n, 3) float64, world frame
+    tracks: np.ndarray  # (m, 3) int64 rows of (point row, image id, keypoint index)
 
 
 @dataclass(eq=False)
@@ -128,7 +114,7 @@ class QueryRecord:
     camera: CameraIntrinsics
     keypoints: np.ndarray  # (n, 2) float64
     descriptors: DescriptorSet
-    global_desc: GlobalDescriptor
+    global_desc: np.ndarray  # (dim,) float32, unit L2 norm
     labels: LabelRaster
     condition: str | None = None
 
@@ -143,7 +129,7 @@ class Dataset:
     conditions: dict[str, str]
     db_rasters: dict[int, LabelRaster]
     db_descriptors: dict[int, DescriptorSet]
-    db_global: dict[int, GlobalDescriptor]
+    db_global: dict[int, np.ndarray]  # (dim,) float32, unit L2 norm
     queries: list[QueryRecord]
 
 
@@ -258,35 +244,50 @@ def load_images(path: Path) -> dict[int, DbImageRecord]:
     return images
 
 
-def load_points(path: Path) -> dict[int, RawPoint3D]:
-    points: dict[int, RawPoint3D] = {}
+def load_points(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(point_ids, positions, tracks) of points3D.txt, in SfmModel's layout."""
+    positions: dict[int, list[float]] = {}  # by point id, in file order
+    lengths, entries = [], []
     for lineno, line in _data_lines(path):
         parts = line.split()
         if len(parts) < 8 or (len(parts) - 8) % 2 != 0:
             raise ParseError(f"{path}:{lineno}: bad point3D line length {len(parts)}")
         try:
             point_id = int(parts[0])
-            position = np.array([float(v) for v in parts[1:4]])
-            track = [
-                (int(parts[8 + 2 * i]), int(parts[9 + 2 * i]))
-                for i in range((len(parts) - 8) // 2)
-            ]
+            position = [float(v) for v in parts[1:4]]
+            track = [int(v) for v in parts[8:]]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad point3D line: {exc}") from exc
         _require_finite(f"{path}:{lineno}", "point position", position)
-        if point_id in points:
+        if point_id in positions:
             raise ParseError(f"{path}:{lineno}: duplicate point id {point_id}")
-        if len(track) < 2:
+        if len(track) < 4:
             raise ConsistencyError(f"{path}:{lineno}: point {point_id} tracked in < 2 views")
-        points[point_id] = RawPoint3D(position, track)
-    return points
+        positions[point_id] = position
+        lengths.append(len(track) // 2)
+        entries += track
+    point_ids = np.array(list(positions), dtype=np.int64)
+    order = np.argsort(point_ids)
+    owners = np.repeat(point_ids, lengths)
+    tracks = np.column_stack((owners, np.array(entries, dtype=np.int64).reshape(-1, 2)))
+    tracks = tracks[np.argsort(owners, kind="stable")]
+    tracks[:, 0] = np.searchsorted(point_ids[order], tracks[:, 0])
+    return point_ids[order], np.array(list(positions.values())).reshape(-1, 3)[order], tracks
+
+
+def id_rows(sorted_ids: np.ndarray, ids) -> np.ndarray:
+    """Row of each id in the strictly increasing sorted_ids, -1 where absent."""
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = np.searchsorted(sorted_ids, ids)
+    found = rows < len(sorted_ids)
+    found[found] = sorted_ids[rows[found]] == ids[found]
+    return np.where(found, rows, -1)
 
 
 def _check_model_consistency(model: SfmModel) -> None:
-    track_entries = {
-        pid: set(point.track) for pid, point in model.points.items()
-    }
-    for image_id, image in model.images.items():
+    image_ids = np.array(sorted(model.images), dtype=np.int64)
+    images = [model.images[image_id] for image_id in image_ids.tolist()]
+    for image_id, image in zip(image_ids.tolist(), images):
         cam = model.cameras.get(image.camera_id)
         if cam is None:
             raise ConsistencyError(f"image {image_id} references missing camera {image.camera_id}")
@@ -294,42 +295,59 @@ def _check_model_consistency(model: SfmModel) -> None:
             raise ConsistencyError(f"image {image_id}: keypoint/point3d_id length mismatch")
         if not _in_frame(image.keypoints, cam):
             raise ConsistencyError(f"image {image_id} has keypoints outside the frame")
-        for kp_idx, pid in enumerate(image.point3d_ids):
-            if pid == NO_POINT:
-                continue
-            if pid not in model.points:
-                raise ConsistencyError(
-                    f"image {image_id} keypoint {kp_idx} references missing point {pid}"
-                )
-            if (image_id, kp_idx) not in track_entries[pid]:
-                raise ConsistencyError(
-                    f"asymmetric track: image {image_id} keypoint {kp_idx} links to point "
-                    f"{pid}, whose track omits it"
-                )
-    for point_id, point in model.points.items():
-        for image_id, kp_idx in point.track:
-            image = model.images.get(image_id)
-            if image is None:
-                raise ConsistencyError(f"point {point_id} track references missing image {image_id}")
-            if not (0 <= kp_idx < len(image.point3d_ids)):
-                raise ConsistencyError(
-                    f"point {point_id} track references keypoint {kp_idx} out of range "
-                    f"for image {image_id}"
-                )
-            if image.point3d_ids[kp_idx] != point_id:
-                raise ConsistencyError(
-                    f"asymmetric track: point {point_id} claims image {image_id} keypoint "
-                    f"{kp_idx}, which links to {image.point3d_ids[kp_idx]}"
-                )
+
+    # every keypoint of every image in ascending image id order, then a
+    # NO_POINT sentinel for the track entries that name no keypoint
+    counts = np.array([len(image.point3d_ids) for image in images], dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    linked = np.concatenate([*(image.point3d_ids for image in images), [NO_POINT]])
+    rows, track_images, track_kps = model.tracks.T
+    slot = id_rows(image_ids, track_images)
+    in_range = (slot >= 0) & (track_kps >= 0) & (track_kps < np.append(counts, 0)[slot])
+    keypoint = np.where(in_range, np.append(starts, 0)[slot] + track_kps, len(linked) - 1)
+    symmetric = in_range & (linked[keypoint] == model.point_ids[rows])
+    listed = np.bincount(keypoint[symmetric], minlength=len(linked))
+    linked_rows = id_rows(model.point_ids, linked)
+    bad = (linked != NO_POINT) & ((linked_rows < 0) | (listed == 0))
+    if bad.any():
+        k = np.argmax(bad)
+        i = np.searchsorted(starts, k, side="right") - 1
+        where, pid = f"image {image_ids[i]} keypoint {k - starts[i]}", linked[k]
+        if linked_rows[k] < 0:
+            raise ConsistencyError(f"{where} references missing point {pid}")
+        raise ConsistencyError(
+            f"asymmetric track: {where} links to point {pid}, whose track omits it"
+        )
+    if not symmetric.all():
+        e = np.argmin(symmetric)
+        point, image_id, kp_idx = f"point {model.point_ids[rows[e]]}", track_images[e], track_kps[e]
+        if slot[e] < 0:
+            raise ConsistencyError(f"{point} track references missing image {image_id}")
+        if not in_range[e]:
+            raise ConsistencyError(
+                f"{point} track references keypoint {kp_idx} out of range for image {image_id}"
+            )
+        raise ConsistencyError(
+            f"asymmetric track: {point} claims image {image_id} keypoint {kp_idx}, "
+            f"which links to {linked[keypoint[e]]}"
+        )
+    # every entry is symmetric now: a keypoint listed twice is listed twice
+    # by its own point's track
+    if listed.max(initial=0) > 1:
+        e = np.argmax(keypoint == np.argmax(listed > 1))
+        raise ConsistencyError(
+            f"point {model.point_ids[rows[e]]} track lists image {track_images[e]} "
+            f"keypoint {track_kps[e]} twice"
+        )
 
 
 def load_sfm_model(model_dir: Path) -> SfmModel:
     """Parse and cross-check the three COLMAP-format text files."""
     model_dir = Path(model_dir)
     model = SfmModel(
-        cameras=load_cameras(model_dir / "cameras.txt"),
-        images=load_images(model_dir / "images.txt"),
-        points=load_points(model_dir / "points3D.txt"),
+        load_cameras(model_dir / "cameras.txt"),
+        load_images(model_dir / "images.txt"),
+        *load_points(model_dir / "points3D.txt"),
     )
     _check_model_consistency(model)
     return model
@@ -410,13 +428,14 @@ def load_keypoints(path: Path) -> np.ndarray:
     return values.reshape(count, 2).astype(np.float64)
 
 
-def load_global_descriptor(path: Path) -> GlobalDescriptor:
-    (dim,), values = _read_sidecar(path, b"GDSC", 1)
+def load_global_descriptor(path: Path) -> np.ndarray:
+    """The (dim,) float32 descriptor, renormalized to unit L2 norm."""
+    _, values = _read_sidecar(path, b"GDSC", 1)
     values = values.astype(np.float64)
     norm = np.linalg.norm(values)
     if norm < 1e-12:
         raise ParseError(f"{path}: zero-norm global descriptor")
-    return GlobalDescriptor(dim=dim, values=(values / norm).astype(np.float32))
+    return (values / norm).astype(np.float32)
 
 
 def load_class_table(path: Path) -> ClassTable:
@@ -526,7 +545,7 @@ def validate_dataset(root: Path) -> ValidationReport:
         gdesc = _read(report, name, directory / f"{name}.gdsc", load_global_descriptor,
                       "global descriptor")
         if gdesc is not None:
-            global_dims[name] = gdesc.dim
+            global_dims[name] = len(gdesc)
         raster = _read(
             report, name, directory / f"{name}.labels.pgm",
             lambda path: load_label_raster(path, (cam.width, cam.height), class_table),

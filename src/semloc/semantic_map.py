@@ -5,7 +5,8 @@ visibility statistics of its observing cameras: the distance band
 [d_lower, d_upper], the unit mid-viewpoint direction v_mid between the two
 most-separated viewing directions, and the angle theta between them.
 Dynamic-labeled and all-void points are dropped, as are points whose
-viewing geometry is degenerate.
+viewing geometry is degenerate. The map is built from the model's track
+table in one batched pass, and is stored as parallel arrays.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateGeometry
-from .geometry import PoseEstimate, camera_center
-from .model_ingest import DB_SUBDIR, MODEL_SUBDIR, ClassTable, LabelRaster, RawPoint3D, SfmModel
+from .geometry import camera_center
+from .model_ingest import DB_SUBDIR, MODEL_SUBDIR, ClassTable, LabelRaster, SfmModel, id_rows
 
 MAP_CACHE_VERSION = 3  # stored in every cache; bump it when the map build or the layout changes
 MAP_ARRAYS = ("ids", "positions", "labels", "d_lower", "d_upper", "v_mid", "theta")
+MAP_BLOCK_BYTES = 256 * 2**10  # padded temporaries of one block of the extreme-pair search
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,107 +50,89 @@ class SemanticMap:
 
     def rows_of(self, point_ids: np.ndarray) -> np.ndarray:
         """Row of each point id, -1 for ids not in the map."""
-        point_ids = np.asarray(point_ids, dtype=np.int64)
-        rows = np.searchsorted(self.ids, point_ids)
-        found = rows < len(self.ids)
-        found[found] = self.ids[rows[found]] == point_ids[found]
-        return np.where(found, rows, -1)
+        return id_rows(self.ids, point_ids)
 
 
-def vote_point_label(
-    point: RawPoint3D, model: SfmModel, rasters: dict[int, LabelRaster],
-    class_table: ClassTable,
-) -> int | None:
-    """Majority label over the track's raster lookups, or None when the
-    point should be removed (dynamic or all-void votes).
-
-    Each track observation looks the raster up at the observing keypoint's
-    nearest pixel. Void votes are discarded; ties break toward the smaller
-    class id.
-    """
-    votes: dict[int, int] = {}
-    for image_id, kp_idx in point.track:
-        image = model.images[image_id]
-        label = rasters[image_id].at(image.keypoints[kp_idx])
-        if label == class_table.void_id:
-            continue
-        votes[label] = votes.get(label, 0) + 1
-    if not votes:
-        return None
-    winner = min(votes, key=lambda lbl: (-votes[lbl], lbl))
-    if class_table.is_dynamic(winner):
-        return None
-    return winner
-
-
-def compute_visibility_stats(
-    point: RawPoint3D, observing_poses: list[PoseEstimate]
-) -> tuple[float, float, np.ndarray, float]:
-    """(d_lower, d_upper, v_mid, theta) from the observing camera centers.
-
-    The extreme pair is found by exact pairwise search over the track's
-    viewing directions (tracks are short). Raises DegenerateGeometry when a
-    camera center coincides with the point or the two extreme directions
-    are antiparallel (v_mid undefined).
-    """
-    if len(observing_poses) < 2:
-        raise DegenerateGeometry("visibility stats need at least 2 observing cameras")
-    centers = np.array([camera_center(p) for p in observing_poses])
-    offsets = centers - point.position
-    dists = np.linalg.norm(offsets, axis=1)
-    if np.any(dists < 1e-9):
-        raise DegenerateGeometry("camera center coincides with the 3D point")
-    dirs = offsets / dists[:, None]
-
-    best = (0, 1)
-    best_cos = np.inf
-    for i in range(len(dirs)):
-        cosines = dirs[i + 1 :] @ dirs[i]
-        if len(cosines) == 0:
-            continue
-        j = int(np.argmin(cosines))
-        if cosines[j] < best_cos:
-            best_cos = float(cosines[j])
-            best = (i, i + 1 + j)
-    a, b = dirs[best[0]], dirs[best[1]]
-    theta = float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
-    mid = a + b
-    mid_norm = np.linalg.norm(mid)
-    if mid_norm < 1e-12:
-        raise DegenerateGeometry("extreme viewpoints are antiparallel")
-    return float(dists.min()), float(dists.max()), mid / mid_norm, theta
+def _extreme_pairs(dirs: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two most separated directions (a, b) of each track, whose unit
+    directions are runs of `lengths` rows of dirs: the first pair i < j in
+    row-major order with the smallest cosine, as a scan keeping the first
+    strictly smaller cosine finds it. Tracks go longest first, in blocks
+    padded to the block's first track."""
+    starts = np.cumsum(lengths) - lengths
+    first, second = np.empty_like(lengths), np.empty_like(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    done = 0
+    while done < len(order):
+        longest = int(lengths[order[done]])
+        # float64 cosines and two boolean masks per pair, 24 bytes per direction
+        rows = order[done : done + max(1, MAP_BLOCK_BYTES // (longest * (10 * longest + 24)))]
+        pad = np.arange(longest)
+        valid = pad < lengths[rows, None]
+        padded = np.zeros((len(rows), longest, 3))
+        padded[valid] = dirs[(starts[rows, None] + pad)[valid]]
+        cosines = padded @ padded.transpose(0, 2, 1)
+        np.copyto(cosines, np.inf, where=~((pad[:, None] < pad) & valid[:, None, :]))
+        first[rows], second[rows] = np.divmod(cosines.reshape(len(rows), -1).argmin(1), longest)
+        done += len(rows)
+    return dirs[starts + first], dirs[starts + second]
 
 
 def build_semantic_map(
     model: SfmModel, rasters: dict[int, LabelRaster], class_table: ClassTable
 ) -> SemanticMap:
-    """Vote labels and compute visibility stats for every SfM point.
+    """Vote labels and compute visibility stats for every SfM point, in one
+    batched pass over the model's track table.
 
-    The map holds exactly the points that were neither removed by voting
-    nor geometrically degenerate. Deterministic: points are processed in
-    ascending id order.
+    Each observation votes with its raster's label at the keypoint's
+    nearest pixel (round half up, the last half pixel of each axis clamped
+    onto the last column or row). Void votes are discarded; the majority
+    wins and ties break toward the smaller class id. A point is dropped
+    when its winner is dynamic or all its votes are void, when it has fewer
+    than two observations, when an observing camera center lies within
+    1e-9 of it, or when its two extreme viewing directions are antiparallel
+    (v_mid undefined). The extreme pair is found by exact pairwise search.
     """
-    kept = []
-    for point_id in sorted(model.points):
-        raw = model.points[point_id]
-        label = vote_point_label(raw, model, rasters, class_table)
-        if label is None:
-            continue
-        poses = [model.images[image_id].pose for image_id, _ in raw.track]
-        try:
-            d_lower, d_upper, v_mid, theta = compute_visibility_stats(raw, poses)
-        except DegenerateGeometry:
-            continue
-        kept.append((point_id, raw.position, label, d_lower, d_upper, v_mid, theta))
-    ids, positions, labels, d_lower, d_upper, v_mid, theta = zip(*kept) if kept else [()] * 7
+    rows, image_ids, kp_idx = model.tracks.T
+    votes, centers = np.empty(len(rows), dtype=np.int64), np.empty((len(rows), 3))
+    for image_id in np.unique(image_ids).tolist():
+        image, raster, obs = model.images[image_id], rasters[image_id], image_ids == image_id
+        last = (raster.width - 1, raster.height - 1)
+        x, y = np.minimum(image.keypoints[kp_idx[obs]] + 0.5, last).astype(np.int64).T
+        votes[obs] = raster.labels[y, x]
+        centers[obs] = camera_center(image.pose)
+
+    # (point row, label) vote counts, keyed row * 256 + label as labels are
+    # bytes; each row's first after sorting by count, then label, wins
+    cast = votes != class_table.void_id
+    keys, counts = np.unique(rows[cast] * 256 + votes[cast], return_counts=True)
+    voted, labels = np.divmod(keys, 256)
+    order = np.lexsort((labels, -counts, voted))
+    winner = order[np.flatnonzero(np.diff(voted[order], prepend=-1))]
+    static = ~np.isin(labels[winner], list(class_table.dynamic_ids))
+    point_rows, labels = voted[winner][static], labels[winner][static]
+    lengths = np.bincount(rows, minlength=len(model.point_ids))[point_rows]
+
+    entry = np.isin(rows, point_rows)
+    offsets = centers[entry] - model.positions[rows[entry]]
+    dists = np.linalg.norm(offsets, axis=1)
+    starts = np.cumsum(lengths) - lengths
+    d_lower = np.minimum.reduceat(dists, starts)
+    with np.errstate(invalid="ignore"):  # a camera on its point, which is dropped
+        a, b = _extreme_pairs(offsets / dists[:, None], lengths)
+    theta = np.arccos(np.clip((a[:, None, :] @ b[:, :, None])[:, 0, 0], -1.0, 1.0))
+    mid = a + b
+    mid_norm = np.sqrt((mid[:, None, :] @ mid[:, :, None])[:, 0, 0])
+    defined = (lengths >= 2) & (d_lower >= 1e-9) & (mid_norm >= 1e-12)
+    point_rows = point_rows[defined]
     return SemanticMap(
-        ids=np.array(ids, dtype=np.int64),
-        positions=np.array(positions, dtype=float).reshape(-1, 3),
-        labels=np.array(labels, dtype=np.int64),
-        d_lower=np.array(d_lower, dtype=float),
-        d_upper=np.array(d_upper, dtype=float),
-        v_mid=np.array(v_mid, dtype=float).reshape(-1, 3),
-        theta=np.array(theta, dtype=float),
+        ids=model.point_ids[point_rows],
+        positions=model.positions[point_rows],
+        labels=labels[defined],
+        d_lower=d_lower[defined],
+        d_upper=np.maximum.reduceat(dists, starts)[defined],
+        v_mid=mid[defined] / mid_norm[defined, None],
+        theta=theta[defined],
         class_table=class_table,
     )
 

@@ -509,26 +509,26 @@ def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> di
 
     model = dataset.model
     images = dict(model.images)
-    points: dict[int, tuple[np.ndarray, list[tuple[int, int]]]] = {
-        pid: (pt.position, list(pt.track)) for pid, pt in model.points.items()
-    }
+    ends = np.cumsum(np.bincount(model.tracks[:, 0], minlength=len(model.point_ids)))[:-1]
+    tracks = [list(map(tuple, track.tolist())) for track in np.split(model.tracks[:, 1:], ends)]
+    points = dict(zip(model.point_ids.tolist(), zip(model.positions, tracks)))  # write_model's layout
     rasters = {iid: dataset.db_rasters[iid].labels.copy() for iid in images}
     descs = {iid: dataset.db_descriptors[iid].data.copy() for iid in images}
-    gds = {iid: dataset.db_global[iid].values.copy() for iid in images}
+    gds = {iid: dataset.db_global[iid].copy() for iid in images}
     conditions = dict(dataset.conditions)
     names = {iid: images[iid].name for iid in images}
 
     if cspec.wrong_retrieval_rate > 0:
         replicas = _decoy_replicas(cspec.wrong_retrieval_rate)
         perm = _permute_static_labels(dataset)
-        reach = max(float(np.linalg.norm(pt.position)) for pt in model.points.values())
+        reach = max(float(np.linalg.norm(position)) for position in model.positions)
         for image in model.images.values():
             center = -image.pose.rotation.T @ image.pose.translation
             reach = max(reach, float(np.linalg.norm(center)))
         offset_mag = 4.0 * reach
         max_image_id = max(images)
         max_point_id = max(points)
-        source_points = sorted(model.points)
+        source_points = model.point_ids.tolist()
         point_map: dict[int, dict[int, int]] = {}
         decoy_names: dict[str, str] = {}
 
@@ -541,8 +541,8 @@ def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> di
             point_map[r] = {
                 pid: max_point_id * r + rank + 1 for rank, pid in enumerate(source_points)
             }
-            for pid in source_points:
-                points[point_map[r][pid]] = (model.points[pid].position + offset, [])
+            for pid, position in zip(source_points, model.positions):
+                points[point_map[r][pid]] = (position + offset, [])
             for src_id in sorted(model.images):
                 src = model.images[src_id]
                 decoy_id = max_image_id * r + src_id
@@ -564,7 +564,7 @@ def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> di
                         points[point_map[r][pid]][1].append((decoy_id, kp_idx))
                 rasters[decoy_id] = lut[dataset.db_rasters[src_id].labels]
                 descs[decoy_id] = dataset.db_descriptors[src_id].data.copy()
-                gds[decoy_id] = dataset.db_global[src_id].values.copy()
+                gds[decoy_id] = dataset.db_global[src_id].copy()
                 conditions[name] = conditions.get(src.name, "day")
         manifest["wrong_retrieval"] = {
             "replicas": replicas,
@@ -623,7 +623,7 @@ def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> di
         write_keypoints(base.with_name(base.name + ".kpts"), out["kps"])
         write_descriptors(base.with_name(base.name + ".ldsc"), out["descs"])
         write_pgm(base.with_name(base.name + ".labels.pgm"), out["raster"])
-        write_global_descriptor(base.with_name(base.name + ".gdsc"), query.global_desc.values)
+        write_global_descriptor(base.with_name(base.name + ".gdsc"), query.global_desc)
     _write_text(
         out_dir / "queries.txt",
         [

@@ -178,10 +178,11 @@ def vote_label(track_pixels_labels, void_id, dynamic_ids):
     return best
 
 
-def vote_label_from_model(point, model, rasters, void_id, dynamic_ids):
-    """Full re-derivation: raster lookups (round-half-up) plus majority."""
+def vote_label_from_model(row, model, rasters, void_id, dynamic_ids):
+    """Full re-derivation for the point in row `row` of the model's track
+    table: raster lookups (round-half-up) plus majority."""
     votes = []
-    for image_id, kp_idx in point.track:
+    for _, image_id, kp_idx in model.tracks[model.tracks[:, 0] == row].tolist():
         kp = model.images[image_id].keypoints[kp_idx]
         ix = math.floor(float(kp[0]) + 0.5)
         iy = math.floor(float(kp[1]) + 0.5)

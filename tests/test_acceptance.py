@@ -42,14 +42,13 @@ from semloc.matching import knn_ratio_match
 from semloc.model_ingest import (
     ClassTable,
     DescriptorSet,
-    GlobalDescriptor,
     LabelRaster,
     VOID_ID,
     load_dataset,
     load_ground_truth,
 )
 from semloc.retrieval import rank_database
-from semloc.semantic_map import build_semantic_map, vote_point_label
+from semloc.semantic_map import build_semantic_map
 from semloc.synth import SceneSpec, generate_scene
 import oracles
 from test_localizer import grid_map_points, make_point, map_of, stats_point
@@ -227,26 +226,25 @@ def test_criterion_3_oracle_equivalence(clean_dataset):
     db = {}
     for i in range(200):
         v = rng.normal(size=16)
-        db[i] = GlobalDescriptor(16, (v / np.linalg.norm(v)).astype(np.float32))
+        db[i] = (v / np.linalg.norm(v)).astype(np.float32)
     for _ in range(100):
         v = rng.normal(size=16)
-        query = GlobalDescriptor(16, (v / np.linalg.norm(v)).astype(np.float32))
+        query = (v / np.linalg.norm(v)).astype(np.float32)
         got = rank_database(query, db, 30)
-        want = oracles.rank_by_l2(
-            query.values.tolist(), {i: db[i].values.tolist() for i in db}, 30
-        )
+        want = oracles.rank_by_l2(query.tolist(), {i: db[i].tolist() for i in db}, 30)
         assert [i for i, _ in got] == [i for i, _ in want]
         for (gi, gd), (wi, wd) in zip(got, want):
             assert abs(gd - wd) < 1e-12
 
-    # vote_point_label(): every point of the synthetic scene (>= 100)
+    # build_semantic_map() labels: every point of the synthetic scene (>= 100)
     ds = clean_dataset
+    smap = build_semantic_map(ds.model, ds.db_rasters, ds.class_table)
+    rows = smap.rows_of(ds.model.point_ids)
     voted = 0
-    for pid in sorted(ds.model.points):
-        point = ds.model.points[pid]
-        got = vote_point_label(point, ds.model, ds.db_rasters, ds.class_table)
+    for row in range(len(ds.model.point_ids)):
+        got = int(smap.labels[rows[row]]) if rows[row] >= 0 else None
         want = oracles.vote_label_from_model(
-            point, ds.model, ds.db_rasters, ds.class_table.void_id, ds.class_table.dynamic_ids
+            row, ds.model, ds.db_rasters, ds.class_table.void_id, ds.class_table.dynamic_ids
         )
         assert got == want
         voted += 1

@@ -29,8 +29,8 @@ from semloc.localizer import (
     weighted_samples,
 )
 from semloc.model_ingest import ClassTable, DescriptorSet, LabelRaster, VOID_ID, load_ground_truth
-from semloc.semantic_map import SemanticMap, compute_visibility_stats
-from semloc.model_ingest import RawPoint3D
+from semloc.semantic_map import SemanticMap, build_semantic_map
+from sfm_models import uniform_raster, views_model
 import oracles
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -72,11 +72,11 @@ def visible_one(p, c_q, theta_min):
 
 
 def stats_point(pid, X, centers, label=1):
-    raw = RawPoint3D(np.asarray(X, dtype=float), [(i, 0) for i in range(len(centers))])
-    poses = [PoseEstimate(np.eye(3), -np.asarray(c, dtype=float)) for c in centers]
-    d_lower, d_upper, v_mid, theta = compute_visibility_stats(raw, poses)
-    return make_point(pid, X, label=label, d_lower=d_lower, d_upper=d_upper,
-                      v_mid=v_mid, theta=theta)
+    """The map point at X that cameras at `centers` see, labeled `label`."""
+    model, rasters = views_model(X, centers, [uniform_raster(label) for _ in centers])
+    smap = build_semantic_map(model, rasters, TABLE)
+    return make_point(pid, X, label=label, d_lower=smap.d_lower[0], d_upper=smap.d_upper[0],
+                      v_mid=smap.v_mid[0], theta=smap.theta[0])
 
 
 class TestVisible:

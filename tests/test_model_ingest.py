@@ -14,6 +14,7 @@ from semloc.errors import (
 )
 from semloc.model_ingest import (
     ClassTable,
+    id_rows,
     load_class_table,
     load_dataset,
     load_descriptors,
@@ -23,6 +24,7 @@ from semloc.model_ingest import (
     load_sfm_model,
     validate_dataset,
 )
+from semloc.semantic_map import build_semantic_map
 from semloc.synth import (
     write_classes,
     write_descriptors,
@@ -31,6 +33,7 @@ from semloc.synth import (
     write_model,
     write_pgm,
 )
+from sfm_models import views_model
 
 TABLE = ClassTable(names=("road", "sidewalk", "building"), dynamic_ids=frozenset())
 
@@ -47,14 +50,98 @@ def write_minimal_model(model_dir, point_line="1 0.0 0.0 0.0 128 128 128 0.0 1 0
     (model_dir / "points3D.txt").write_text(point_line + "\n")
 
 
+def voted_label(raster, keypoint):
+    """The map label of a point seen at `keypoint` from two views that
+    share `raster`; None when the map drops the point."""
+    model, rasters = views_model(np.zeros(3), [(0, 0, 5), (1, 0, 5)], [raster, raster], [keypoint] * 2)
+    smap = build_semantic_map(model, rasters, TABLE)
+    return int(smap.labels[0]) if len(smap) else None
+
+
+def images_txt(kps_a="320.0 240.0 1", kps_b="320.0 240.0 1", camera_a=1):
+    return (
+        f"1 1.0 0.0 0.0 0.0 0.0 0.0 10.0 {camera_a} img_a\n{kps_a}\n"
+        f"2 1.0 0.0 0.0 0.0 0.0 0.0 12.0 1 img_b\n{kps_b}\n"
+    )
+
+
+POINT = "1 0.0 0.0 0.0 128 128 128 0.0 "
+SINGLE_FAULTS = {
+    "missing camera": (images_txt(camera_a=2), POINT + "1 0 2 0",
+                       "image 1 references missing camera 2"),
+    "keypoint outside the frame": (images_txt(kps_a="650.0 240.0 1"), POINT + "1 0 2 0",
+                                   "image 1 has keypoints outside the frame"),
+    "keypoint links to a missing point": (
+        images_txt(kps_a="320.0 240.0 7 330.0 240.0 1"), POINT + "1 1 2 0",
+        "image 1 keypoint 0 references missing point 7"),
+    "track omits a linked keypoint": (
+        images_txt(kps_b="320.0 240.0 1 330.0 240.0 1"), POINT + "1 0 2 0",
+        "asymmetric track: image 2 keypoint 1 links to point 1, whose track omits it"),
+    "track names a missing image": (images_txt(kps_b="320.0 240.0 -1"), POINT + "1 0 99 0",
+                                    "point 1 track references missing image 99"),
+    "track keypoint out of range": (
+        images_txt(kps_b="320.0 240.0 -1"), POINT + "1 0 2 5",
+        "point 1 track references keypoint 5 out of range for image 2"),
+    "track claims an untracked keypoint": (
+        images_txt(kps_b="320.0 240.0 -1"), POINT + "1 0 2 0",
+        "asymmetric track: point 1 claims image 2 keypoint 0, which links to -1"),
+    "track claims another point's keypoint": (
+        images_txt(kps_b="320.0 240.0 2"),
+        POINT + "1 0 2 0\n2 1.0 0.0 0.0 128 128 128 0.0 1 0 2 0",
+        "asymmetric track: point 1 claims image 2 keypoint 0, which links to 2"),
+    "track lists a keypoint twice": (images_txt(), POINT + "1 0 1 0 2 0",
+                                     "point 1 track lists image 1 keypoint 0 twice"),
+}
+
+
 class TestSfmModel:
+    @pytest.mark.parametrize("fault", list(SINGLE_FAULTS))
+    def test_single_fault_message(self, tmp_path, fault):
+        images, points, message = SINGLE_FAULTS[fault]
+        write_minimal_model(tmp_path / "model", point_line=points)
+        (tmp_path / "model" / "images.txt").write_text(images)
+        with pytest.raises(ConsistencyError) as info:
+            load_sfm_model(tmp_path / "model")
+        assert str(info.value) == message
+
+    def test_duplicate_track_entry_rejected(self, tmp_path):
+        """Image 1 would vote twice for the point: with image 1 voting 1
+        and image 2 voting 0, label 1 would win a vote that is a 1:1 tie."""
+        write_minimal_model(
+            tmp_path / "model", point_line="1 0 0 0 255 255 255 0 1 0 1 0 2 0"
+        )
+        with pytest.raises(ConsistencyError, match="track lists image 1 keypoint 0 twice"):
+            load_sfm_model(tmp_path / "model")
+        write_minimal_model(
+            tmp_path / "model", point_line="1 0 0 0 255 255 255 0 1 0 2 0 1 0"
+        )
+        with pytest.raises(ConsistencyError, match="track lists image 1 keypoint 0 twice"):
+            load_sfm_model(tmp_path / "model")
+
+    def test_points_sorted_by_id_with_tracks_in_file_order(self, tmp_path):
+        model_dir = tmp_path / "model"
+        write_minimal_model(
+            model_dir,
+            point_line="9 1.0 2.0 3.0 128 128 128 0.0 2 1 1 1\n"
+            "4 4.0 5.0 6.0 128 128 128 0.0 2 0 1 0",
+        )
+        (model_dir / "images.txt").write_text(
+            images_txt(kps_a="320.0 240.0 4 330.0 240.0 9", kps_b="320.0 240.0 4 330.0 240.0 9")
+        )
+        model = load_sfm_model(model_dir)
+        assert model.point_ids.tolist() == [4, 9]
+        assert model.positions.tolist() == [[4.0, 5.0, 6.0], [1.0, 2.0, 3.0]]
+        assert model.tracks.tolist() == [[0, 2, 0], [0, 1, 0], [1, 2, 1], [1, 1, 1]]
+
     def test_minimal_model_loads(self, tmp_path):
         write_minimal_model(tmp_path / "model")
         model = load_sfm_model(tmp_path / "model")
         assert set(model.cameras) == {1}
         assert set(model.images) == {1, 2}
-        assert set(model.points) == {1}
-        assert model.points[1].track == [(1, 0), (2, 0)]
+        assert model.point_ids.tolist() == [1]
+        assert model.positions.tolist() == [[0.0, 0.0, 0.0]]
+        assert model.tracks.tolist() == [[0, 1, 0], [0, 2, 0]]
+        assert model.point_ids.dtype == model.tracks.dtype == np.int64
         assert model.images[1].point3d_ids[0] == 1
 
     def test_dangling_image_in_track(self, tmp_path):
@@ -144,17 +231,18 @@ class TestSfmModel:
     def test_round_trip_of_synth_scene(self, clean_scene, tmp_path):
         model_dir = clean_scene.root / "model"
         model = load_sfm_model(model_dir)
-        assert len(model.points) == clean_scene.spec.n_points
+        assert len(model.point_ids) == clean_scene.spec.n_points
         # re-writing the loaded model reproduces cameras and points bytewise;
         # image headers re-derive quaternions from R, stable to the last ulp
         # only numerically
         rewrite = tmp_path / "model_rewrite"
-        write_model(
-            rewrite,
-            model.cameras,
-            model.images,
-            {pid: (pt.position, pt.track) for pid, pt in model.points.items()},
-        )
+        ends = np.cumsum(np.bincount(model.tracks[:, 0]))
+        tracks = np.split(model.tracks[:, 1:], ends[:-1])
+        points = {
+            pid: (position, [tuple(entry) for entry in track.tolist()])
+            for pid, position, track in zip(model.point_ids.tolist(), model.positions, tracks)
+        }
+        write_model(rewrite, model.cameras, model.images, points)
         for name in ("cameras.txt", "points3D.txt"):
             assert (rewrite / name).read_bytes() == (model_dir / name).read_bytes()
         reloaded = load_sfm_model(rewrite)
@@ -169,7 +257,7 @@ class TestSfmModel:
             assert np.allclose(other.pose.translation, image.pose.translation, atol=1e-14)
         # positions and poses match the generator's ground truth
         for pid, pos in clean_scene.point_positions.items():
-            assert np.array_equal(model.points[pid].position, pos)
+            assert np.array_equal(model.positions[id_rows(model.point_ids, [pid])[0]], pos)
         for image_id, pose in clean_scene.db_poses.items():
             assert np.allclose(model.images[image_id].pose.rotation, pose.rotation, atol=1e-14)
             assert np.allclose(
@@ -203,25 +291,38 @@ class TestLabelRaster:
         path = tmp_path / "r.pgm"
         write_pgm(path, np.full((2, 2), 255, dtype=np.uint8))
         raster = load_label_raster(path, (2, 2), TABLE)
-        assert raster.at((0.4, 0.4)) == 255
+        assert raster.labels.tolist() == [[255, 255], [255, 255]]
+        assert voted_label(raster, (0.4, 0.4)) is None  # void votes are discarded
 
     def test_nearest_pixel_lookup(self, tmp_path):
         path = tmp_path / "r.pgm"
         data = np.arange(4, dtype=np.uint8).reshape(2, 2) % 3
         write_pgm(path, data)
         raster = load_label_raster(path, (2, 2), TABLE)
-        assert raster.at((0.6, 0.0)) == data[0, 1]
-        assert raster.at((0.4, 0.0)) == data[0, 0]
+        assert voted_label(raster, (0.6, 0.0)) == data[0, 1]
+        assert voted_label(raster, (0.4, 0.0)) == data[0, 0]
+        assert voted_label(raster, (0.0, 0.5)) == data[1, 0]
 
     def test_last_half_pixel_clamps_to_the_edge(self, tmp_path):
         path = tmp_path / "r.pgm"
         data = np.arange(4, dtype=np.uint8).reshape(2, 2) % 3
         write_pgm(path, data)
         raster = load_label_raster(path, (2, 2), TABLE)
-        assert raster.at((1.7, 0.0)) == data[0, 1]
-        assert raster.at((0.0, 1.99)) == data[1, 0]
-        with pytest.raises(IndexError):
-            raster.at((2.0, 0.0))
+        assert voted_label(raster, (1.7, 0.0)) == data[0, 1]
+        assert voted_label(raster, (0.0, 1.99)) == data[1, 0]
+        assert voted_label(raster, (1.5, 1.5)) == data[1, 1]
+        # the frame ends at 2.0: such a keypoint never reaches the map build
+        model_dir = tmp_path / "model"
+        write_minimal_model(model_dir)
+        (model_dir / "cameras.txt").write_text("1 PINHOLE 2 2 1.0 1.0 1.0 1.0\n")
+        (model_dir / "images.txt").write_text(
+            "1 1.0 0.0 0.0 0.0 0.0 0.0 10.0 1 img_a\n"
+            "2.0 0.0 1\n"
+            "2 1.0 0.0 0.0 0.0 0.0 0.0 12.0 1 img_b\n"
+            "0.0 1.99 1\n"
+        )
+        with pytest.raises(ConsistencyError, match="image 1 has keypoints outside the frame"):
+            load_sfm_model(model_dir)
 
     def test_truncated_pgm(self, tmp_path):
         path = tmp_path / "r.pgm"
@@ -263,8 +364,9 @@ class TestBinarySidecars:
         values[0], values[1] = 3.0, 4.0
         write_global_descriptor(path, values)
         loaded = load_global_descriptor(path)
-        assert np.allclose(loaded.values[:2], [0.6, 0.8], atol=1e-7)
-        assert np.allclose(np.linalg.norm(loaded.values), 1.0, atol=1e-6)
+        assert loaded.dtype == np.float32 and loaded.shape == (8,)
+        assert np.allclose(loaded[:2], [0.6, 0.8], atol=1e-7)
+        assert np.allclose(np.linalg.norm(loaded), 1.0, atol=1e-6)
 
     def test_global_descriptor_truncated(self, tmp_path):
         path = tmp_path / "g.gdsc"

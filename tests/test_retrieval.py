@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from semloc.errors import DimMismatch
-from semloc.model_ingest import GlobalDescriptor
 from semloc.localizer import LocalizerConfig
 from semloc.retrieval import rank_database
 import oracles
@@ -12,7 +11,7 @@ import oracles
 
 def gd(values):
     v = np.asarray(values, dtype=np.float64)
-    return GlobalDescriptor(dim=len(v), values=(v / np.linalg.norm(v)).astype(np.float32))
+    return (v / np.linalg.norm(v)).astype(np.float32)
 
 
 def random_unit(rng, dim):
@@ -24,7 +23,7 @@ class TestRankDatabase:
     def test_own_descriptor_ranks_first_at_zero(self):
         rng = np.random.default_rng(0)
         db = {i: gd(random_unit(rng, 8)) for i in range(1, 6)}
-        query = GlobalDescriptor(dim=8, values=db[3].values.copy())
+        query = db[3].copy()
         ranked = rank_database(query, db, 2)
         assert ranked[0] == (3, 0.0)
 
@@ -41,11 +40,7 @@ class TestRankDatabase:
         for _ in range(5):
             query = gd(random_unit(rng, 16))
             got = rank_database(query, db, 30)
-            want = oracles.rank_by_l2(
-                query.values.tolist(),
-                {i: db[i].values.tolist() for i in db},
-                30,
-            )
+            want = oracles.rank_by_l2(query.tolist(), {i: db[i].tolist() for i in db}, 30)
             assert [i for i, _ in got] == [i for i, _ in want]
             assert len(got) == 30
             dists = [d for _, d in got]
@@ -56,15 +51,15 @@ class TestRankDatabase:
         db = {i: gd(random_unit(rng, 12)) for i in range(50)}
         query = gd(random_unit(rng, 12))
         by_l2 = [i for i, _ in rank_database(query, db, 50)]
-        q = query.values.astype(np.float64)
-        dots = {i: float(db[i].values.astype(np.float64) @ q) for i in db}
+        q = query.astype(np.float64)
+        dots = {i: float(db[i].astype(np.float64) @ q) for i in db}
         by_dot = sorted(db, key=lambda i: (-dots[i], i))
         assert by_l2 == by_dot
 
     def test_tie_break_by_image_id(self):
         shared = gd([1.0, 1.0, 0.0])
-        db = {7: shared, 2: GlobalDescriptor(3, shared.values.copy()), 5: GlobalDescriptor(3, shared.values.copy())}
-        ranked = rank_database(GlobalDescriptor(3, shared.values.copy()), db, 3)
+        db = {7: shared, 2: shared.copy(), 5: shared.copy()}
+        ranked = rank_database(shared.copy(), db, 3)
         assert [i for i, _ in ranked] == [2, 5, 7]
 
     def test_k_clamped_with_warning(self, caplog):

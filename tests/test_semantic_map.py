@@ -1,117 +1,100 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semloc.errors import DegenerateGeometry
-from semloc.geometry import PoseEstimate, camera_center
-from semloc.model_ingest import (
-    ClassTable,
-    DbImageRecord,
-    LabelRaster,
-    RawPoint3D,
-    SfmModel,
-)
+import semloc.semantic_map as semantic_map
+from semloc.geometry import camera_center
+from semloc.model_ingest import VOID_ID, ClassTable, DbImageRecord, LabelRaster, load_dataset
 from semloc.semantic_map import (
+    MAP_ARRAYS,
     SemanticMap,
     build_semantic_map,
-    compute_visibility_stats,
     MAP_CACHE_VERSION,
     load_map_cache,
     save_map_cache,
-    vote_point_label,
 )
 from semloc.synth import SceneSpec, generate_scene
+from sfm_models import pose_at, sfm_model, uniform_raster, views_model
 import oracles
 
 TABLE = ClassTable(
     names=("road", "sidewalk", "building", "sky", "car"),
     dynamic_ids=frozenset({4}),
 )
+GOLDEN = Path(__file__).parent / "golden" / "semantic_maps.json"
 
 
-def model_with_votes(labels_per_view):
-    """One point observed once per view; raster pixel (0,0) holds the vote."""
-    cam_pose = PoseEstimate(np.eye(3), np.zeros(3))
-    images = {}
-    rasters = {}
-    track = []
-    for i, label in enumerate(labels_per_view):
-        image_id = i + 1
-        images[image_id] = DbImageRecord(
-            name=f"v{i}",
-            camera_id=1,
-            pose=cam_pose,
-            keypoints=np.array([[0.0, 0.0]]),
-            point3d_ids=np.array([1]),
-        )
-        rasters[image_id] = LabelRaster(4, 4, np.full((4, 4), label, dtype=np.uint8))
-        track.append((image_id, 0))
-    point = RawPoint3D(np.zeros(3), track)
-    model = SfmModel(cameras={}, images=images, points={1: point})
-    return point, model, rasters
+def vote(labels_per_view, order=None):
+    """The map label of one point seen once per view, where view i's raster
+    holds labels_per_view[i] everywhere; None when the point is dropped.
+    `order` permutes the point's track entries."""
+    centers = [(0.5 * i, 0.0, 5.0) for i in range(len(labels_per_view))]
+    rasters = [uniform_raster(label) for label in labels_per_view]
+    model, rasters = views_model(np.zeros(3), centers, rasters)
+    if order is not None:
+        model.tracks = model.tracks[order]
+    smap = build_semantic_map(model, rasters, TABLE)
+    return int(smap.labels[0]) if len(smap) else None
 
 
 class TestVotePointLabel:
     def test_majority_wins(self):
-        point, model, rasters = model_with_votes([2, 2, 2, 3])
-        assert vote_point_label(point, model, rasters, TABLE) == 2
+        assert vote([2, 2, 2, 3]) == 2
 
     def test_tie_breaks_to_smaller_id(self):
-        point, model, rasters = model_with_votes([0, 1, 1, 0])
-        assert vote_point_label(point, model, rasters, TABLE) == 0
+        assert vote([0, 1, 1, 0]) == 0
 
     def test_dynamic_majority_removed(self):
-        point, model, rasters = model_with_votes([4, 4, 4, 4, 0])
-        assert vote_point_label(point, model, rasters, TABLE) is None
+        assert vote([4, 4, 4, 4, 0]) is None
 
     def test_void_votes_discarded(self):
-        point, model, rasters = model_with_votes([255, 255, 3])
-        assert vote_point_label(point, model, rasters, TABLE) == 3
+        assert vote([255, 255, 3]) == 3
 
     def test_all_void_removed(self):
-        point, model, rasters = model_with_votes([255, 255])
-        assert vote_point_label(point, model, rasters, TABLE) is None
+        assert vote([255, 255]) is None
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             labels = rng.integers(0, 4, size=7).tolist()
-            point, model, rasters = model_with_votes(labels)
-            base = vote_point_label(point, model, rasters, TABLE)
-            point.track = [point.track[i] for i in rng.permutation(len(labels))]
-            assert vote_point_label(point, model, rasters, TABLE) == base
+            assert vote(labels, rng.permutation(len(labels))) == vote(labels)
 
-    def test_matches_oracle_on_synth_scene(self, clean_scene, clean_dataset):
+    def test_matches_oracle_on_synth_scene(self, clean_scene, clean_dataset, clean_map):
         ds = clean_dataset
-        for pid in sorted(ds.model.points)[:100]:
-            point = ds.model.points[pid]
-            got = vote_point_label(point, ds.model, ds.db_rasters, ds.class_table)
+        rows = clean_map.rows_of(ds.model.point_ids)
+        for row in range(100):
+            got = int(clean_map.labels[rows[row]]) if rows[row] >= 0 else None
             want = oracles.vote_label_from_model(
-                point, ds.model, ds.db_rasters, ds.class_table.void_id, ds.class_table.dynamic_ids
+                row, ds.model, ds.db_rasters, ds.class_table.void_id, ds.class_table.dynamic_ids
             )
             assert got == want
 
 
-def pose_at(center):
-    return PoseEstimate(np.eye(3), -np.asarray(center, dtype=float))
+def stats(X, centers):
+    """(d_lower, d_upper, v_mid, theta) of one point at X with a static
+    label seen from `centers`; None when the point is dropped."""
+    model, rasters = views_model(X, centers, [uniform_raster(1) for _ in centers])
+    smap = build_semantic_map(model, rasters, TABLE)
+    if not len(smap):
+        return None
+    return smap.d_lower[0], smap.d_upper[0], smap.v_mid[0], smap.theta[0]
 
 
 class TestVisibilityStats:
     def test_collinear_cameras(self):
-        point = RawPoint3D(np.zeros(3), [(1, 0), (2, 0)])
-        d_lower, d_upper, v_mid, theta = compute_visibility_stats(
-            point, [pose_at([0, 0, 2]), pose_at([0, 0, 6])]
-        )
+        d_lower, d_upper, v_mid, theta = stats(np.zeros(3), [[0, 0, 2], [0, 0, 6]])
         assert d_lower == 2.0 and d_upper == 6.0
         assert np.allclose(v_mid, [0, 0, 1])
         assert theta == 0.0
 
     def test_perpendicular_cameras(self):
-        point = RawPoint3D(np.zeros(3), [(1, 0), (2, 0)])
-        d_lower, d_upper, v_mid, theta = compute_visibility_stats(
-            point, [pose_at([1, 0, 0]), pose_at([0, 1, 0])]
-        )
+        d_lower, d_upper, v_mid, theta = stats(np.zeros(3), [[1, 0, 0], [0, 1, 0]])
         assert np.isclose(theta, math.pi / 2)
         assert np.allclose(v_mid, [1 / math.sqrt(2), 1 / math.sqrt(2), 0])
 
@@ -120,28 +103,148 @@ class TestVisibilityStats:
         for _ in range(100):
             X = rng.uniform(-2, 2, size=3)
             centers = X + rng.uniform(-1, 1, size=(5, 3)) + np.array([0, 0, 5.0])
-            point = RawPoint3D(X, [(i, 0) for i in range(5)])
-            got = compute_visibility_stats(point, [pose_at(c) for c in centers])
+            got = stats(X, centers)
             want = oracles.visibility_stats([c.tolist() for c in centers], X.tolist())
             assert np.isclose(got[0], want[0], atol=1e-12)
             assert np.isclose(got[1], want[1], atol=1e-12)
             assert np.allclose(got[2], want[2], atol=1e-9)
             assert np.isclose(got[3], want[3], atol=1e-12)
 
+    def test_tied_extremes_keep_the_first_pair(self):
+        """Three orthogonal views tie every pair at cosine 0: the first pair
+        of the track, in track order, is the extreme one."""
+        x, y, z = [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]
+        for views, first in (([x, y, z], [1, 1, 0]), ([z, x, y], [1, 0, 1]), ([y, z, x], [0, 1, 1])):
+            _, _, v_mid, theta = stats(np.zeros(3), views)
+            assert theta == math.pi / 2
+            assert np.allclose(v_mid, np.array(first) / math.sqrt(2), rtol=0, atol=1e-15)
+
     def test_camera_at_point_is_degenerate(self):
-        point = RawPoint3D(np.zeros(3), [(1, 0), (2, 0)])
-        with pytest.raises(DegenerateGeometry):
-            compute_visibility_stats(point, [pose_at([0, 0, 0]), pose_at([0, 0, 5])])
+        assert stats(np.zeros(3), [[0, 0, 0], [0, 0, 5]]) is None
+        assert stats(np.zeros(3), [[0, 0, 5], [0, 0, 9e-10]]) is None  # within 1e-9
+        assert stats(np.zeros(3), [[0, 0, 5], [0, 0, 2e-9]]) is not None
 
     def test_antiparallel_extremes_degenerate(self):
-        point = RawPoint3D(np.zeros(3), [(1, 0), (2, 0)])
-        with pytest.raises(DegenerateGeometry):
-            compute_visibility_stats(point, [pose_at([0, 0, 2]), pose_at([0, 0, -2])])
+        assert stats(np.zeros(3), [[0, 0, 2], [0, 0, -2]]) is None
 
     def test_single_camera_rejected(self):
-        point = RawPoint3D(np.zeros(3), [(1, 0)])
-        with pytest.raises(DegenerateGeometry):
-            compute_visibility_stats(point, [pose_at([0, 0, 2])])
+        assert stats(np.zeros(3), [[0, 0, 2]]) is None
+
+
+DYNAMIC = 3
+PROPERTY_TABLE = ClassTable(names=("a", "b", "c", "car"), dynamic_ids=frozenset({DYNAMIC}))
+HALF_GRID = st.tuples(*[st.integers(-6, 6).map(lambda v: v / 2.0)] * 3)
+
+
+@st.composite
+def small_models(draw):
+    """(model, rasters, centers by image id) of 1-4 points on a half-unit
+    grid, seen from 1-6 images of 1-3 x 1-3 pixels, with 1-7 observations
+    per track. Rasters mix static, dynamic and void labels, so votes tie
+    and come out void or dynamic; keypoints fall anywhere in the frame,
+    the last half pixel of each axis included; a camera may sit on a point
+    or mirror another camera through one, which makes antiparallel
+    extremes."""
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    positions = draw(st.lists(HALF_GRID, min_size=1, max_size=4))
+    centers = {}
+    for image_id in range(1, draw(st.integers(1, 6)) + 1):
+        X = np.array(draw(st.sampled_from(positions)))
+        kind = draw(st.sampled_from(["grid", "on a point", "mirror"]))
+        if kind == "on a point":
+            centers[image_id] = X
+        elif kind == "mirror" and image_id > 1:
+            centers[image_id] = 2.0 * X - centers[draw(st.integers(1, image_id - 1))]
+        else:
+            centers[image_id] = np.array(draw(HALF_GRID))
+    labels = st.sampled_from([0, 1, 2, DYNAMIC, VOID_ID])
+    rasters = {
+        image_id: LabelRaster(width, height, np.array(
+            draw(st.lists(labels, min_size=width * height, max_size=width * height)),
+            dtype=np.uint8).reshape(height, width))
+        for image_id in centers
+    }
+    fraction = st.sampled_from([0.0, 0.25, 0.49, 0.5, 0.75, 0.999])
+    keypoints = {image_id: [] for image_id in centers}
+    tracks = []
+    for _ in positions:
+        track = []
+        for _ in range(draw(st.integers(1, 7))):
+            image_id = draw(st.sampled_from(sorted(centers)))
+            track.append((image_id, len(keypoints[image_id])))
+            keypoints[image_id].append((
+                draw(st.integers(0, width - 1)) + draw(fraction),
+                draw(st.integers(0, height - 1)) + draw(fraction),
+            ))
+        tracks.append(track)
+    images = {
+        image_id: DbImageRecord(
+            f"v{image_id}", 1, pose_at(centers[image_id]),
+            np.array(keypoints[image_id], dtype=float).reshape(-1, 2),
+            np.full(len(keypoints[image_id]), -1),
+        )
+        for image_id in centers
+    }
+    return sfm_model(positions, tracks, images), rasters, centers
+
+
+def allowed_rows(votes, centers, X):
+    """Every (label, d_lower, d_upper, v_mid, theta) row the oracles allow
+    for one point, None for a dropped point. A pair whose angle ties the
+    widest within rounding may be the extreme pair as well."""
+    label = oracles.vote_label(votes, VOID_ID, PROPERTY_TABLE.dynamic_ids)
+    dists = [oracles.dist(c, X) for c in centers]
+    if label is None or len(centers) < 2 or min(dists) < 1e-9:
+        return [None]
+    pairs = []
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            try:
+                _, _, v_mid, theta = oracles.visibility_stats([centers[i], centers[j]], X)
+            except ZeroDivisionError:  # exactly antiparallel
+                v_mid, theta = None, math.pi
+            pairs.append((theta, v_mid))
+    widest = max(theta for theta, _ in pairs)
+    return [
+        None if theta > math.pi - 1e-7 else (label, min(dists), max(dists), v_mid, theta)
+        for theta, v_mid in pairs
+        if theta >= widest - 1e-7
+    ]
+
+
+def row_matches(got, want):
+    if got is None or want is None:
+        return got is want
+    return (
+        got[0] == want[0]
+        and math.isclose(got[1], want[1], rel_tol=1e-12)
+        and math.isclose(got[2], want[2], rel_tol=1e-12)
+        and np.allclose(got[3], want[3], rtol=0.0, atol=1e-9)
+        and math.isclose(got[4], want[4], abs_tol=1e-7)
+    )
+
+
+@given(small_models())
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_build_matches_vote_and_visibility_oracles(case):
+    model, rasters, centers = case
+    smap = build_semantic_map(model, rasters, PROPERTY_TABLE)
+    rows = smap.rows_of(model.point_ids)
+    for row, X in enumerate(model.positions.tolist()):
+        votes, views = [], []
+        for _, image_id, kp in model.tracks[model.tracks[:, 0] == row].tolist():
+            x, y = model.images[image_id].keypoints[kp]
+            raster = rasters[image_id]
+            # nearest pixel, the last half pixel clamped onto the last column or row
+            votes.append(int(raster.labels[
+                min(math.floor(y + 0.5), raster.height - 1), min(math.floor(x + 0.5), raster.width - 1)
+            ]))
+            views.append(centers[image_id].tolist())
+        r = rows[row]
+        got = None if r < 0 else (
+            smap.labels[r], smap.d_lower[r], smap.d_upper[r], smap.v_mid[r], smap.theta[r]
+        )
+        assert any(row_matches(got, want) for want in allowed_rows(votes, views, X))
 
 
 class TestBuildSemanticMap:
@@ -169,9 +272,11 @@ class TestBuildSemanticMap:
         assert (smap.rows_of(sorted(gt.dynamic_point_ids)) == -1).all()
 
     def test_empty_model_gives_empty_map(self):
-        model = SfmModel(cameras={}, images={}, points={})
-        smap = build_semantic_map(model, {}, TABLE)
+        smap = build_semantic_map(sfm_model([], [], {}), {}, TABLE)
         assert len(smap) == 0
+        for name in MAP_ARRAYS:
+            assert getattr(smap, name).dtype == (np.int64 if name in ("ids", "labels") else np.float64)
+        assert smap.positions.shape == smap.v_mid.shape == (0, 3)
 
     def test_deterministic(self, clean_dataset):
         a = build_semantic_map(
@@ -197,7 +302,8 @@ class TestBuildSemanticMap:
             assert not m.class_table.is_dynamic(label)
             assert label != m.class_table.void_id
             dirs = []
-            for image_id, _kp in model.points[pid].track:
+            row = np.searchsorted(model.point_ids, pid)
+            for image_id in model.tracks[model.tracks[:, 0] == row, 1].tolist():
                 c = camera_center(model.images[image_id].pose)
                 d = np.linalg.norm(c - position)
                 assert d_lower - 1e-12 <= d <= d_upper + 1e-12
@@ -211,6 +317,58 @@ class TestBuildSemanticMap:
             for idx in (best[1], best[2]):
                 angle = math.acos(np.clip(dirs[idx] @ v_mid, -1, 1))
                 assert angle <= theta / 2 + 1e-9
+
+
+    @pytest.mark.parametrize("scene", ["clean", "noisy", "decoy"])
+    def test_map_equals_golden(self, scene, request):
+        """Every array of the conftest scenes' maps, value and dtype, as the
+        per-point build wrote them before the batched one replaced it."""
+        if scene == "decoy":
+            ds = load_dataset(request.getfixturevalue("decoy_bundle")[1])
+            smap = build_semantic_map(ds.model, ds.db_rasters, ds.class_table)
+        else:
+            smap = request.getfixturevalue(f"{scene}_map")
+        want = json.loads(GOLDEN.read_text())[scene]
+        for name in MAP_ARRAYS:
+            array = getattr(smap, name)
+            assert str(array.dtype) == want[name]["dtype"], name
+            assert hashlib.sha256(array.tobytes()).hexdigest() == want[name]["sha256"], name
+
+    @pytest.mark.parametrize("budget", [1, 3000, 20000])
+    def test_blocks_do_not_change_the_map(self, noisy_dataset, noisy_map, monkeypatch, budget):
+        """Blocks of one point, of a few and of a few dozen give the map
+        of the default budget bit for bit."""
+        monkeypatch.setattr(semantic_map, "MAP_BLOCK_BYTES", budget)
+        smap = build_semantic_map(
+            noisy_dataset.model, noisy_dataset.db_rasters, noisy_dataset.class_table
+        )
+        for name in MAP_ARRAYS:
+            assert getattr(smap, name).tobytes() == getattr(noisy_map, name).tobytes(), name
+
+    def test_degenerate_points_leave_the_others_alone(self):
+        """Points dropped by their votes, a camera on the point or
+        antiparallel extremes, between kept ones, drop alone."""
+        centers = {1: [0.0, 0.0, 5.0], 2: [1.0, 0.0, 5.0], 3: [0.0, 0.0, -5.0], 4: [0.0, 0.0, 0.0]}
+        images = {
+            i: DbImageRecord(f"v{i}", 1, pose_at(c), np.zeros((5, 2)), np.arange(1, 6))
+            for i, c in centers.items()
+        }
+        tracks = [
+            [(1, 0), (2, 0)],  # kept
+            [(1, 1), (4, 1)],  # camera 4 sits on the point
+            [(1, 2), (2, 2), (3, 2)],  # kept: cameras 1 and 3 are not antiparallel from X
+            [(1, 3), (3, 3)],  # antiparallel extremes
+            [(1, 4), (2, 4)],  # kept
+        ]
+        positions = [[0, 0, 1], [0, 0, 0], [0.5, 0, 1], [0, 0, 0], [0, 1, 0]]
+        rasters = {i: uniform_raster(1, size=1) for i in centers}
+        smap = build_semantic_map(sfm_model(positions, tracks, images), rasters, TABLE)
+        assert smap.ids.tolist() == [1, 3, 5]
+        for row, pid in enumerate(smap.ids.tolist()):
+            views = [centers[i] for i, _ in tracks[pid - 1]]
+            want = oracles.visibility_stats(views, positions[pid - 1])
+            assert np.isclose(smap.d_lower[row], want[0]) and np.isclose(smap.d_upper[row], want[1])
+            assert np.allclose(smap.v_mid[row], want[2]) and np.isclose(smap.theta[row], want[3])
 
 
 class TestMapCache:

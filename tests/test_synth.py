@@ -8,7 +8,7 @@ from semloc.errors import InfeasibleSpec
 from semloc.geometry import project
 from semloc.localizer import LocalizerConfig, semantic_score
 from semloc.matching import knn_ratio_match, lift_matches
-from semloc.model_ingest import load_dataset, load_ground_truth, validate_dataset
+from semloc.model_ingest import id_rows, load_dataset, load_ground_truth, validate_dataset
 from semloc.retrieval import rank_database
 from semloc.semantic_map import build_semantic_map
 from semloc.synth import CorruptionSpec, SceneSpec, corrupt, generate_scene
@@ -40,8 +40,8 @@ class TestGenerateScene:
         gt_poses = load_ground_truth(clean_scene.root / "ground_truth.txt")
         # database observations: written as float64 text, exact projections
         for image_id, image in ds.model.images.items():
-            for kp_idx, pid in enumerate(image.point3d_ids):
-                X = ds.model.points[int(pid)].position
+            positions = ds.model.positions[id_rows(ds.model.point_ids, image.point3d_ids)]
+            for kp_idx, X in enumerate(positions):
                 pred = project(image.pose, ds.model.cameras[image.camera_id], X)
                 assert pred is not None
                 assert np.max(np.abs(pred - image.keypoints[kp_idx])) < 1e-9
@@ -49,8 +49,8 @@ class TestGenerateScene:
         for query in ds.queries:
             pose = gt_poses[query.name]
             kp_points = clean_scene.query_kp_points[query.name]
-            for kp_idx, pid in enumerate(kp_points):
-                pred = project(pose, query.camera, ds.model.points[int(pid)].position)
+            for kp_idx, X in enumerate(ds.model.positions[id_rows(ds.model.point_ids, kp_points)]):
+                pred = project(pose, query.camera, X)
                 assert pred is not None
                 assert np.max(np.abs(pred - query.keypoints[kp_idx])) < 1e-3
 
@@ -59,8 +59,8 @@ class TestGenerateScene:
         assert report.ok, report.findings
 
     def test_every_point_tracked_twice(self, clean_dataset):
-        for point in clean_dataset.model.points.values():
-            assert len(point.track) >= 2
+        model = clean_dataset.model
+        assert np.bincount(model.tracks[:, 0], minlength=len(model.point_ids)).min() >= 2
 
     def test_night_fraction_tags_queries(self, tmp_path):
         spec = SceneSpec(
@@ -123,10 +123,9 @@ class TestCorrupt:
         for decoy_name, src_name in list(manifest["wrong_retrieval"]["decoy_images"].items())[:3]:
             decoy, src = by_name[decoy_name], by_name[src_name]
             assert np.array_equal(decoy.keypoints, src.keypoints)
-            for kp_idx, (pid_d, pid_s) in enumerate(zip(decoy.point3d_ids, src.point3d_ids)):
-                Xd = ds.model.points[int(pid_d)].position
-                Xs = ds.model.points[int(pid_s)].position
-                assert np.allclose(Xd, Xs + offset, atol=1e-9)
+            Xd = ds.model.positions[id_rows(ds.model.point_ids, decoy.point3d_ids)]
+            Xs = ds.model.positions[id_rows(ds.model.point_ids, src.point3d_ids)]
+            assert np.allclose(Xd, Xs + offset, atol=1e-9)
 
     def test_outlier_rate_among_lifted_matches(self, noisy_scene, tmp_path):
         out = tmp_path / "outliers"
