@@ -13,10 +13,6 @@ class ConsistencyError(SemlocError):
     """Cross-referenced ids or counts in the loaded data do not line up."""
 
 
-class DimensionMismatch(SemlocError):
-    """A raster's dimensions differ from what the camera record requires."""
-
-
 class UnknownLabel(SemlocError):
     """A raster contains a class id outside the class table (and not void)."""
 
@@ -34,7 +30,8 @@ class InvalidDataset(SemlocError):
 
 
 class DimMismatch(SemlocError):
-    """Descriptor dimensionalities disagree between two operands."""
+    """Dimensions disagree: descriptor dims between two operands, or a
+    raster's size against its camera's."""
 
 
 class TooFewDescriptors(SemlocError):

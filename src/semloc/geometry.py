@@ -138,12 +138,6 @@ def project_many(
     return px[0], in_front[0]
 
 
-def project(pose: PoseEstimate, K: CameraIntrinsics, X: np.ndarray) -> np.ndarray | None:
-    """Project a world point; returns the pixel, or None when at/behind the camera."""
-    px, in_front = project_many(pose, K, X)
-    return px[0] if in_front[0] else None
-
-
 def _bearings(pixels: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
     """Unit viewing rays in camera frame for (..., 2) pixels."""
     rays = np.ones(pixels.shape[:-1] + (3,))

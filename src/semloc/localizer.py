@@ -27,7 +27,7 @@ from .geometry import (
     solve_p3p_many,
 )
 from .matching import MATCH_DTYPE, knn_ratio_match, lift_matches
-from .model_ingest import Dataset, LabelRaster, QueryRecord
+from .model_ingest import Dataset, QueryRecord
 from .retrieval import rank_database
 from .semantic_map import SemanticMap
 
@@ -250,13 +250,14 @@ def temporary_pose(
 
 def semantic_score(
     smap: SemanticMap,
-    query_labels: LabelRaster,
+    query_labels: np.ndarray,
     pose: PoseEstimate,
     K: CameraIntrinsics,
     cfg: LocalizerConfig,
 ) -> int:
-    """Number of visible map points whose label matches the query raster at
-    their projection (nearest pixel); void raster pixels never count."""
+    """Number of visible map points whose label matches the query's
+    (height, width) class-id raster at their projection (nearest pixel);
+    void raster pixels never count."""
     mask = visible_mask(smap, camera_center(pose), math.radians(cfg.theta_min_deg))
     if not mask.any():
         return 0
@@ -265,16 +266,11 @@ def semantic_score(
     with np.errstate(invalid="ignore"):
         ix = np.floor(pred[:, 0] + 0.5)
         iy = np.floor(pred[:, 1] + 0.5)
-    in_bounds = (
-        in_front
-        & (ix >= 0)
-        & (ix < query_labels.width)
-        & (iy >= 0)
-        & (iy < query_labels.height)
-    )
+    height, width = query_labels.shape
+    in_bounds = in_front & (ix >= 0) & (ix < width) & (iy >= 0) & (iy < height)
     if not in_bounds.any():
         return 0
-    raster = query_labels.labels[iy[in_bounds].astype(int), ix[in_bounds].astype(int)]
+    raster = query_labels[iy[in_bounds].astype(int), ix[in_bounds].astype(int)]
     hits = (raster != smap.class_table.void_id) & (raster == labels[in_bounds])
     return int(hits.sum())
 

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     ConsistencyError,
-    DimensionMismatch,
+    DimMismatch,
     InvalidDataset,
     ParseError,
     TruncatedFile,
@@ -63,15 +63,6 @@ class ClassTable:
 
     def is_dynamic(self, label: int) -> bool:
         return label in self.dynamic_ids
-
-
-@dataclass(frozen=True, eq=False)
-class LabelRaster:
-    """Row-major 8-bit class-id image."""
-
-    width: int
-    height: int
-    labels: np.ndarray  # (height, width) uint8
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,19 +106,20 @@ class QueryRecord:
     keypoints: np.ndarray  # (n, 2) float64
     descriptors: DescriptorSet
     global_desc: np.ndarray  # (dim,) float32, unit L2 norm
-    labels: LabelRaster
+    labels: np.ndarray  # (height, width) uint8 class ids
     condition: str | None = None
 
 
 @dataclass(eq=False)
 class Dataset:
-    """Everything a localization run needs, fully loaded and immutable."""
+    """Everything a localization run needs, fully loaded and immutable: the
+    in-memory form of a bundle, which synth.write_dataset writes back."""
 
     root: Path
     model: SfmModel
     class_table: ClassTable
     conditions: dict[str, str]
-    db_rasters: dict[int, LabelRaster]
+    db_rasters: dict[int, np.ndarray]  # (height, width) uint8 class ids
     db_descriptors: dict[int, DescriptorSet]
     db_global: dict[int, np.ndarray]  # (dim,) float32, unit L2 norm
     queries: list[QueryRecord]
@@ -355,8 +347,9 @@ def load_sfm_model(model_dir: Path) -> SfmModel:
 
 def load_label_raster(
     path: Path, expected_dims: tuple[int, int], class_table: ClassTable
-) -> LabelRaster:
-    """Read a P5 PGM of class ids; expected_dims is (width, height)."""
+) -> np.ndarray:
+    """Read a P5 PGM of class ids as a (height, width) uint8 array;
+    expected_dims is (width, height)."""
     raw = Path(path).read_bytes()
     tokens: list[bytes] = []
     pos = 0
@@ -385,14 +378,14 @@ def load_label_raster(
     if len(data) < width * height:
         raise TruncatedFile(f"{path}: expected {width * height} pixels, got {len(data)}")
     if (width, height) != tuple(expected_dims):
-        raise DimensionMismatch(
+        raise DimMismatch(
             f"{path}: raster is {width}x{height}, expected {expected_dims[0]}x{expected_dims[1]}"
         )
     labels = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
     bad = labels[(labels >= len(class_table.names)) & (labels != class_table.void_id)]
     if bad.size:
         raise UnknownLabel(f"{path}: label id {int(bad[0])} outside the class table")
-    return LabelRaster(width, height, labels)
+    return labels
 
 
 def _read_sidecar(

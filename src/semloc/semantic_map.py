@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import camera_center
-from .model_ingest import DB_SUBDIR, MODEL_SUBDIR, ClassTable, LabelRaster, SfmModel, id_rows
+from .model_ingest import DB_SUBDIR, MODEL_SUBDIR, ClassTable, SfmModel, id_rows
 
 MAP_CACHE_VERSION = 3  # stored in every cache; bump it when the map build or the layout changes
 MAP_ARRAYS = ("ids", "positions", "labels", "d_lower", "d_upper", "v_mid", "theta")
@@ -79,27 +79,28 @@ def _extreme_pairs(dirs: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, n
 
 
 def build_semantic_map(
-    model: SfmModel, rasters: dict[int, LabelRaster], class_table: ClassTable
+    model: SfmModel, rasters: dict[int, np.ndarray], class_table: ClassTable
 ) -> SemanticMap:
     """Vote labels and compute visibility stats for every SfM point, in one
     batched pass over the model's track table.
 
-    Each observation votes with its raster's label at the keypoint's
-    nearest pixel (round half up, the last half pixel of each axis clamped
-    onto the last column or row). Void votes are discarded; the majority
-    wins and ties break toward the smaller class id. A point is dropped
-    when its winner is dynamic or all its votes are void, when it has fewer
-    than two observations, when an observing camera center lies within
-    1e-9 of it, or when its two extreme viewing directions are antiparallel
-    (v_mid undefined). The extreme pair is found by exact pairwise search.
+    Each observation votes with the label of its image's (height, width)
+    class-id raster at the keypoint's nearest pixel (round half up, the
+    last half pixel of each axis clamped onto the last column or row).
+    Void votes are discarded; the majority wins and ties break toward the
+    smaller class id. A point is dropped when its winner is dynamic or all
+    its votes are void, when it has fewer than two observations, when an
+    observing camera center lies within 1e-9 of it, or when its two extreme
+    viewing directions are antiparallel (v_mid undefined). The extreme pair
+    is found by exact pairwise search.
     """
     rows, image_ids, kp_idx = model.tracks.T
     votes, centers = np.empty(len(rows), dtype=np.int64), np.empty((len(rows), 3))
     for image_id in np.unique(image_ids).tolist():
         image, raster, obs = model.images[image_id], rasters[image_id], image_ids == image_id
-        last = (raster.width - 1, raster.height - 1)
+        last = (raster.shape[1] - 1, raster.shape[0] - 1)
         x, y = np.minimum(image.keypoints[kp_idx[obs]] + 0.5, last).astype(np.int64).T
-        votes[obs] = raster.labels[y, x]
+        votes[obs] = raster[y, x]
         centers[obs] = camera_center(image.pose)
 
     # (point row, label) vote counts, keyed row * 256 + label as labels are

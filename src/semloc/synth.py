@@ -13,6 +13,12 @@ keypoints return the point's own label.
 Corruption builds the hard cases the pipeline must survive: decoy replicas
 of the scene with permuted labels that hijack retrieval, label flips and
 descriptor noise on the query side, and gross keypoint outliers.
+
+Both build a model_ingest.Dataset and write it through write_dataset, the
+inverse of validate_dataset: a loaded bundle written again keeps every file
+byte for byte, except the quaternions of images.txt and ground_truth.txt,
+which re-derive from rotation matrices, and the .gdsc global descriptors,
+which load renormalized.
 """
 
 from __future__ import annotations
@@ -20,47 +26,40 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InfeasibleSpec
-from .geometry import CameraIntrinsics, PoseEstimate, project_many
+from .geometry import CameraIntrinsics, PoseEstimate, camera_center, project_many
 from .model_ingest import (
     DB_SUBDIR,
     MODEL_SUBDIR,
+    NO_POINT,
     QUERY_SUBDIR,
     VOID_ID,
-    DbImageRecord,
+    ClassTable,
     Dataset,
+    DbImageRecord,
+    DescriptorSet,
+    QueryRecord,
+    SfmModel,
+    id_rows,
     load_dataset,
     load_ground_truth,
 )
 
-# Cityscapes train-id classes; the flag marks dynamic classes that must not
-# survive into the semantic map.
-CITYSCAPES_CLASSES: list[tuple[int, str, int]] = [
-    (0, "road", 0),
-    (1, "sidewalk", 0),
-    (2, "building", 0),
-    (3, "wall", 0),
-    (4, "fence", 0),
-    (5, "pole", 0),
-    (6, "traffic_light", 0),
-    (7, "traffic_sign", 0),
-    (8, "vegetation", 0),
-    (9, "terrain", 0),
-    (10, "sky", 0),
-    (11, "person", 1),
-    (12, "rider", 1),
-    (13, "car", 1),
-    (14, "truck", 1),
-    (15, "bus", 1),
-    (16, "train", 1),
-    (17, "motorcycle", 1),
-    (18, "bicycle", 1),
-]
+# Cityscapes train-id classes; the people and vehicles (11-18) are dynamic
+# and must not survive into the semantic map.
+CITYSCAPES = ClassTable(
+    names=(
+        "road", "sidewalk", "building", "wall", "fence", "pole", "traffic_light",
+        "traffic_sign", "vegetation", "terrain", "sky", "person", "rider", "car",
+        "truck", "bus", "train", "motorcycle", "bicycle",
+    ),
+    dynamic_ids=frozenset(range(11, 19)),
+)
 
 SPLAT_RADIUS = 3  # px disk radius for raster rendering
 _DISK_OFFSETS = [
@@ -190,64 +189,87 @@ def write_global_descriptor(path: Path, values: np.ndarray) -> None:
         fh.write(np.asarray(values, dtype="<f4").tobytes())
 
 
-def write_model(
-    model_dir: Path,
-    cameras: dict[int, CameraIntrinsics],
-    images: dict[int, DbImageRecord],
-    points: dict[int, tuple[np.ndarray, list[tuple[int, int]]]],
-) -> None:
-    model_dir.mkdir(parents=True, exist_ok=True)
-    cam_lines = []
-    for cam_id in sorted(cameras):
-        c = cameras[cam_id]
-        cam_lines.append(
-            f"{cam_id} PINHOLE {c.width} {c.height} "
-            f"{_fmt(c.fx)} {_fmt(c.fy)} {_fmt(c.cx)} {_fmt(c.cy)}"
-        )
-    _write_text(model_dir / "cameras.txt", cam_lines)
+def _pinhole_line(key: int | str, c: CameraIntrinsics) -> str:
+    return f"{key} PINHOLE {c.width} {c.height} {_fmt(c.fx)} {_fmt(c.fy)} {_fmt(c.cx)} {_fmt(c.cy)}"
 
+
+def _pose_fields(pose: PoseEstimate) -> str:
+    """qw qx qy qz tx ty tz"""
+    return " ".join(_fmt(v) for v in (*pose.quaternion(), *pose.translation))
+
+
+def write_model(model_dir: Path, model: SfmModel) -> None:
+    """cameras.txt, images.txt and points3D.txt in COLMAP text form."""
+    model_dir.mkdir(parents=True, exist_ok=True)
+    _write_text(
+        model_dir / "cameras.txt",
+        [_pinhole_line(cam_id, model.cameras[cam_id]) for cam_id in sorted(model.cameras)],
+    )
     img_lines = []
-    for image_id in sorted(images):
-        im = images[image_id]
-        q = im.pose.quaternion()
-        t = im.pose.translation
-        img_lines.append(
-            f"{image_id} {_fmt(q[0])} {_fmt(q[1])} {_fmt(q[2])} {_fmt(q[3])} "
-            f"{_fmt(t[0])} {_fmt(t[1])} {_fmt(t[2])} {im.camera_id} {im.name}"
-        )
+    for image_id, im in sorted(model.images.items()):
+        img_lines.append(f"{image_id} {_pose_fields(im.pose)} {im.camera_id} {im.name}")
         img_lines.append(
             " ".join(
-                f"{_fmt(kp[0])} {_fmt(kp[1])} {int(pid)}"
-                for kp, pid in zip(im.keypoints, im.point3d_ids)
+                f"{_fmt(x)} {_fmt(y)} {int(pid)}"
+                for (x, y), pid in zip(im.keypoints, im.point3d_ids)
             )
         )
     _write_text(model_dir / "images.txt", img_lines)
+    ends = np.cumsum(np.bincount(model.tracks[:, 0], minlength=len(model.point_ids)))[:-1]
+    tracks = np.split(model.tracks[:, 1:], ends)
+    _write_text(
+        model_dir / "points3D.txt",
+        [
+            f"{pid} {_fmt(x)} {_fmt(y)} {_fmt(z)} 128 128 128 0.0 "
+            + " ".join(map(str, track.ravel().tolist()))
+            for pid, (x, y, z), track in zip(model.point_ids.tolist(), model.positions, tracks)
+        ],
+    )
 
-    pt_lines = []
-    for point_id in sorted(points):
-        position, track = points[point_id]
-        track_str = " ".join(f"{img} {kp}" for img, kp in track)
-        pt_lines.append(
-            f"{point_id} {_fmt(position[0])} {_fmt(position[1])} {_fmt(position[2])} "
-            f"128 128 128 0.0 {track_str}"
+
+def _write_image(directory: Path, name: str, kps, descs: DescriptorSet, gdesc, raster) -> None:
+    """The files validate_dataset reads for one image; kps None for a
+    database image, whose keypoints live in the model."""
+    if kps is not None:
+        write_keypoints(directory / f"{name}.kpts", kps)
+    write_descriptors(directory / f"{name}.ldsc", descs.data)
+    write_global_descriptor(directory / f"{name}.gdsc", gdesc)
+    write_pgm(directory / f"{name}.labels.pgm", raster)
+
+
+def write_dataset(
+    dataset: Dataset, out_dir: Path, ground_truth: dict[str, PoseEstimate] | None = None
+) -> None:
+    """Write `dataset` as a bundle under out_dir, the inverse of
+    validate_dataset, plus ground_truth.txt when ground_truth is given."""
+    out_dir = Path(out_dir)
+    write_model(out_dir / MODEL_SUBDIR, dataset.model)
+    (out_dir / DB_SUBDIR).mkdir(exist_ok=True)
+    (out_dir / QUERY_SUBDIR).mkdir(exist_ok=True)
+    for image_id, image in sorted(dataset.model.images.items()):
+        _write_image(
+            out_dir / DB_SUBDIR, image.name, None, dataset.db_descriptors[image_id],
+            dataset.db_global[image_id], dataset.db_rasters[image_id],
         )
-    _write_text(model_dir / "points3D.txt", pt_lines)
-
-
-def write_classes(path: Path) -> None:
-    _write_text(path, [f"{cid} {name} {dyn}" for cid, name, dyn in CITYSCAPES_CLASSES])
-
-
-def write_ground_truth(path: Path, poses: dict[str, PoseEstimate]) -> None:
-    lines = []
-    for name in sorted(poses):
-        q = poses[name].quaternion()
-        t = poses[name].translation
-        lines.append(
-            f"{name} {_fmt(q[0])} {_fmt(q[1])} {_fmt(q[2])} {_fmt(q[3])} "
-            f"{_fmt(t[0])} {_fmt(t[1])} {_fmt(t[2])}"
+    for q in dataset.queries:
+        _write_image(
+            out_dir / QUERY_SUBDIR, q.name, q.keypoints, q.descriptors, q.global_desc, q.labels
         )
-    _write_text(path, lines)
+    _write_text(out_dir / "queries.txt", [_pinhole_line(q.name, q.camera) for q in dataset.queries])
+    _write_text(
+        out_dir / "conditions.txt",
+        [f"{name} {cond}" for name, cond in sorted(dataset.conditions.items())],
+    )
+    table = dataset.class_table
+    _write_text(
+        out_dir / "classes.txt",
+        [f"{cid} {name} {int(table.is_dynamic(cid))}" for cid, name in enumerate(table.names)],
+    )
+    if ground_truth is not None:
+        _write_text(
+            out_dir / "ground_truth.txt",
+            [f"{name} {_pose_fields(ground_truth[name])}" for name in sorted(ground_truth)],
+        )
 
 
 def _position_global_descriptor(center: np.ndarray, dim: int) -> np.ndarray:
@@ -257,8 +279,7 @@ def _position_global_descriptor(center: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _validate_spec(spec: SceneSpec) -> None:
-    static_ids = {cid for cid, _, dyn in CITYSCAPES_CLASSES if not dyn}
-    dynamic_ids = {cid for cid, _, dyn in CITYSCAPES_CLASSES if dyn}
+    static_ids = set(range(len(CITYSCAPES.names))) - CITYSCAPES.dynamic_ids
     if min(spec.n_points, spec.n_queries) < 1 or spec.n_db_images < 2:
         raise InfeasibleSpec("need >= 1 point and query, >= 2 database images")
     if spec.pixel_sigma < 0:
@@ -267,7 +288,7 @@ def _validate_spec(spec: SceneSpec) -> None:
         raise InfeasibleSpec("octant_labels must be 8 static class ids")
     if not 0.0 <= spec.dynamic_fraction <= 1.0:
         raise InfeasibleSpec("dynamic_fraction must be in [0, 1]")
-    if spec.dynamic_fraction > 0 and spec.dynamic_class_id not in dynamic_ids:
+    if spec.dynamic_fraction > 0 and not CITYSCAPES.is_dynamic(spec.dynamic_class_id):
         raise InfeasibleSpec(f"class {spec.dynamic_class_id} is not dynamic")
     if not 0.0 <= spec.night_fraction <= 1.0:
         raise InfeasibleSpec("night_fraction must be in [0, 1]")
@@ -285,9 +306,6 @@ def generate_scene(spec: SceneSpec, out_dir: Path) -> SceneGroundTruth:
     _validate_spec(spec)
     rng = np.random.default_rng(spec.seed)
     out_dir = Path(out_dir)
-    (out_dir / MODEL_SUBDIR).mkdir(parents=True, exist_ok=True)
-    (out_dir / DB_SUBDIR).mkdir(exist_ok=True)
-    (out_dir / QUERY_SUBDIR).mkdir(exist_ok=True)
 
     K = CameraIntrinsics(
         fx=spec.focal,
@@ -308,14 +326,13 @@ def generate_scene(spec: SceneSpec, out_dir: Path) -> SceneGroundTruth:
 
     arc = math.radians(spec.arc_deg)
     db_angles = np.linspace(-arc / 2.0, arc / 2.0, spec.n_db_images)
-    db_poses: dict[int, PoseEstimate] = {}
     db_records: dict[int, DbImageRecord] = {}
-    db_names: dict[int, str] = {}
-    tracks: dict[int, list[tuple[int, int]]] = {i: [] for i in range(spec.n_points)}
-    raster_by_image: dict[int, np.ndarray] = {}
-    descs_by_image: dict[int, np.ndarray] = {}
+    db_rasters: dict[int, np.ndarray] = {}
+    db_descriptors: dict[int, DescriptorSet] = {}
+    db_global: dict[int, np.ndarray] = {}
+    track_blocks = []  # (point row, image id, keypoint index) per image
 
-    def observe(pose: PoseEstimate) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def observe(pose: PoseEstimate) -> tuple[np.ndarray, np.ndarray, np.ndarray, DescriptorSet]:
         """Project all points; returns (kps, point_idx, raster, descriptors)."""
         exact, in_front = project_many(pose, K, positions)
         valid = (
@@ -348,7 +365,10 @@ def generate_scene(spec: SceneSpec, out_dir: Path) -> SceneGroundTruth:
             np.array(kps).reshape(-1, 2),
             np.array(kp_points, dtype=np.int64),
             raster,
-            np.array(kp_descs, dtype=np.float32).reshape(-1, spec.descriptor_dim),
+            DescriptorSet(
+                spec.descriptor_dim,
+                np.array(kp_descs, dtype=np.float32).reshape(-1, spec.descriptor_dim),
+            ),
         )
 
     for i, angle in enumerate(db_angles):
@@ -362,27 +382,23 @@ def generate_scene(spec: SceneSpec, out_dir: Path) -> SceneGroundTruth:
         )
         target = rng.uniform(-0.2, 0.2, size=3)
         pose = _look_at(center, target)
-        kps, kp_points, raster, descs = observe(pose)
-        name = f"db_{i:03d}"
-        point3d_ids = kp_points + 1  # point ids are 1-based
-        for kp_idx, pt_idx in enumerate(kp_points):
-            tracks[int(pt_idx)].append((image_id, kp_idx))
-        db_poses[image_id] = pose
-        db_names[image_id] = name
-        db_records[image_id] = DbImageRecord(name, 1, pose, kps, point3d_ids)
-        raster_by_image[image_id] = raster
-        descs_by_image[image_id] = descs
+        kps, kp_points, db_rasters[image_id], db_descriptors[image_id] = observe(pose)
+        db_records[image_id] = DbImageRecord(f"db_{i:03d}", 1, pose, kps, kp_points + 1)
+        db_global[image_id] = _position_global_descriptor(camera_center(pose), spec.global_dim)
+        n = len(kp_points)
+        track_blocks.append(np.column_stack((kp_points, np.full(n, image_id), np.arange(n))))
 
-    starved = [i + 1 for i, obs in tracks.items() if len(obs) < 2]
-    if starved:
+    tracks = np.concatenate(track_blocks)
+    tracks = tracks[np.argsort(tracks[:, 0], kind="stable")]
+    starved = np.flatnonzero(np.bincount(tracks[:, 0], minlength=spec.n_points) < 2) + 1
+    if len(starved):
         raise InfeasibleSpec(
             f"{len(starved)} points observed by < 2 cameras (first: point {starved[0]})"
         )
 
-    query_names: list[str] = []
+    queries: list[QueryRecord] = []
     query_poses: dict[str, PoseEstimate] = {}
     query_kp_points: dict[str, np.ndarray] = {}
-    query_files: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
     margin = arc * 0.05
     q_angles = np.linspace(-arc / 2.0 + margin, arc / 2.0 - margin, spec.n_queries)
     for i, angle in enumerate(q_angles):
@@ -393,69 +409,33 @@ def generate_scene(spec: SceneSpec, out_dir: Path) -> SceneGroundTruth:
         pose = _look_at(center, rng.uniform(-0.2, 0.2, size=3))
         kps, kp_points, raster, descs = observe(pose)
         name = f"query_{i:03d}"
-        query_names.append(name)
+        gdesc = _position_global_descriptor(camera_center(pose), spec.global_dim)
+        queries.append(QueryRecord(name, K, kps, descs, gdesc, raster))
         query_poses[name] = pose
         query_kp_points[name] = kp_points + 1
-        query_files[name] = (kps, kp_points, raster, descs)
 
     n_night = int(round(spec.night_fraction * spec.n_queries))
     night_set = set(
         rng.choice(spec.n_queries, size=n_night, replace=False).tolist() if n_night else []
     )
+    conditions = {image.name: "day" for image in db_records.values()}
+    for i, query in enumerate(queries):
+        query.condition = conditions[query.name] = "night" if i in night_set else "day"
 
-    write_model(
-        out_dir / MODEL_SUBDIR,
-        {1: K},
-        db_records,
-        {i + 1: (positions[i], tracks[i]) for i in range(spec.n_points)},
+    model = SfmModel({1: K}, db_records, np.arange(1, spec.n_points + 1), positions, tracks)
+    dataset = Dataset(
+        out_dir, model, CITYSCAPES, conditions, db_rasters, db_descriptors, db_global, queries
     )
-    for image_id in sorted(db_records):
-        base = out_dir / DB_SUBDIR / db_names[image_id]
-        write_pgm(base.with_name(base.name + ".labels.pgm"), raster_by_image[image_id])
-        write_descriptors(base.with_name(base.name + ".ldsc"), descs_by_image[image_id])
-        write_global_descriptor(
-            base.with_name(base.name + ".gdsc"),
-            _position_global_descriptor(-db_poses[image_id].rotation.T @ db_poses[image_id].translation, spec.global_dim),
-        )
-    for name in query_names:
-        kps, _, raster, descs = query_files[name]
-        base = out_dir / QUERY_SUBDIR / name
-        write_keypoints(base.with_name(base.name + ".kpts"), kps)
-        write_descriptors(base.with_name(base.name + ".ldsc"), descs)
-        write_pgm(base.with_name(base.name + ".labels.pgm"), raster)
-        pose = query_poses[name]
-        write_global_descriptor(
-            base.with_name(base.name + ".gdsc"),
-            _position_global_descriptor(-pose.rotation.T @ pose.translation, spec.global_dim),
-        )
-
-    _write_text(
-        out_dir / "queries.txt",
-        [
-            f"{name} PINHOLE {K.width} {K.height} {_fmt(K.fx)} {_fmt(K.fy)} {_fmt(K.cx)} {_fmt(K.cy)}"
-            for name in query_names
-        ],
-    )
-    _write_text(
-        out_dir / "conditions.txt",
-        [f"{db_names[i]} day" for i in sorted(db_names)]
-        + [
-            f"{name} {'night' if i in night_set else 'day'}"
-            for i, name in enumerate(query_names)
-        ],
-    )
-    write_classes(out_dir / "classes.txt")
-    write_ground_truth(out_dir / "ground_truth.txt", query_poses)
-
+    write_dataset(dataset, out_dir, query_poses)
     return SceneGroundTruth(
         spec=spec,
         root=out_dir,
         point_positions={i + 1: positions[i] for i in range(spec.n_points)},
         point_labels={i + 1: int(labels[i]) for i in range(spec.n_points)},
         dynamic_point_ids={int(i) + 1 for i in dynamic_idx},
-        db_names=db_names,
-        db_poses=db_poses,
-        query_names=query_names,
+        db_names={image_id: image.name for image_id, image in db_records.items()},
+        db_poses={image_id: image.pose for image_id, image in db_records.items()},
+        query_names=[query.name for query in queries],
         query_poses=query_poses,
         query_kp_points=query_kp_points,
     )
@@ -477,7 +457,7 @@ def _permute_static_labels(dataset: Dataset) -> dict[int, int]:
     database rasters, so decoy geometry carries inconsistent labels."""
     present: set[int] = set()
     for raster in dataset.db_rasters.values():
-        present.update(int(v) for v in np.unique(raster.labels))
+        present.update(int(v) for v in np.unique(raster))
     static = sorted(
         lbl
         for lbl in present
@@ -508,63 +488,44 @@ def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> di
     manifest: dict = {"seed": seed, "spec": asdict(cspec)}
 
     model = dataset.model
-    images = dict(model.images)
-    ends = np.cumsum(np.bincount(model.tracks[:, 0], minlength=len(model.point_ids)))[:-1]
-    tracks = [list(map(tuple, track.tolist())) for track in np.split(model.tracks[:, 1:], ends)]
-    points = dict(zip(model.point_ids.tolist(), zip(model.positions, tracks)))  # write_model's layout
-    rasters = {iid: dataset.db_rasters[iid].labels.copy() for iid in images}
-    descs = {iid: dataset.db_descriptors[iid].data.copy() for iid in images}
-    gds = {iid: dataset.db_global[iid].copy() for iid in images}
-    conditions = dict(dataset.conditions)
-    names = {iid: images[iid].name for iid in images}
+    images, conditions = dict(model.images), dict(dataset.conditions)
+    rasters, descs = dict(dataset.db_rasters), dict(dataset.db_descriptors)
+    gds = dict(dataset.db_global)
+    point_ids, positions, tracks = [model.point_ids], [model.positions], [model.tracks]
 
     if cspec.wrong_retrieval_rate > 0:
         replicas = _decoy_replicas(cspec.wrong_retrieval_rate)
         perm = _permute_static_labels(dataset)
         reach = max(float(np.linalg.norm(position)) for position in model.positions)
         for image in model.images.values():
-            center = -image.pose.rotation.T @ image.pose.translation
-            reach = max(reach, float(np.linalg.norm(center)))
+            reach = max(reach, float(np.linalg.norm(camera_center(image.pose))))
         offset_mag = 4.0 * reach
-        max_image_id = max(images)
-        max_point_id = max(points)
-        source_points = model.point_ids.tolist()
-        point_map: dict[int, dict[int, int]] = {}
+        max_image_id, max_point_id, n = max(images), int(model.point_ids[-1]), len(model.point_ids)
         decoy_names: dict[str, str] = {}
-
         lut = np.arange(256, dtype=np.uint8)
-        for old, new in perm.items():
-            lut[old] = new
+        lut[list(perm)] = list(perm.values())
 
+        # replica r clones point row j as row r * n + j, with id max_point_id * r + j + 1
         for r in range(1, replicas + 1):
             offset = np.array([r * offset_mag, 0.0, 0.0])
-            point_map[r] = {
-                pid: max_point_id * r + rank + 1 for rank, pid in enumerate(source_points)
-            }
-            for pid, position in zip(source_points, model.positions):
-                points[point_map[r][pid]] = (position + offset, [])
-            for src_id in sorted(model.images):
-                src = model.images[src_id]
+            point_ids.append(max_point_id * r + np.arange(1, n + 1))
+            positions.append(model.positions + offset)
+            for src_id, src in sorted(model.images.items()):
                 decoy_id = max_image_id * r + src_id
                 name = f"{src.name}_decoy{r}"
                 decoy_names[name] = src.name
-                mapped = np.array(
-                    [point_map[r][pid] if pid >= 0 else -1 for pid in src.point3d_ids],
-                    dtype=np.int64,
-                )
+                rows = id_rows(model.point_ids, src.point3d_ids)
+                tracked = np.flatnonzero(rows >= 0)
+                block = (r * n + rows[tracked], np.full(len(tracked), decoy_id), tracked)
+                tracks.append(np.column_stack(block))
                 pose = PoseEstimate(
                     src.pose.rotation, src.pose.translation - src.pose.rotation @ offset
                 )
-                images[decoy_id] = DbImageRecord(
-                    name, src.camera_id, pose, src.keypoints.copy(), mapped
-                )
-                names[decoy_id] = name
-                for kp_idx, pid in enumerate(src.point3d_ids):
-                    if pid >= 0:
-                        points[point_map[r][pid]][1].append((decoy_id, kp_idx))
-                rasters[decoy_id] = lut[dataset.db_rasters[src_id].labels]
-                descs[decoy_id] = dataset.db_descriptors[src_id].data.copy()
-                gds[decoy_id] = dataset.db_global[src_id].copy()
+                mapped = np.where(rows >= 0, max_point_id * r + rows + 1, NO_POINT)
+                images[decoy_id] = DbImageRecord(name, src.camera_id, pose, src.keypoints, mapped)
+                rasters[decoy_id] = lut[dataset.db_rasters[src_id]]
+                descs[decoy_id] = dataset.db_descriptors[src_id]
+                gds[decoy_id] = dataset.db_global[src_id]
                 conditions[name] = conditions.get(src.name, "day")
         manifest["wrong_retrieval"] = {
             "replicas": replicas,
@@ -572,15 +533,20 @@ def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> di
             "label_permutation": {str(k): v for k, v in sorted(perm.items())},
             "decoy_images": dict(sorted(decoy_names.items())),
         }
+    tracks = np.concatenate(tracks)
+    model = SfmModel(
+        model.cameras, images, np.concatenate(point_ids), np.concatenate(positions),
+        tracks[np.argsort(tracks[:, 0], kind="stable")],
+    )
 
     flip_counts: dict[str, int] = {}
     outlier_indices: dict[str, list[int]] = {}
-    query_out: dict[str, dict[str, np.ndarray]] = {}
+    queries: list[QueryRecord] = []
     n_classes = len(dataset.class_table.names)
     for query in dataset.queries:
         kps = query.keypoints.copy()
-        q_descs = query.descriptors.data.copy()
-        raster = query.labels.labels.copy()
+        q_descs = query.descriptors.data
+        raster = query.labels
         if cspec.label_flip_rate > 0:
             flip = (rng.random(raster.shape) < cspec.label_flip_rate) & (
                 raster != dataset.class_table.void_id
@@ -599,7 +565,8 @@ def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> di
             kps[idx, 0] = rng.uniform(0.0, query.camera.width - 1.0, size=m)
             kps[idx, 1] = rng.uniform(0.0, query.camera.height - 1.0, size=m)
             outlier_indices[query.name] = sorted(int(i) for i in idx)
-        query_out[query.name] = {"kps": kps, "descs": q_descs, "raster": raster}
+        descriptors = DescriptorSet(query.descriptors.dim, q_descs)
+        queries.append(replace(query, keypoints=kps, descriptors=descriptors, labels=raster))
     if cspec.label_flip_rate > 0:
         manifest["label_flips"] = flip_counts
     if cspec.descriptor_noise > 0:
@@ -607,38 +574,11 @@ def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> di
     if cspec.outlier_match_rate > 0:
         manifest["outlier_keypoints"] = outlier_indices
 
-    # write the corrupted bundle
-    (out_dir / MODEL_SUBDIR).mkdir(parents=True, exist_ok=True)
-    (out_dir / DB_SUBDIR).mkdir(exist_ok=True)
-    (out_dir / QUERY_SUBDIR).mkdir(exist_ok=True)
-    write_model(out_dir / MODEL_SUBDIR, model.cameras, images, points)
-    for image_id in sorted(images):
-        base = out_dir / DB_SUBDIR / names[image_id]
-        write_pgm(base.with_name(base.name + ".labels.pgm"), rasters[image_id])
-        write_descriptors(base.with_name(base.name + ".ldsc"), descs[image_id])
-        write_global_descriptor(base.with_name(base.name + ".gdsc"), gds[image_id])
-    for query in dataset.queries:
-        out = query_out[query.name]
-        base = out_dir / QUERY_SUBDIR / query.name
-        write_keypoints(base.with_name(base.name + ".kpts"), out["kps"])
-        write_descriptors(base.with_name(base.name + ".ldsc"), out["descs"])
-        write_pgm(base.with_name(base.name + ".labels.pgm"), out["raster"])
-        write_global_descriptor(base.with_name(base.name + ".gdsc"), query.global_desc)
-    _write_text(
-        out_dir / "queries.txt",
-        [
-            f"{q.name} PINHOLE {q.camera.width} {q.camera.height} "
-            f"{_fmt(q.camera.fx)} {_fmt(q.camera.fy)} {_fmt(q.camera.cx)} {_fmt(q.camera.cy)}"
-            for q in dataset.queries
-        ],
+    write_dataset(
+        Dataset(out_dir, model, dataset.class_table, conditions, rasters, descs, gds, queries),
+        out_dir,
+        ground_truth,
     )
-    _write_text(
-        out_dir / "conditions.txt",
-        [f"{name} {cond}" for name, cond in sorted(conditions.items())],
-    )
-    write_classes(out_dir / "classes.txt")
-    if ground_truth is not None:
-        write_ground_truth(out_dir / "ground_truth.txt", ground_truth)
     with open(out_dir / "corruption_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -186,7 +186,7 @@ def vote_label_from_model(row, model, rasters, void_id, dynamic_ids):
         kp = model.images[image_id].keypoints[kp_idx]
         ix = math.floor(float(kp[0]) + 0.5)
         iy = math.floor(float(kp[1]) + 0.5)
-        votes.append(int(rasters[image_id].labels[iy, ix]))
+        votes.append(int(rasters[image_id][iy, ix]))
     return vote_label(votes, void_id, dynamic_ids)
 
 
@@ -289,6 +289,13 @@ def project_many_loop(R, t, K, X):
     px[:, 0] = np.where(in_front, K.fx * x_cam[:, 0] / zs + K.cx, np.nan)
     px[:, 1] = np.where(in_front, K.fy * x_cam[:, 1] / zs + K.cy, np.nan)
     return px, in_front
+
+
+def project(pose, K, X):
+    """Pixel of one world point, None at or behind the camera: one row of
+    project_many_loop, so its bits are those of geometry.project_many."""
+    px, in_front = project_many_loop(pose.rotation, pose.translation, K, X)
+    return px[0] if in_front[0] else None
 
 
 def _kabsch_loop(src, dst):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from semloc.geometry import PoseEstimate
-from semloc.model_ingest import DbImageRecord, LabelRaster, SfmModel
+from semloc.model_ingest import DbImageRecord, SfmModel
 
 
 def pose_at(center):
@@ -12,7 +12,7 @@ def pose_at(center):
 
 
 def uniform_raster(label, size=4):
-    return LabelRaster(size, size, np.full((size, size), label, dtype=np.uint8))
+    return np.full((size, size), label, dtype=np.uint8)
 
 
 def sfm_model(positions, tracks, images):

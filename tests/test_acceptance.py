@@ -20,7 +20,6 @@ from semloc.geometry import (
     PoseEstimate,
     camera_center,
     pose_error,
-    project,
     quat_to_rot,
     refine_pnp,
     reprojection_jacobian,
@@ -42,7 +41,6 @@ from semloc.matching import knn_ratio_match
 from semloc.model_ingest import (
     ClassTable,
     DescriptorSet,
-    LabelRaster,
     VOID_ID,
     load_dataset,
     load_ground_truth,
@@ -51,6 +49,7 @@ from semloc.retrieval import rank_database
 from semloc.semantic_map import build_semantic_map
 from semloc.synth import SceneSpec, generate_scene
 import oracles
+from oracles import project
 from test_localizer import grid_map_points, make_point, map_of, stats_point
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -198,13 +197,12 @@ def test_criterion_3_oracle_equivalence(clean_dataset):
         flip, rng.integers(0, len(TABLE.names), size=raster.shape).astype(np.uint8), raster
     )
     smap = map_of(points, TABLE)
-    labels = LabelRaster(K.width, K.height, scrambled)
     cfg = LocalizerConfig()
     for _ in range(100):
         jitter = PoseEstimate(
             quat_to_rot(np.array([1.0, *rng.normal(0, 0.01, 3)])), rng.normal(0, 0.3, 3)
         )
-        got = semantic_score(smap, labels, jitter, K, cfg)
+        got = semantic_score(smap, scrambled, jitter, K, cfg)
         want = oracles.semantic_score_loop(
             points, scrambled.tolist(), VOID_ID,
             jitter.rotation.tolist(), jitter.translation.tolist(),

@@ -13,7 +13,6 @@ from semloc.geometry import (
     PoseEstimate,
     camera_center,
     pose_error,
-    project,
     project_many,
     project_poses,
     quat_to_rot,
@@ -26,6 +25,7 @@ from semloc.geometry import (
     solve_p3p_many,
 )
 import oracles
+from oracles import project
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 K_UNIT = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.5, cy=0.5, width=1, height=1)
@@ -67,26 +67,25 @@ class TestQuaternions:
 
 class TestProject:
     def test_optical_axis(self):
-        px = project(PoseEstimate.identity(), K_UNIT, np.array([0.0, 0.0, 1.0]))
-        assert np.allclose(px, [0.5, 0.5])
+        px, in_front = project_many(PoseEstimate.identity(), K_UNIT, np.array([0.0, 0.0, 1.0]))
+        assert in_front[0] and np.allclose(px[0], [0.5, 0.5])
 
     def test_behind_camera(self):
-        assert project(PoseEstimate.identity(), K, np.array([0.0, 0.0, -1.0])) is None
+        _, in_front = project_many(PoseEstimate.identity(), K, np.array([0.0, 0.0, -1.0]))
+        assert not in_front[0]
 
     def test_matches_homogeneous_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             pose = random_pose(rng)
             X = rng.uniform(-10, 10, size=3)
-            got = project(pose, K, X)
+            px, in_front = project_many(pose, K, X)
             want = oracles.project_homogeneous(
                 pose.rotation.tolist(), pose.translation.tolist(), K.fx, K.fy, K.cx, K.cy, X.tolist()
             )
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None
-                assert np.allclose(got, want, atol=1e-9)
+            assert in_front[0] == (want is not None)
+            if want is not None:
+                assert np.allclose(px[0], want, atol=1e-9)
 
     def test_project_many_agrees_with_scalar(self):
         rng = np.random.default_rng(2)
@@ -127,9 +126,9 @@ class TestProject:
             depth = rng.uniform(0.1, 50.0)
             ray = np.array([(px[0] - K.cx) / K.fx, (px[1] - K.cy) / K.fy, 1.0]) * depth
             X = pose.rotation.T @ (ray - pose.translation)
-            back = project(pose, K, X)
-            assert back is not None
-            assert np.allclose(back, px, atol=1e-9)
+            back, in_front = project_many(pose, K, X)
+            assert in_front[0]
+            assert np.allclose(back[0], px, atol=1e-9)
 
 
 class TestCameraCenter:

@@ -12,7 +12,6 @@ from semloc.geometry import (
     PoseEstimate,
     camera_center,
     pose_error,
-    project,
     quat_to_rot,
 )
 import semloc.localizer as localizer
@@ -28,10 +27,11 @@ from semloc.localizer import (
     weighted_sample_without_replacement,
     weighted_samples,
 )
-from semloc.model_ingest import ClassTable, DescriptorSet, LabelRaster, VOID_ID, load_ground_truth
+from semloc.model_ingest import ClassTable, DescriptorSet, VOID_ID, load_ground_truth
 from semloc.semantic_map import SemanticMap, build_semantic_map
 from sfm_models import uniform_raster, views_model
 import oracles
+from oracles import project
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
 TABLE = ClassTable(names=tuple(f"c{i}" for i in range(10)), dynamic_ids=frozenset())
@@ -223,19 +223,17 @@ class TestSemanticScore:
     def test_ground_truth_pose_counts_all_visible(self):
         pose, points, raster = self._grid_scene()
         smap = map_of(points)
-        labels = LabelRaster(K.width, K.height, raster)
         cfg = LocalizerConfig()
         mask = visible_mask(smap, camera_center(pose), math.radians(cfg.theta_min_deg))
         assert mask.all()
-        assert semantic_score(smap, labels, pose, K, cfg) == len(points)
+        assert semantic_score(smap, raster, pose, K, cfg) == len(points)
 
     def test_off_image_projections_score_zero(self):
         pose, points, raster = self._grid_scene()
         smap = map_of(points)
-        labels = LabelRaster(K.width, K.height, raster)
         # shift sideways: band still passes (d_upper=50) but pixels leave the frame
         displaced = PoseEstimate(np.eye(3), np.array([-30.0, 0.0, 0.0]))
-        assert semantic_score(smap, labels, displaced, K, LocalizerConfig()) == 0
+        assert semantic_score(smap, raster, displaced, K, LocalizerConfig()) == 0
 
     def test_matches_double_loop_oracle_under_corruption(self):
         rng = np.random.default_rng(7)
@@ -245,14 +243,13 @@ class TestSemanticScore:
         scrambled = np.where(
             flip, rng.integers(0, len(TABLE.names), size=raster.shape).astype(np.uint8), raster
         )
-        labels = LabelRaster(K.width, K.height, scrambled)
         cfg = LocalizerConfig()
         for trial in range(20):
             jitter = PoseEstimate(
                 quat_to_rot(np.array([1.0, *rng.normal(0, 0.01, 3)])),
                 rng.normal(0, 0.3, 3),
             )
-            got = semantic_score(smap, labels, jitter, K, cfg)
+            got = semantic_score(smap, scrambled, jitter, K, cfg)
             want = oracles.semantic_score_loop(
                 points,
                 scrambled.tolist(),
@@ -267,7 +264,7 @@ class TestSemanticScore:
     def test_void_pixels_never_count(self):
         pose, points, raster = self._grid_scene()
         smap = map_of(points)
-        all_void = LabelRaster(K.width, K.height, np.full_like(raster, VOID_ID))
+        all_void = np.full_like(raster, VOID_ID)
         assert semantic_score(smap, all_void, pose, K, LocalizerConfig()) == 0
 
     def test_ground_truth_beats_far_displaced_pose(self, clean_scene, clean_dataset, clean_map):

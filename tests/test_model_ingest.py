@@ -6,7 +6,7 @@ import pytest
 from semloc.errors import (
     BadMagic,
     ConsistencyError,
-    DimensionMismatch,
+    DimMismatch,
     InvalidDataset,
     ParseError,
     TruncatedFile,
@@ -26,7 +26,6 @@ from semloc.model_ingest import (
 )
 from semloc.semantic_map import build_semantic_map
 from semloc.synth import (
-    write_classes,
     write_descriptors,
     write_global_descriptor,
     write_keypoints,
@@ -236,13 +235,7 @@ class TestSfmModel:
         # image headers re-derive quaternions from R, stable to the last ulp
         # only numerically
         rewrite = tmp_path / "model_rewrite"
-        ends = np.cumsum(np.bincount(model.tracks[:, 0]))
-        tracks = np.split(model.tracks[:, 1:], ends[:-1])
-        points = {
-            pid: (position, [tuple(entry) for entry in track.tolist()])
-            for pid, position, track in zip(model.point_ids.tolist(), model.positions, tracks)
-        }
-        write_model(rewrite, model.cameras, model.images, points)
+        write_model(rewrite, model)
         for name in ("cameras.txt", "points3D.txt"):
             assert (rewrite / name).read_bytes() == (model_dir / name).read_bytes()
         reloaded = load_sfm_model(rewrite)
@@ -270,13 +263,13 @@ class TestLabelRaster:
         path = tmp_path / "r.pgm"
         write_pgm(path, np.full((4, 4), 2, dtype=np.uint8))
         raster = load_label_raster(path, (4, 4), TABLE)
-        values, counts = np.unique(raster.labels, return_counts=True)
+        values, counts = np.unique(raster, return_counts=True)
         assert dict(zip(values.tolist(), counts.tolist())) == {2: 16}
 
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "r.pgm"
         write_pgm(path, np.zeros((480, 640), dtype=np.uint8))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimMismatch):
             load_label_raster(path, (1024, 1024), TABLE)
 
     def test_unknown_label(self, tmp_path):
@@ -291,7 +284,7 @@ class TestLabelRaster:
         path = tmp_path / "r.pgm"
         write_pgm(path, np.full((2, 2), 255, dtype=np.uint8))
         raster = load_label_raster(path, (2, 2), TABLE)
-        assert raster.labels.tolist() == [[255, 255], [255, 255]]
+        assert raster.tolist() == [[255, 255], [255, 255]]
         assert voted_label(raster, (0.4, 0.4)) is None  # void votes are discarded
 
     def test_nearest_pixel_lookup(self, tmp_path):
@@ -387,10 +380,8 @@ class TestBinarySidecars:
 
 
 class TestClassTable:
-    def test_loads_cityscapes_table(self, tmp_path):
-        path = tmp_path / "classes.txt"
-        write_classes(path)
-        table = load_class_table(path)
+    def test_loads_cityscapes_table(self, clean_scene):
+        table = load_class_table(clean_scene.root / "classes.txt")
         assert len(table.names) == 19
         assert table.names[13] == "car"
         assert table.is_dynamic(11) and table.is_dynamic(13)

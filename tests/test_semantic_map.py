@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import semloc.semantic_map as semantic_map
 from semloc.geometry import camera_center
-from semloc.model_ingest import VOID_ID, ClassTable, DbImageRecord, LabelRaster, load_dataset
+from semloc.model_ingest import VOID_ID, ClassTable, DbImageRecord, load_dataset
 from semloc.semantic_map import (
     MAP_ARRAYS,
     SemanticMap,
@@ -159,9 +159,9 @@ def small_models(draw):
             centers[image_id] = np.array(draw(HALF_GRID))
     labels = st.sampled_from([0, 1, 2, DYNAMIC, VOID_ID])
     rasters = {
-        image_id: LabelRaster(width, height, np.array(
+        image_id: np.array(
             draw(st.lists(labels, min_size=width * height, max_size=width * height)),
-            dtype=np.uint8).reshape(height, width))
+            dtype=np.uint8).reshape(height, width)
         for image_id in centers
     }
     fraction = st.sampled_from([0.0, 0.25, 0.49, 0.5, 0.75, 0.999])
@@ -236,9 +236,8 @@ def test_build_matches_vote_and_visibility_oracles(case):
             x, y = model.images[image_id].keypoints[kp]
             raster = rasters[image_id]
             # nearest pixel, the last half pixel clamped onto the last column or row
-            votes.append(int(raster.labels[
-                min(math.floor(y + 0.5), raster.height - 1), min(math.floor(x + 0.5), raster.width - 1)
-            ]))
+            height, width = raster.shape
+            votes.append(int(raster[min(math.floor(y + 0.5), height - 1), min(math.floor(x + 0.5), width - 1)]))
             views.append(centers[image_id].tolist())
         r = rows[row]
         got = None if r < 0 else (

@@ -1,17 +1,29 @@
 import hashlib
+import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from semloc.errors import InfeasibleSpec
-from semloc.geometry import project
 from semloc.localizer import LocalizerConfig, semantic_score
 from semloc.matching import knn_ratio_match, lift_matches
 from semloc.model_ingest import id_rows, load_dataset, load_ground_truth, validate_dataset
 from semloc.retrieval import rank_database
 from semloc.semantic_map import build_semantic_map
-from semloc.synth import CorruptionSpec, SceneSpec, corrupt, generate_scene
+from semloc.synth import CorruptionSpec, SceneSpec, corrupt, generate_scene, write_dataset
+from oracles import project
+
+GOLDEN_BUNDLES = Path(__file__).parent / "golden" / "bundles.json"
+# a small scene with every generator and corruption channel switched on
+ALL_CHANNELS_SCENE = SceneSpec(
+    n_points=150, n_db_images=8, n_queries=4, pixel_sigma=0.4,
+    dynamic_fraction=0.1, night_fraction=0.5, seed=5,
+)
+ALL_CHANNELS = CorruptionSpec(
+    wrong_retrieval_rate=2 / 3, descriptor_noise=0.05, label_flip_rate=0.2, outlier_match_rate=0.3
+)
 
 
 def tree_digest(root: Path) -> dict[str, str]:
@@ -99,7 +111,7 @@ class TestCorrupt:
             assert clean > 50
             assert corrupted < 0.1 * clean  # only coincidental hits remain
             # every non-void pixel was flipped
-            nonvoid = int((clean_query.labels.labels != ds.class_table.void_id).sum())
+            nonvoid = int((clean_query.labels != ds.class_table.void_id).sum())
             assert manifest["label_flips"][query.name] == nonvoid
 
     def test_wrong_retrieval_fills_half_of_topk(self, decoy_bundle):
@@ -160,7 +172,58 @@ class TestCorrupt:
                 clean_scene.root, tmp_path / "x", CorruptionSpec(wrong_retrieval_rate=0.3), seed=0
             )
 
+    def test_custom_class_table_is_kept(self, clean_scene, tmp_path):
+        """The corrupted bundle keeps its source's classes.txt, renamed
+        classes and dynamic flags included."""
+        source = tmp_path / "source"
+        shutil.copytree(clean_scene.root, source)
+        classes = "".join(f"{cid} class_{cid} {int(cid == 10)}\n" for cid in range(19))
+        (source / "classes.txt").write_text(classes)
+        corrupt(source, tmp_path / "out", CorruptionSpec(wrong_retrieval_rate=0.5), seed=4)
+        assert (tmp_path / "out" / "classes.txt").read_text() == classes
+        assert load_dataset(tmp_path / "out").class_table == load_dataset(source).class_table
+
     def test_corrupted_bundle_validates(self, decoy_bundle):
         _, corrupted_dir, _ = decoy_bundle
         report = validate_dataset(corrupted_dir)
         assert report.ok, report.findings
+
+
+class TestWriteDataset:
+    def test_inverts_validate_dataset(self, noisy_scene, tmp_path):
+        """Every file comes back byte for byte but those holding quaternions,
+        which re-derive from rotation matrices, and the global descriptors,
+        which load renormalized."""
+        root = noisy_scene.root
+        dataset = load_dataset(root)
+        write_dataset(dataset, tmp_path, load_ground_truth(root / "ground_truth.txt"))
+        want, got = tree_digest(root), tree_digest(tmp_path)
+        changed = {name for name in want if want[name] != got.get(name)}
+        assert set(got) == set(want)
+        assert changed - {"model/images.txt", "ground_truth.txt"} <= {
+            name for name in want if name.endswith(".gdsc")
+        }
+        again = load_dataset(tmp_path)
+        for image_id, image in dataset.model.images.items():
+            pose = again.model.images[image_id].pose
+            assert np.allclose(pose.rotation, image.pose.rotation, atol=1e-14)
+            assert np.allclose(again.db_global[image_id], dataset.db_global[image_id], atol=1e-6)
+
+
+class TestGoldenBundles:
+    """perfbench builds its workloads with `semloc synth`, so a change to the
+    generator must leave every byte of its bundles alone."""
+
+    @pytest.mark.parametrize("bundle", ["clean", "noisy", "decoy_source", "decoy", "all_channels"])
+    def test_bundle_equals_golden(self, bundle, request, tmp_path):
+        if bundle == "all_channels":
+            # in place, as `semloc synth` runs a spec with a corruption section
+            generate_scene(ALL_CHANNELS_SCENE, tmp_path)
+            corrupt(tmp_path, tmp_path, ALL_CHANNELS, seed=7)
+            root = tmp_path
+        elif bundle.startswith("decoy"):
+            gt, corrupted_dir, _ = request.getfixturevalue("decoy_bundle")
+            root = gt.root if bundle == "decoy_source" else corrupted_dir
+        else:
+            root = request.getfixturevalue(f"{bundle}_scene").root
+        assert tree_digest(root) == json.loads(GOLDEN_BUNDLES.read_text())[bundle]
