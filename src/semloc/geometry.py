@@ -120,11 +120,13 @@ def project_poses(
     only valid where in_front is True; rows at or behind the camera hold NaN.
     """
     # camera coordinates as (H, 3, n): rows of n points keep the loops long
-    x_cam = rotations @ np.swapaxes(X, -1, -2) + translations[:, :, None]
+    x_cam = rotations @ np.swapaxes(X, -1, -2)
+    x_cam += translations[:, :, None]
     z = x_cam[:, 2]
     in_front = z > _MIN_DEPTH
     px = x_cam[:, :2] * np.array([[K.fx], [K.fy]])
-    px /= np.where(in_front, z, np.nan)[:, None]  # NaN at or behind the camera
+    np.copyto(z, np.nan, where=~in_front)  # NaN at or behind the camera
+    px /= z[:, None]
     px += np.array([[K.cx], [K.cy]])
     return px.transpose(0, 2, 1), in_front
 

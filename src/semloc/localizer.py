@@ -138,7 +138,9 @@ def weighted_sample_without_replacement(
 # A block of RANSAC samples holds at most RANSAC_BLOCK_MAX samples, and
 # fewer when its verification temporaries would pass RANSAC_BLOCK_BYTES:
 # a sample has up to four poses, and verifying one pose on one point peaks
-# at VERIFY_BYTES_PER_POINT (51-57 bytes measured with tracemalloc).
+# below VERIFY_BYTES_PER_POINT (about 43 bytes measured with tracemalloc).
+# Most of a block's cost is fixed, so after a first one-sample block every
+# block is as large as these caps and the iterations left allow.
 RANSAC_BLOCK_MAX = 64
 RANSAC_BLOCK_BYTES = 4 << 20
 VERIFY_BYTES_PER_POINT = 64
@@ -162,12 +164,15 @@ def _ransac_loop(
     at max_iters.
 
     Samples are drawn, solved and verified in blocks: the first block is
-    one sample, each later one as many as were done before it, within the
-    iterations left and the block caps. The results are then replayed in
+    one sample, which often settles a clean scene, and each later one is
+    the block cap or the iterations left, whichever is smaller. The
+    hypotheses that beat every count before them are then replayed in
     sample order with the adaptive stop after each sample, so the outcome
     is that of one sample at a time. When the stop falls inside a block,
     the rng is rewound to the block's start and advanced by the draws of
-    the samples used, as if the rest had never been drawn.
+    the samples used, as if the rest had never been drawn. A solver error
+    other than a degenerate sample raises when its sample comes at or
+    before the stop.
     """
     n = len(points)
     best_pose, best_inliers, best_count = None, None, 0
@@ -176,39 +181,45 @@ def _ransac_loop(
     per_sample = 4 * max(n, 1) * VERIFY_BYTES_PER_POINT
     cap = max(1, min(RANSAC_BLOCK_MAX, RANSAC_BLOCK_BYTES // per_sample))
     while it < min(max_iters, needed):
-        block = min(max(it, 1), cap, min(max_iters, needed) - it)
+        block = min(cap if it else 1, min(max_iters, needed) - it)
         state = rng.bit_generator.state
         idx = weighted_samples(rng, weights, block, 3)
         R, t, sample, failures = solve_p3p_many(pixels[idx], points[idx], K)
         pred, in_front = project_poses(R, t, K, points)
-        dx, dy = pred[..., 0] - pixels[:, 0], pred[..., 1] - pixels[:, 1]
-        inliers = in_front & (np.sqrt(dx * dx + dy * dy) <= inlier_px)  # as np.linalg.norm sums
-        counts = inliers.sum(axis=1).tolist()
-        bounds = np.searchsorted(sample, np.arange(block + 1)).tolist()
-        for j in range(block):
-            it += 1
-            failure = failures[j]
+        err = pred.transpose(0, 2, 1)  # (H, 2, n) in pred's buffer: x and y errors, squared
+        err -= pixels.T
+        err *= err
+        dist = err[:, 0]
+        dist += err[:, 1]  # as np.linalg.norm sums
+        inliers = in_front & (np.sqrt(dist, out=dist) <= inlier_px)
+        counts = inliers.sum(axis=1)
+        # the improvements: hypotheses whose count beats every count before them
+        prior = np.maximum.accumulate(np.concatenate(([best_count], counts)))[:-1]
+        used, best = block, None  # samples up to the stop; this block's best hypothesis
+        for h in np.flatnonzero(counts > prior).tolist():
+            j = int(sample[h])
+            if j >= used:  # the stop came before this sample
+                break
+            best, best_count = h, int(counts[h])
+            ratio = best_count / n
+            if ratio >= 1.0:
+                needed = it + j + 1
+            else:
+                needed = math.ceil(math.log(1.0 - confidence) / math.log(1.0 - ratio**3))
+            # the stop follows the first sample from j on at which the iterations reach `needed`
+            used = min(block, max(j + 1, min(max_iters, needed) - it))
+        for failure in failures[:used]:
             if failure is not None and not isinstance(
                 failure, (DegenerateConfiguration, NoRealSolution)
             ):
                 raise failure  # an np.roots error is a fault, not a degenerate sample
-            for h in range(bounds[j], bounds[j + 1]):
-                count = counts[h]
-                if count > best_count:
-                    best_pose = PoseEstimate(R[h], t[h])
-                    best_inliers, best_count = inliers[h].copy(), count
-                    ratio = count / n
-                    if ratio >= 1.0:
-                        needed = it
-                    else:
-                        needed = math.ceil(
-                            math.log(1.0 - confidence) / math.log(1.0 - ratio**3)
-                        )
-            if it >= min(max_iters, needed):
-                if j + 1 < block:
-                    rng.bit_generator.state = state
-                    rng.random(3 * (j + 1))
-                break
+        if best is not None:
+            best_pose = PoseEstimate(R[best], t[best])
+            best_inliers = inliers[best].copy()
+        it += used
+        if used < block:
+            rng.bit_generator.state = state
+            rng.random(3 * used)
     return best_pose, best_inliers, best_count
 
 

@@ -53,12 +53,33 @@ class SemanticMap:
         return id_rows(self.ids, point_ids)
 
 
+def _extreme_pair_in_chunks(dirs: np.ndarray) -> tuple[int, int]:
+    """_extreme_pairs of one track too long for a block: its pair matrix
+    is built a chunk of rows at a time within MAP_BLOCK_BYTES, and a
+    chunk's first minimum replaces the pair so far only when strictly
+    smaller."""
+    n = len(dirs)
+    step = max(1, MAP_BLOCK_BYTES // (10 * n + 24))
+    col = np.arange(n)
+    buffer = np.empty((min(step, n), n))  # one chunk's cosines, reused
+    best, pair = np.inf, (0, 0)
+    for top in range(0, n - 1, step):
+        chunk = dirs[top : top + step]
+        cosines = np.matmul(chunk, dirs.T, out=buffer[: len(chunk)])
+        np.copyto(cosines, np.inf, where=col <= np.arange(top, top + len(chunk))[:, None])
+        k = int(cosines.argmin())
+        if cosines.flat[k] < best:
+            best, pair = cosines.flat[k], (top + k // n, k % n)
+    return pair
+
+
 def _extreme_pairs(dirs: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two most separated directions (a, b) of each track, whose unit
     directions are runs of `lengths` rows of dirs: the first pair i < j in
     row-major order with the smallest cosine, as a scan keeping the first
     strictly smaller cosine finds it. Tracks go longest first, in blocks
-    padded to the block's first track."""
+    padded to the block's first track; a track whose pairs alone pass
+    MAP_BLOCK_BYTES goes alone, in chunks of rows."""
     starts = np.cumsum(lengths) - lengths
     first, second = np.empty_like(lengths), np.empty_like(lengths)
     order = np.argsort(-lengths, kind="stable")
@@ -66,7 +87,14 @@ def _extreme_pairs(dirs: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, n
     while done < len(order):
         longest = int(lengths[order[done]])
         # float64 cosines and two boolean masks per pair, 24 bytes per direction
-        rows = order[done : done + max(1, MAP_BLOCK_BYTES // (longest * (10 * longest + 24)))]
+        fit = MAP_BLOCK_BYTES // (longest * (10 * longest + 24))
+        if fit == 0:
+            row = order[done]
+            track = dirs[starts[row] : starts[row] + longest]
+            first[row], second[row] = _extreme_pair_in_chunks(track)
+            done += 1
+            continue
+        rows = order[done : done + fit]
         pad = np.arange(longest)
         valid = pad < lengths[rows, None]
         padded = np.zeros((len(rows), longest, 3))

@@ -473,6 +473,8 @@ def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> di
     a corruption_manifest.json recording exactly what changed.
 
     in_dir and out_dir may coincide: everything is loaded before writing.
+    The written bundle is loaded back, so one that does not load raises
+    InvalidDataset with its findings.
     """
     for rate in (cspec.wrong_retrieval_rate, cspec.label_flip_rate, cspec.outlier_match_rate):
         if not 0.0 <= rate <= 1.0:
@@ -500,18 +502,21 @@ def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> di
         for image in model.images.values():
             reach = max(reach, float(np.linalg.norm(camera_center(image.pose))))
         offset_mag = 4.0 * reach
-        max_image_id, max_point_id, n = max(images), int(model.point_ids[-1]), len(model.point_ids)
+        # id strides that keep every replica's ids apart, also when ids start at 0
+        image_stride = max(images) + 1 - min(min(images), 1)
+        point_stride = int(model.point_ids[-1]) + 1 - min(int(model.point_ids[0]), 1)
+        n = len(model.point_ids)
         decoy_names: dict[str, str] = {}
         lut = np.arange(256, dtype=np.uint8)
         lut[list(perm)] = list(perm.values())
 
-        # replica r clones point row j as row r * n + j, with id max_point_id * r + j + 1
+        # replica r clones point row j as row r * n + j, with id point_stride * r + j + 1
         for r in range(1, replicas + 1):
             offset = np.array([r * offset_mag, 0.0, 0.0])
-            point_ids.append(max_point_id * r + np.arange(1, n + 1))
+            point_ids.append(point_stride * r + np.arange(1, n + 1))
             positions.append(model.positions + offset)
             for src_id, src in sorted(model.images.items()):
-                decoy_id = max_image_id * r + src_id
+                decoy_id = image_stride * r + src_id
                 name = f"{src.name}_decoy{r}"
                 decoy_names[name] = src.name
                 rows = id_rows(model.point_ids, src.point3d_ids)
@@ -521,7 +526,7 @@ def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> di
                 pose = PoseEstimate(
                     src.pose.rotation, src.pose.translation - src.pose.rotation @ offset
                 )
-                mapped = np.where(rows >= 0, max_point_id * r + rows + 1, NO_POINT)
+                mapped = np.where(rows >= 0, point_stride * r + rows + 1, NO_POINT)
                 images[decoy_id] = DbImageRecord(name, src.camera_id, pose, src.keypoints, mapped)
                 rasters[decoy_id] = lut[dataset.db_rasters[src_id]]
                 descs[decoy_id] = dataset.db_descriptors[src_id]
@@ -582,4 +587,5 @@ def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> di
     with open(out_dir / "corruption_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    load_dataset(out_dir)
     return manifest

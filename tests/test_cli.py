@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import semloc.localizer as localizer
 import semloc.model_ingest as ingest
 from semloc.cli import main
 from semloc.model_ingest import load_descriptors, load_keypoints, validate_dataset
@@ -142,6 +143,25 @@ class TestPipelineCommands:
         argv = ["localize", "--data", str(decoy_cli_dataset), "--out", str(run), "--seed", "2"]
         assert main([*argv, "--k-day", "6", *flags]) == 0
         assert (run / "poses.txt").read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_one_sample_blocks_write_the_same_bytes(self, decoy_cli_dataset, tmp_path, monkeypatch):
+        """The RANSAC block schedule never reaches the outputs: with blocks
+        of one sample, localize writes the default's poses and report."""
+        argv = ["localize", "--data", str(decoy_cli_dataset), "--seed", "2", "--k-day", "6"]
+        assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+        blocks = []
+        sampler = localizer.weighted_samples
+
+        def counted(rng, weights, rows, count):
+            blocks.append(rows)
+            return sampler(rng, weights, rows, count)
+
+        monkeypatch.setattr(localizer, "RANSAC_BLOCK_MAX", 1)
+        monkeypatch.setattr(localizer, "weighted_samples", counted)
+        assert main([*argv, "--out", str(tmp_path / "one")]) == 0
+        assert set(blocks) == {1} and len(blocks) > 100
+        for name in ("poses.txt", "report.json"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
 
     def test_uniform_weights_flag(self, cli_dataset):
         root, data = cli_dataset

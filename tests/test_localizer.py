@@ -477,6 +477,7 @@ def ransac_instance(seed, n, outlier_rate, noise_px):
         (29, 0.1, 0.3, 0.5, 500, 64, "one sample"),
         (23, 0.5, 0.5, 0.99, 500, 64, "mid-block"),
         (23, 0.5, 0.5, 0.99, 500, 3, "mid-block"),  # many blocks at the cap
+        (21, 0.3, 0.5, 0.99, 500, 64, "first full block"),
         (24, 0.9, 0.5, 0.99, 20, 64, "max_iters"),
         (25, 0.0, 0.0, 0.99, 500, 64, "all inliers"),
     ],
@@ -486,7 +487,8 @@ def test_ransac_loop_equals_one_sample_at_a_time(
 ):
     # the temporary loop, then the final loop on the same rng, as a query
     # runs them; `stop` names how the temporary loop ends, or for
-    # "mid-block" either loop
+    # "mid-block" either loop. The first block is one sample, and each later
+    # one the cap, or the iterations left when fewer, which ends the loop.
     monkeypatch.setattr(localizer, "RANSAC_BLOCK_MAX", block_max)
     drawn, used = [], []  # per loop: block sizes drawn, samples the reference drew
     block_sampler, loop_sampler = localizer.weighted_samples, oracles.weighted_sample_loop
@@ -515,16 +517,56 @@ def test_ransac_loop_equals_one_sample_at_a_time(
         assert (pose.rotation.tobytes(), pose.translation.tobytes()) == (R.tobytes(), t.tobytes())
         assert np.array_equal(inliers, want_inliers) and count == want_count
         assert block_rng.bit_generator.state == loop_rng.bit_generator.state
-        assert drawn[-1][0] == 1 and max(drawn[-1]) <= block_max
+        blocks = drawn[-1]
+        assert blocks[0] == 1 and all(b == block_max for b in blocks[1:-1])
+        assert blocks[-1] <= block_max and sum(blocks[:-1]) < used[-1] <= sum(blocks)
         counts.append(count)
     if stop == "one sample":
         assert used[0] == 1 and counts[0] < len(points)
     elif stop == "mid-block":
         assert any(sum(d) > u for d, u in zip(drawn, used))
+    elif stop == "first full block":
+        assert drawn[0] == [1, block_max] and 1 < used[0] < 1 + block_max
     elif stop == "max_iters":
         assert used[0] == temp_iters == sum(drawn[0])
     else:
         assert used[0] == 1 and counts[0] == len(points)
+
+
+@pytest.mark.parametrize("past_stop", [True, False])
+def test_solver_fault_raises_only_at_or_before_the_stop(monkeypatch, past_stop):
+    """A LinAlgError planted in the sample after the stop, inside the same
+    block, is never replayed; one planted in the stop's own sample raises."""
+    points, pixels, _ = ransac_instance(21, 60, 0.3, 0.5)
+    used, loop_sampler = [0], oracles.weighted_sample_loop
+
+    def counted_sample(rng, w, count):
+        used[0] += 1
+        return loop_sampler(rng, w, count)
+
+    monkeypatch.setattr(oracles, "weighted_sample_loop", counted_sample)
+    args = (points, pixels, K, np.ones(len(points)), 10.0, 0.99, 500)
+    R, t, _, _ = oracles.ransac_loop_loop(*args, np.random.default_rng(21))
+    planted = used[0] if past_stop else used[0] - 1  # 0-based sample index
+    seen, drawn = [0], []
+    solve = localizer.solve_p3p_many
+
+    def planted_solve(pixels, points, K):
+        R, t, sample, failures = solve(pixels, points, K)
+        if seen[0] <= planted < seen[0] + len(failures):
+            failures[planted - seen[0]] = np.linalg.LinAlgError("planted")
+        seen[0] += len(failures)
+        drawn.append(len(failures))
+        return R, t, sample, failures
+
+    monkeypatch.setattr(localizer, "solve_p3p_many", planted_solve)
+    if past_stop:
+        pose, _, _ = localizer._ransac_loop(*args, np.random.default_rng(21))
+        assert sum(drawn) > planted  # the planted sample was drawn and solved
+        assert pose.rotation.tobytes() == R.tobytes() and pose.translation.tobytes() == t.tobytes()
+    else:
+        with pytest.raises(np.linalg.LinAlgError, match="planted"):
+            localizer._ransac_loop(*args, np.random.default_rng(21))
 
 
 class TestWeightedRansacPnp:

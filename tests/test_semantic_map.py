@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,21 @@ class TestVisibilityStats:
         assert stats(np.zeros(3), [[0, 0, 2]]) is None
 
 
+def long_track_model(n_points, n_views, seed):
+    """(model, rasters) of n_points points near the origin, each seen by
+    all n_views views from random directions 10 units out."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(n_views, 3))
+    centers *= 10.0 / np.linalg.norm(centers, axis=1, keepdims=True)
+    images = {
+        i + 1: DbImageRecord(f"v{i}", 1, pose_at(c), np.zeros((n_points, 2)), np.arange(1, n_points + 1))
+        for i, c in enumerate(centers)
+    }
+    tracks = [[(i + 1, p) for i in range(n_views)] for p in range(n_points)]
+    model = sfm_model(rng.uniform(-1.0, 1.0, size=(n_points, 3)), tracks, images)
+    return model, {image_id: uniform_raster(1, size=1) for image_id in images}
+
+
 DYNAMIC = 3
 PROPERTY_TABLE = ClassTable(names=("a", "b", "c", "car"), dynamic_ids=frozenset({DYNAMIC}))
 HALF_GRID = st.tuples(*[st.integers(-6, 6).map(lambda v: v / 2.0)] * 3)
@@ -227,7 +243,20 @@ def row_matches(got, want):
 @given(small_models())
 @settings(derandomize=True, deadline=None, max_examples=300)
 def test_build_matches_vote_and_visibility_oracles(case):
-    model, rasters, centers = case
+    check_build_against_oracles(*case)
+
+
+@given(small_models())
+@settings(derandomize=True, deadline=None, max_examples=100)
+def test_tracks_in_chunks_of_one_row_match_the_oracles(case):
+    """A budget of one byte sends every track to the chunked search, one
+    row of its pair matrix at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantic_map, "MAP_BLOCK_BYTES", 1)
+        check_build_against_oracles(*case)
+
+
+def check_build_against_oracles(model, rasters, centers):
     smap = build_semantic_map(model, rasters, PROPERTY_TABLE)
     rows = smap.rows_of(model.point_ids)
     for row, X in enumerate(model.positions.tolist()):
@@ -335,14 +364,50 @@ class TestBuildSemanticMap:
 
     @pytest.mark.parametrize("budget", [1, 3000, 20000])
     def test_blocks_do_not_change_the_map(self, noisy_dataset, noisy_map, monkeypatch, budget):
-        """Blocks of one point, of a few and of a few dozen give the map
-        of the default budget bit for bit."""
+        """Chunks of one row of one track, blocks of a few points and of a
+        few dozen give the map of the default budget bit for bit."""
         monkeypatch.setattr(semantic_map, "MAP_BLOCK_BYTES", budget)
         smap = build_semantic_map(
             noisy_dataset.model, noisy_dataset.db_rasters, noisy_dataset.class_table
         )
         for name in MAP_ARRAYS:
             assert getattr(smap, name).tobytes() == getattr(noisy_map, name).tobytes(), name
+
+    def test_long_tracks_stay_near_the_block_budget(self):
+        """Twenty tracks of 3000 observations: the extreme-pair search keeps
+        its temporaries near MAP_BLOCK_BYTES, where padding one such track
+        to a block took 90 MB, and the whole build stays a few times the
+        size of its per-observation arrays."""
+        model, rasters = long_track_model(n_points=20, n_views=3000, seed=5)
+        tracemalloc.start()
+        try:
+            smap = build_semantic_map(model, rasters, TABLE)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            dirs = np.random.default_rng(0).normal(size=(20 * 3000, 3))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            semantic_map._extreme_pairs(dirs, np.full(20, 3000))
+            search_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(smap) == 20
+        assert search_peak < 1.25 * semantic_map.MAP_BLOCK_BYTES
+        assert build_peak < 16 * 2**20
+
+    def test_long_track_matches_pairwise_oracle(self):
+        """Tracks too long for one block, searched in chunks of rows, give
+        the exhaustive search's extremes."""
+        model, rasters = long_track_model(n_points=3, n_views=250, seed=6)
+        assert 250 * (10 * 250 + 24) > semantic_map.MAP_BLOCK_BYTES
+        smap = build_semantic_map(model, rasters, TABLE)
+        views = [camera_center(image.pose).tolist() for _, image in sorted(model.images.items())]
+        for row, X in enumerate(model.positions.tolist()):
+            want = oracles.visibility_stats(views, X)
+            assert np.isclose(smap.d_lower[row], want[0], atol=1e-12)
+            assert np.isclose(smap.d_upper[row], want[1], atol=1e-12)
+            assert np.allclose(smap.v_mid[row], want[2], atol=1e-9)
+            assert np.isclose(smap.theta[row], want[3], atol=1e-12)
 
     def test_degenerate_points_leave_the_others_alone(self):
         """Points dropped by their votes, a camera on the point or

@@ -1,15 +1,25 @@
 import hashlib
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semloc.errors import InfeasibleSpec
+import semloc.synth as synth
+from semloc.cli import main
+from semloc.errors import InfeasibleSpec, InvalidDataset
 from semloc.localizer import LocalizerConfig, semantic_score
 from semloc.matching import knn_ratio_match, lift_matches
-from semloc.model_ingest import id_rows, load_dataset, load_ground_truth, validate_dataset
+from semloc.model_ingest import (
+    NO_POINT,
+    SfmModel,
+    id_rows,
+    load_dataset,
+    load_ground_truth,
+    validate_dataset,
+)
 from semloc.retrieval import rank_database
 from semloc.semantic_map import build_semantic_map
 from semloc.synth import CorruptionSpec, SceneSpec, corrupt, generate_scene, write_dataset
@@ -187,6 +197,61 @@ class TestCorrupt:
         _, corrupted_dir, _ = decoy_bundle
         report = validate_dataset(corrupted_dir)
         assert report.ok, report.findings
+
+    def test_ids_from_zero_stay_apart(self, tmp_path):
+        """Decoy replicas of a bundle whose point and image ids start at 0
+        get ids of their own."""
+        generate_scene(SceneSpec(n_points=60, n_db_images=6, n_queries=2, seed=8), tmp_path / "gen")
+        dataset = load_dataset(tmp_path / "gen")
+        model = dataset.model
+        images = {
+            image_id - 1: replace(
+                image, point3d_ids=np.where(image.point3d_ids >= 0, image.point3d_ids - 1, NO_POINT)
+            )
+            for image_id, image in model.images.items()
+        }
+        from_zero = SfmModel(
+            model.cameras, images, model.point_ids - 1, model.positions, model.tracks - (0, 1, 0)
+        )
+        shifted = {
+            field: {image_id - 1: value for image_id, value in getattr(dataset, field).items()}
+            for field in ("db_rasters", "db_descriptors", "db_global")
+        }
+        source = tmp_path / "source"
+        write_dataset(replace(dataset, model=from_zero, **shifted), source)
+        renumbered = load_dataset(source).model
+        assert renumbered.point_ids[0] == 0 and min(renumbered.images) == 0
+        corrupt(source, tmp_path / "out", CorruptionSpec(wrong_retrieval_rate=2 / 3), seed=4)
+        out = load_dataset(tmp_path / "out").model
+        assert len(out.point_ids) == 3 * 60 and len(out.images) == 3 * 6
+
+    def test_bundle_that_does_not_load_exits_2(self, clean_scene, tmp_path, monkeypatch, capsys):
+        """corrupt checks the bundle it wrote: one that does not load fails
+        with the finding instead of reporting success."""
+        def losing_queries(after):
+            """A write_dataset that drops queries.txt from every write past the first `after`."""
+            writes = []
+
+            def write(dataset, out_dir, ground_truth=None):
+                write_dataset(dataset, out_dir, ground_truth)
+                writes.append(out_dir)
+                if len(writes) > after:
+                    (Path(out_dir) / "queries.txt").unlink()
+
+            return write
+
+        monkeypatch.setattr(synth, "write_dataset", losing_queries(0))
+        with pytest.raises(InvalidDataset, match="queries.txt"):
+            corrupt(clean_scene.root, tmp_path / "out", CorruptionSpec(wrong_retrieval_rate=0.5), seed=4)
+        # `semloc synth` writes the scene first and then corrupts it in place
+        monkeypatch.setattr(synth, "write_dataset", losing_queries(1))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "scene": {"n_points": 60, "n_db_images": 6, "n_queries": 2, "seed": 8},
+            "corruption": {"wrong_retrieval_rate": 0.5},
+        }))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "cli")]) == 2
+        assert "queries.txt" in capsys.readouterr().err
 
 
 class TestWriteDataset:
