@@ -11,14 +11,14 @@ import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import InfeasibleSpec, SemlocError
-from .evaluation import QueryEvalRow, ThresholdBuckets, build_eval_report, format_eval_report
+from .evaluation import QueryEvalRow, build_eval_report, format_eval_report
 from .geometry import PoseEstimate, pose_error
 from .localizer import LocalizerConfig, localize_query
 # load_dataset is not called here; it stays bound because perfbench swaps it by name
@@ -116,23 +116,23 @@ def cmd_synth(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: cannot read scene spec: {exc}", file=sys.stderr)
         return 3
-    scene_values = raw.get("scene", raw) if isinstance(raw, dict) else None
-    if scene_values is None:
-        print("config error: scene spec must be a JSON object", file=sys.stderr)
-        return 3
-    corruption_values = raw.get("corruption") if isinstance(raw, dict) else None
-    if "corruption" in scene_values:
-        scene_values = {k: v for k, v in scene_values.items() if k != "corruption"}
-    if "octant_labels" in scene_values:
-        scene_values["octant_labels"] = tuple(scene_values["octant_labels"])
     try:
-        spec = SceneSpec(**scene_values)
+        if not (
+            isinstance(raw, dict)
+            and set(raw) <= {"scene", "corruption"}
+            and isinstance(raw.get("scene"), dict)
+            and isinstance(raw.get("corruption", {}), dict)
+        ):
+            raise TypeError('scene spec must be {"scene": {...}, "corruption": {...}}')
+        scene, corruption = raw["scene"], raw.get("corruption", {})
+        if "octant_labels" in scene:
+            scene["octant_labels"] = tuple(scene["octant_labels"])
+        spec, cspec = SceneSpec(**scene), CorruptionSpec(**corruption)
         if args.seed is not None:
-            spec = SceneSpec(**{**asdict(spec), "seed": args.seed})
+            spec = replace(spec, seed=args.seed)
         gt = generate_scene(spec, Path(args.out))
-        if corruption_values:
-            cseed = corruption_values.pop("seed", spec.seed + 1)
-            corrupt(Path(args.out), Path(args.out), CorruptionSpec(**corruption_values), cseed)
+        if corruption:
+            corrupt(Path(args.out), Path(args.out), cspec, spec.seed + 1)
     except (TypeError, InfeasibleSpec) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
@@ -183,10 +183,8 @@ def cmd_localize(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     pose_lines = []
     query_entries = []
-    n_ok = 0
     for query, result in zip(queries, results):
         if result.pose is not None:
-            n_ok += 1
             vals = _pose_to_list(result.pose)
             pose_lines.append(query.name + " " + " ".join(repr(v) for v in vals))
         query_entries.append(
@@ -215,7 +213,7 @@ def cmd_localize(args) -> int:
     with open(out_dir / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"localized {n_ok}/{len(queries)} queries -> {out_dir}")
+    print(f"localized {len(pose_lines)}/{len(queries)} queries -> {out_dir}")
     return 0
 
 
@@ -253,31 +251,14 @@ def cmd_evaluate(args) -> int:
         entry = meta.get(name, {})
         est = estimated.get(name)
         t_err, r_err = pose_error(est, gt[name]) if est is not None else (None, None)
-        rows.append(
-            QueryEvalRow(
-                name=name,
-                t_err_m=t_err,
-                r_err_deg=r_err,
-                inliers=entry.get("inliers", 0),
-                used_fallback=entry.get("used_fallback", False),
-                condition=entry.get("condition", "day"),
-            )
-        )
-    report = build_eval_report(rows, ThresholdBuckets())
+        rows.append(QueryEvalRow(
+            name, t_err, r_err, entry.get("inliers", 0), entry.get("used_fallback", False),
+            entry.get("condition", "day"),
+        ))
+    report = build_eval_report(rows)
     print(format_eval_report(report))
-    out = {
-        "schema": 1,
-        "buckets": {
-            "fine": list(report.buckets.fine),
-            "medium": list(report.buckets.medium),
-            "coarse": list(report.buckets.coarse),
-        },
-        "overall": list(report.overall),
-        "per_condition": {k: list(v) for k, v in report.per_condition.items()},
-        "queries": [asdict(r) for r in report.rows],
-    }
     with open(run_dir / "eval_report.json", "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0
 

@@ -3,26 +3,15 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass
 
 logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class ThresholdBuckets:
-    """(meters, degrees) thresholds; a query counts in a bucket when both
-    errors are within it, so the percentages are cumulative."""
-
-    fine: tuple[float, float] = (0.25, 2.0)
-    medium: tuple[float, float] = (0.5, 5.0)
-    coarse: tuple[float, float] = (5.0, 10.0)
-
-    def __post_init__(self):
-        if not (
-            self.fine[0] <= self.medium[0] <= self.coarse[0]
-            and self.fine[1] <= self.medium[1] <= self.coarse[1]
-        ):
-            raise ValueError("buckets must be componentwise non-decreasing")
+# (meters, degrees) thresholds of the long-term visual localization
+# benchmark; a query counts in a bucket when both errors are within it, so
+# the percentages are cumulative
+BUCKETS = {"fine": (0.25, 2.0), "medium": (0.5, 5.0), "coarse": (5.0, 10.0)}
 
 
 @dataclass
@@ -35,17 +24,7 @@ class QueryEvalRow:
     condition: str = "day"
 
 
-@dataclass
-class EvalReport:
-    buckets: ThresholdBuckets
-    rows: list[QueryEvalRow] = field(default_factory=list)
-    per_condition: dict[str, tuple[float, float, float]] = field(default_factory=dict)
-    overall: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-
-def bucket_errors(
-    errors: list[tuple[float, float] | None], buckets: ThresholdBuckets
-) -> tuple[float, float, float]:
+def bucket_errors(errors: list[tuple[float, float] | None]) -> tuple[float, float, float]:
     """Percentages of queries within the fine/medium/coarse thresholds.
 
     Entries of None are failed localizations: they count in no bucket but
@@ -59,43 +38,48 @@ def bucket_errors(
         if err is None:
             continue
         t, r = err
-        for i, (t_max, r_max) in enumerate((buckets.fine, buckets.medium, buckets.coarse)):
+        for i, (t_max, r_max) in enumerate(BUCKETS.values()):
             if t <= t_max and r <= r_max:
                 counts[i] += 1
     total = len(errors)
     return tuple(100.0 * c / total for c in counts)
 
 
-def build_eval_report(rows: list[QueryEvalRow], buckets: ThresholdBuckets) -> EvalReport:
-    report = EvalReport(buckets=buckets, rows=sorted(rows, key=lambda r: r.name))
-    def errs(selected):
-        return [
+def build_eval_report(rows: list[QueryEvalRow]) -> dict:
+    """The eval_report.json payload: the buckets, the overall and
+    per-condition percentages, and the rows sorted by query name."""
+    rows = sorted(rows, key=lambda r: r.name)
+
+    def percentages(selected):
+        return list(bucket_errors([
             None if r.t_err_m is None else (r.t_err_m, r.r_err_deg) for r in selected
-        ]
-    report.overall = bucket_errors(errs(report.rows), buckets)
-    for condition in sorted({r.condition for r in report.rows}):
-        subset = [r for r in report.rows if r.condition == condition]
-        report.per_condition[condition] = bucket_errors(errs(subset), buckets)
-    return report
+        ]))
+
+    return {
+        "schema": 1,
+        "buckets": {name: list(pair) for name, pair in BUCKETS.items()},
+        "overall": percentages(rows),
+        "per_condition": {
+            condition: percentages([r for r in rows if r.condition == condition])
+            for condition in sorted({r.condition for r in rows})
+        },
+        "queries": [asdict(r) for r in rows],
+    }
 
 
-def format_eval_report(report: EvalReport) -> str:
+def format_eval_report(report: dict) -> str:
+    """build_eval_report's payload as the text `semloc evaluate` prints."""
+    rows = report["queries"]
     lines = ["condition  fine%   medium%  coarse%   (n)"]
-    for condition, pct in report.per_condition.items():
-        n = sum(1 for r in report.rows if r.condition == condition)
-        lines.append(f"{condition:<9} {pct[0]:6.1f}  {pct[1]:7.1f}  {pct[2]:7.1f}   ({n})")
-    lines.append(
-        f"{'all':<9} {report.overall[0]:6.1f}  {report.overall[1]:7.1f}  "
-        f"{report.overall[2]:7.1f}   ({len(report.rows)})"
-    )
-    lines.append("")
-    lines.append("query                     t-err[m]   r-err[deg]  inliers  fallback")
-    for row in report.rows:
-        if row.t_err_m is None:
-            lines.append(f"{row.name:<24}   failed        -        {row.inliers:7d}  {row.used_fallback}")
-        else:
-            lines.append(
-                f"{row.name:<24} {row.t_err_m:9.4f}  {row.r_err_deg:10.4f}  "
-                f"{row.inliers:7d}  {row.used_fallback}"
-            )
+    counts = Counter(r["condition"] for r in rows)
+    summary = [(c, pct, counts[c]) for c, pct in report["per_condition"].items()]
+    for name, pct, n in [*summary, ("all", report["overall"], len(rows))]:
+        lines.append(f"{name:<9} {pct[0]:6.1f}  {pct[1]:7.1f}  {pct[2]:7.1f}   ({n})")
+    lines += ["", "query                     t-err[m]   r-err[deg]  inliers  fallback"]
+    for row in rows:
+        errors = (
+            "   failed        -        " if row["t_err_m"] is None
+            else f" {row['t_err_m']:9.4f}  {row['r_err_deg']:10.4f}  "
+        )
+        lines.append(f"{row['name']:<24}{errors}{row['inliers']:7d}  {row['used_fallback']}")
     return "\n".join(lines)

@@ -17,6 +17,8 @@ from .errors import DegenerateConfiguration, NoRealSolution, NumericalFailure
 
 # z below this is treated as "behind the camera" for projection purposes
 _MIN_DEPTH = 1e-9
+# refine_pnp: iteration cap, step norm that ends it, and initial damping
+_LM_MAX_ITERS, _LM_STEP_TOL, _LM_DAMPING_INIT = 100, 1e-10, 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,9 +481,6 @@ def refine_pnp(
     pixels: np.ndarray,
     K: CameraIntrinsics,
     init: PoseEstimate,
-    max_iters: int = 100,
-    step_tol: float = 1e-10,
-    damping_init: float = 1e-3,
     cost_trace: list | None = None,
 ) -> PoseEstimate:
     """Damped Gauss-Newton minimization of the summed squared reprojection
@@ -504,9 +503,9 @@ def refine_pnp(
     cost = float(res @ res)
     if cost_trace is not None:
         cost_trace.append(cost)
-    lam = damping_init
+    lam = _LM_DAMPING_INIT
 
-    for _ in range(max_iters):
+    for _ in range(_LM_MAX_ITERS):
         J = reprojection_jacobian(pose, K, points)
         g = J.T @ res
         H = J.T @ J
@@ -525,11 +524,11 @@ def refine_pnp(
             if cost_trace is not None:
                 cost_trace.append(cost)
             lam *= 0.1
-            if np.linalg.norm(step) < step_tol:
+            if np.linalg.norm(step) < _LM_STEP_TOL:
                 break
         else:
             lam *= 10.0
-            if np.linalg.norm(step) < step_tol or lam > 1e14:
+            if np.linalg.norm(step) < _LM_STEP_TOL or lam > 1e14:
                 break
     return pose
 

@@ -153,6 +153,14 @@ def _require_finite(where, what: str, *arrays) -> None:
         raise ParseError(f"{where}: non-finite {what}")
 
 
+def _pose(where: str, values: list[float]) -> PoseEstimate:
+    """The pose of qw qx qy qz tx ty tz, checked finite (a zero quaternion is not)."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pose = PoseEstimate.from_quaternion(np.array(values[:4]), np.array(values[4:]))
+    _require_finite(where, "pose", pose.rotation, pose.translation)
+    return pose
+
+
 def _pinhole(where: str, width: int, height: int, params) -> CameraIntrinsics:
     fx, fy, cx, cy = params
     _require_finite(where, "intrinsics", params)
@@ -204,17 +212,14 @@ def load_images(path: Path) -> dict[int, DbImageRecord]:
                     )
                 try:
                     image_id = int(parts[0])
-                    q = np.array([float(v) for v in parts[1:5]])
-                    t = np.array([float(v) for v in parts[5:8]])
+                    pose_values = [float(v) for v in parts[1:8]]
                     camera_id = int(parts[8])
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: bad image header: {exc}") from exc
                 name = parts[9]
                 if image_id in images:
                     raise ParseError(f"{path}:{lineno}: duplicate image id {image_id}")
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    pose = PoseEstimate.from_quaternion(q, t)
-                _require_finite(f"{path}:{lineno}", "pose", pose.rotation, pose.translation)
+                pose = _pose(f"{path}:{lineno}", pose_values)
                 pending = (image_id, name, camera_id, pose)
             else:
                 # the observation line follows its header and may be empty
@@ -457,6 +462,8 @@ def load_conditions(path: Path) -> dict[str, str]:
         parts = line.split()
         if len(parts) != 2 or parts[1] not in ("day", "night"):
             raise ParseError(f"{path}:{lineno}: expected '<image-name> day|night'")
+        if parts[0] in conditions:
+            raise ParseError(f"{path}:{lineno}: duplicate image name {parts[0]}")
         conditions[parts[0]] = parts[1]
     return conditions
 
@@ -472,6 +479,8 @@ def load_query_cameras(path: Path) -> dict[str, CameraIntrinsics]:
             params = [float(v) for v in parts[4:8]]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad query camera line: {exc}") from exc
+        if parts[0] in cameras:
+            raise ParseError(f"{path}:{lineno}: duplicate query name {parts[0]}")
         cameras[parts[0]] = _pinhole(f"{path}:{lineno}", width, height, params)
     return cameras
 
@@ -486,7 +495,9 @@ def load_ground_truth(path: Path) -> dict[str, PoseEstimate]:
             vals = [float(v) for v in parts[1:]]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad pose line: {exc}") from exc
-        poses[parts[0]] = PoseEstimate.from_quaternion(np.array(vals[:4]), np.array(vals[4:]))
+        if parts[0] in poses:
+            raise ParseError(f"{path}:{lineno}: duplicate query name {parts[0]}")
+        poses[parts[0]] = _pose(f"{path}:{lineno}", vals)
     return poses
 
 

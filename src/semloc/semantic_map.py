@@ -53,57 +53,54 @@ class SemanticMap:
         return id_rows(self.ids, point_ids)
 
 
-def _extreme_pair_in_chunks(dirs: np.ndarray) -> tuple[int, int]:
-    """_extreme_pairs of one track too long for a block: its pair matrix
-    is built a chunk of rows at a time within MAP_BLOCK_BYTES, and a
-    chunk's first minimum replaces the pair so far only when strictly
-    smaller."""
-    n = len(dirs)
-    step = max(1, MAP_BLOCK_BYTES // (10 * n + 24))
-    col = np.arange(n)
-    buffer = np.empty((min(step, n), n))  # one chunk's cosines, reused
-    best, pair = np.inf, (0, 0)
-    for top in range(0, n - 1, step):
-        chunk = dirs[top : top + step]
-        cosines = np.matmul(chunk, dirs.T, out=buffer[: len(chunk)])
-        np.copyto(cosines, np.inf, where=col <= np.arange(top, top + len(chunk))[:, None])
-        k = int(cosines.argmin())
-        if cosines.flat[k] < best:
-            best, pair = cosines.flat[k], (top + k // n, k % n)
-    return pair
-
-
 def _extreme_pairs(dirs: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two most separated directions (a, b) of each track, whose unit
     directions are runs of `lengths` rows of dirs: the first pair i < j in
     row-major order with the smallest cosine, as a scan keeping the first
-    strictly smaller cosine finds it. Tracks go longest first, in blocks
-    padded to the block's first track; a track whose pairs alone pass
-    MAP_BLOCK_BYTES goes alone, in chunks of rows."""
+    strictly smaller cosine finds it.
+
+    Tracks go longest first, in blocks padded to the block's first track.
+    A block's pair matrix is built a chunk of rows at a time: one chunk,
+    unless a single track passes MAP_BLOCK_BYTES. A chunk's first minimum
+    replaces a track's pair so far only when it is strictly smaller."""
     starts = np.cumsum(lengths) - lengths
     first, second = np.empty_like(lengths), np.empty_like(lengths)
     order = np.argsort(-lengths, kind="stable")
     done = 0
     while done < len(order):
         longest = int(lengths[order[done]])
-        # float64 cosines and two boolean masks per pair, 24 bytes per direction
-        fit = MAP_BLOCK_BYTES // (longest * (10 * longest + 24))
-        if fit == 0:
-            row = order[done]
-            track = dirs[starts[row] : starts[row] + longest]
-            first[row], second[row] = _extreme_pair_in_chunks(track)
-            done += 1
-            continue
-        rows = order[done : done + fit]
-        pad = np.arange(longest)
-        valid = pad < lengths[rows, None]
-        padded = np.zeros((len(rows), longest, 3))
-        padded[valid] = dirs[(starts[rows, None] + pad)[valid]]
-        cosines = padded @ padded.transpose(0, 2, 1)
-        np.copyto(cosines, np.inf, where=~((pad[:, None] < pad) & valid[:, None, :]))
-        first[rows], second[rows] = np.divmod(cosines.reshape(len(rows), -1).argmin(1), longest)
+        # bytes per row of a track: 33 for its padded direction, flag and
+        # column index, and 9 per pair for the float64 cosine and its mask
+        rows = order[done : done + max(1, MAP_BLOCK_BYTES // (longest * (9 * longest + 33)))]
+        step = max(1, (MAP_BLOCK_BYTES - 33 * longest) // (9 * longest))
+        first[rows], second[rows] = _block_pairs(dirs, starts[rows], lengths[rows], longest, step)
         done += len(rows)
     return dirs[starts + first], dirs[starts + second]
+
+
+def _block_pairs(dirs, starts, lengths, longest: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of each track of one block of _extreme_pairs, in chunks of
+    `step` rows; its own function, so that the block's buffers are freed
+    before the next block is padded."""
+    col = np.arange(longest)
+    valid = col < lengths[:, None]
+    padded = np.zeros((len(starts), longest, 3))
+    padded[valid] = dirs[(starts[:, None] + col)[valid]]
+    buffer = np.empty((len(starts), min(step, longest), longest))  # one chunk's cosines
+    best = np.full(len(starts), np.inf)
+    first, second = np.zeros_like(starts), np.zeros_like(starts)
+    for top in range(0, longest - 1, step):
+        chunk = padded[:, top : top + step]
+        cosines = np.matmul(chunk, padded.transpose(0, 2, 1), out=buffer[:, : chunk.shape[1]])
+        np.copyto(cosines, np.inf, where=col <= col[top : top + step, None])
+        np.copyto(cosines, np.inf, where=~valid[:, None, :])
+        flat = cosines.reshape(len(starts), -1)
+        k = flat.argmin(1)
+        least = flat[np.arange(len(starts)), k]
+        better = least < best
+        best[better] = least[better]
+        first[better], second[better] = top + k[better] // longest, k[better] % longest
+    return first, second
 
 
 def build_semantic_map(
@@ -120,12 +117,15 @@ def build_semantic_map(
     its votes are void, when it has fewer than two observations, when an
     observing camera center lies within 1e-9 of it, or when its two extreme
     viewing directions are antiparallel (v_mid undefined). The extreme pair
-    is found by exact pairwise search.
+    is found by exact pairwise search, within MAP_BLOCK_BYTES of temporaries.
     """
     rows, image_ids, kp_idx = model.tracks.T
     votes, centers = np.empty(len(rows), dtype=np.int64), np.empty((len(rows), 3))
-    for image_id in np.unique(image_ids).tolist():
-        image, raster, obs = model.images[image_id], rasters[image_id], image_ids == image_id
+    by_image = np.argsort(image_ids, kind="stable")
+    observing = np.unique(image_ids)
+    ends = np.searchsorted(image_ids[by_image], observing, side="right")
+    for image_id, obs in zip(observing.tolist(), np.split(by_image, ends[:-1])):
+        image, raster = model.images[image_id], rasters[image_id]
         last = (raster.shape[1] - 1, raster.shape[0] - 1)
         x, y = np.minimum(image.keypoints[kp_idx[obs]] + 0.5, last).astype(np.int64).T
         votes[obs] = raster[y, x]

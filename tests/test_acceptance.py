@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from semloc.cli import main, query_rng
-from semloc.evaluation import ThresholdBuckets, bucket_errors
+from semloc.evaluation import BUCKETS, bucket_errors
 from semloc.geometry import (
     CameraIntrinsics,
     PoseEstimate,
@@ -328,7 +328,7 @@ def test_criterion_6_end_to_end_clean(tmp_path):
         else:
             errors.append(pose_error(result.pose, gt_poses[query.name]))
     elapsed = time.perf_counter() - start
-    fine, _, _ = bucket_errors(errors, ThresholdBuckets())
+    fine, _, _ = bucket_errors(errors)
     assert fine >= 95.0, f"fine bucket {fine}%"
     assert elapsed < 60.0, f"end-to-end took {elapsed:.1f}s"
     report(6, f"fine bucket {fine:.0f}% of 10 queries, {elapsed:.1f}s")
@@ -351,7 +351,7 @@ def test_criterion_7_semantic_benefit(decoy_bundle):
             errors.append(
                 None if result.pose is None else pose_error(result.pose, gt_poses[query.name])
             )
-        rates[label], _, _ = bucket_errors(errors, ThresholdBuckets())
+        rates[label], _, _ = bucket_errors(errors)
     assert rates["semantic"] > rates["uniform"], rates
 
     # part 2: deterministic decoy-majority unit scenario
@@ -381,17 +381,14 @@ def test_criterion_7_semantic_benefit(decoy_bundle):
 
 
 def test_criterion_8_evaluation_protocol():
-    buckets = ThresholdBuckets()
-    assert buckets.fine == (0.25, 2.0)
-    assert buckets.medium == (0.5, 5.0)
-    assert buckets.coarse == (5.0, 10.0)
-    assert bucket_errors([(0.3, 1.5)], buckets) == (0.0, 100.0, 100.0)
+    assert BUCKETS == {"fine": (0.25, 2.0), "medium": (0.5, 5.0), "coarse": (5.0, 10.0)}
+    assert bucket_errors([(0.3, 1.5)]) == (0.0, 100.0, 100.0)
     assert bucket_errors(
-        [(0.1, 1.0), (0.3, 3.0), (4.0, 8.0), (10.0, 20.0)], buckets
+        [(0.1, 1.0), (0.3, 3.0), (4.0, 8.0), (10.0, 20.0)]
     ) == (25.0, 50.0, 75.0)
     # both mixed rows fail fine on one component but pass medium on both
-    assert bucket_errors([(0.2, 3.0), (0.3, 1.0)], buckets) == (0.0, 100.0, 100.0)
-    assert bucket_errors([None, (0.1, 0.5)], buckets) == (50.0, 50.0, 50.0)
+    assert bucket_errors([(0.2, 3.0), (0.3, 1.0)]) == (0.0, 100.0, 100.0)
+    assert bucket_errors([None, (0.1, 0.5)]) == (50.0, 50.0, 50.0)
     report(8, "hand-computed bucket fixtures reproduced; thresholds match")
 
 

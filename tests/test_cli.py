@@ -1,7 +1,9 @@
 import json
 import logging
+import re
 import shutil
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 import semloc.localizer as localizer
 import semloc.model_ingest as ingest
 from semloc.cli import main
+from semloc.localizer import LocalizerConfig
 from semloc.model_ingest import load_descriptors, load_keypoints, validate_dataset
 from semloc.synth import write_descriptors, write_keypoints
 
@@ -300,6 +303,30 @@ class TestPipelineCommands:
         assert code == 2
         assert f"validation: {expected}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "file, line, message",
+        [
+            # a second camera for the query, with another fx: loaded last, it won
+            ("queries.txt", "{query} PINHOLE 640 480 600 600 320 240", "duplicate query name"),
+            ("conditions.txt", "{query} night", "duplicate image name"),
+        ],
+        ids=["queries.txt", "conditions.txt"],
+    )
+    def test_duplicate_name_reported_by_validate_and_localize(
+        self, cli_dataset, tmp_path, capsys, file, line, message
+    ):
+        _, data = cli_dataset
+        data = _copy(data, tmp_path / "ds")
+        query = _first_query(data)
+        path = data / file
+        lines = path.read_text().splitlines()
+        path.write_text("".join(f"{text}\n" for text in [*lines, line.format(query=query)]))
+        expected = f"{file}: {path}:{len(lines) + 1}: {message} {query}"
+        assert expected in validate_dataset(data).findings
+        code = main(["localize", "--data", str(data), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"validation: {expected}" in capsys.readouterr().err
+
     def test_evaluate_empty_pose_file(self, cli_dataset, tmp_path, capsys):
         _, data = cli_dataset
         run = tmp_path / "empty_run"
@@ -313,6 +340,30 @@ class TestPipelineCommands:
         assert eval_report["overall"] == [0.0, 0.0, 0.0]
 
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{name} 1 0 0 0 0 0 0", "duplicate query name {name}"),
+            ("extra 1 0 0 0 nan 0 0", "non-finite pose"),
+            ("extra 0 0 0 0 1 2 3", "non-finite pose"),  # zero quaternion
+        ],
+        ids=["duplicate", "nan", "zero_quaternion"],
+    )
+    def test_evaluate_bad_ground_truth_exits_2(self, cli_dataset, tmp_path, capsys, line, message):
+        _, data = cli_dataset
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(data / "ground_truth.txt", run / "poses.txt")
+        gt = tmp_path / "ground_truth.txt"
+        lines = (data / "ground_truth.txt").read_text().splitlines()
+        name = lines[-1].split()[0]
+        gt.write_text("".join(f"{text}\n" for text in [*lines, line.format(name=name)]))
+        code = main(["evaluate", "--run", str(run), "--gt", str(gt)])
+        assert code == 2
+        where = f"{gt}:{len(lines) + 1}: {message.format(name=name)}"
+        assert f"validation: cannot read ground truth: {where}" in capsys.readouterr().err
+        assert not (run / "eval_report.json").exists()
+
     def test_evaluate_malformed_report_exits_2(self, cli_dataset, tmp_path, capsys):
         _, data = cli_dataset
         run = tmp_path / "bad_report"
@@ -323,6 +374,9 @@ class TestPipelineCommands:
         assert code == 2
         assert "validation: cannot read report" in capsys.readouterr().err
         assert not (run / "eval_report.json").exists()
+
+
+SMALL_SCENE = {"n_points": 120, "n_db_images": 8, "n_queries": 3, "pixel_sigma": 0.4, "seed": 31}
 
 
 class TestErrorPaths:
@@ -353,6 +407,27 @@ class TestErrorPaths:
         assert code == 3
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"scene": SMALL_SCENE, "corruption": "x"},
+            {"scene": {**SMALL_SCENE, "octant_labels": 5}},
+            SMALL_SCENE,
+            {"scene": {**SMALL_SCENE, "corruption": {"outlier_match_rate": 0.5}}},
+            {"scene": SMALL_SCENE, "corruption": {"outlier_match_rate": 0.5, "seed": 3}},
+        ],
+        ids=["corruption_not_an_object", "octant_labels_not_a_list", "flat_scene",
+             "corruption_inside_scene", "corruption_seed"],
+    )
+    def test_malformed_scene_spec_exits_3(self, tmp_path, capsys, spec):
+        """Only {"scene": {...}, "corruption": {...}} is a spec; anything else
+        is a configuration error before a file is written."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "ds")]) == 3
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
     def test_config_file_values_used(self, cli_dataset, tmp_path):
         root, data = cli_dataset
         cfg = tmp_path / "cfg.json"
@@ -366,3 +441,15 @@ class TestErrorPaths:
         assert report["config"]["k_day"] == 4
         assert report["config"]["theta_min_deg"] == 7.5
         assert all(len(q["candidates"]) == 4 for q in report["queries"])
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    """README's --config table names the fields of LocalizerConfig in
+    order, each with its default as JSON, and counts them."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    count = re.search(r"any of these (\d+) keys", readme)
+    table = readme[count.end():].split("\n\n")[1]
+    rows = re.findall(r"^\| `(\w+)` \| (.+?) \|", table, re.M)
+    want = [(f.name, json.dumps(f.default)) for f in fields(LocalizerConfig)]
+    assert rows == want
+    assert int(count.group(1)) == len(want)

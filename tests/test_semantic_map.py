@@ -395,6 +395,24 @@ class TestBuildSemanticMap:
         assert search_peak < 1.25 * semantic_map.MAP_BLOCK_BYTES
         assert build_peak < 16 * 2**20
 
+    def test_tied_extremes_across_chunks_keep_the_first_pair(self, monkeypatch):
+        """Two tracks whose smallest cosine, -1, occurs at two pairs in
+        different rows: whether the rows go in one chunk, in chunks of one
+        row or in chunks of several, each track keeps its first pair in
+        row-major order, bit for bit."""
+        x, y, z = np.eye(3)
+        w = np.array([0.6, 0.0, 0.8])
+        tracks = [
+            [w, x, -x, z, w, y, -y, z],  # ties at (1, 2) and (5, 6)
+            [z, y, x, -z, -x],  # ties at (0, 3) and (2, 4)
+        ]
+        dirs, lengths = np.concatenate(tracks), np.array([8, 5])
+        want = np.stack([tracks[0][1], tracks[1][0]]), np.stack([tracks[0][2], tracks[1][3]])
+        for budget in (semantic_map.MAP_BLOCK_BYTES, 1, 250, 300, 400, 500, 600, 700, 800, 1000):
+            monkeypatch.setattr(semantic_map, "MAP_BLOCK_BYTES", budget)
+            a, b = semantic_map._extreme_pairs(dirs, lengths)
+            assert (a.tobytes(), b.tobytes()) == (want[0].tobytes(), want[1].tobytes()), budget
+
     def test_long_track_matches_pairwise_oracle(self):
         """Tracks too long for one block, searched in chunks of rows, give
         the exhaustive search's extremes."""
