@@ -11,13 +11,16 @@ from .semantic_map import SemanticMap
 # One record per 2D-2D match; distance is the L2 to the nearest db descriptor.
 MATCH_DTYPE = np.dtype([("query_kp", np.int64), ("db_kp", np.int64), ("distance", np.float64)])
 
-# Query rows per block are sized so that the block's (rows, db) float64
-# temporaries, and the candidate differences recomputed exactly, stay
-# within this many bytes.
+# Query rows per block are sized so that the block's temporaries stay within
+# this many bytes; so are the candidate pairs of one exact pass.
 MATCH_BLOCK_BYTES = 32 * 2**20
-# GEMM result, mask and candidate indices (flat, then row and column); or,
-# for the exact pass, the two gathered rows, their difference and its square
-_BLOCK_TEMPORARIES = 4
+# bytes per (query row, db row) entry of a block: the float32 GEMM result, its
+# bool mask, and the intp candidate indices (flat, then row and column) should
+# every column be a candidate
+_BLOCK_ENTRY_BYTES = 4 + 1 + 3 * 8
+# bytes per (candidate pair, component) of the exact pass: the two gathered
+# rows (float64 at most), their float64 difference and its square
+_PAIR_ENTRY_BYTES = 4 * 8
 
 
 def _second_smallest(a: np.ndarray) -> np.ndarray:
@@ -45,14 +48,20 @@ def knn_ratio_match(
     the same db keypoint the smaller-d1 match wins (ties toward the smaller
     query index). Requires >= 2 db descriptors.
 
-    Candidate columns come from a squared-norm GEMM, |d|^2 - 2 q.d, over
-    blocks of query rows whose temporaries stay within MATCH_BLOCK_BYTES.
-    A row keeps every column within a rounding margin of its second-smallest
-    approximate value; the margin is twice a bound on the error of both the
-    GEMM and the exact expression, so the kept columns hold every column as
-    near as the exact second neighbour. d1 and d2 are the exact
-    np.linalg.norm(q - d) on those columns, and the nearest is the lowest
-    column among equal distances.
+    Candidate columns come from one float32 GEMM per block of query rows,
+    [s q, 1] @ [-2 s d, s^2 |d|^2].T = s^2 (|d|^2 - 2 q.d), whose
+    temporaries stay within MATCH_BLOCK_BYTES. s is the power of two that
+    brings the largest row norm into [0.5, 1), so no term overflows float32;
+    scaling rounds float32 rows only in the subnormal range, and float64
+    rows are rounded to float32 after scaling. A row keeps every column
+    within a rounding margin of its second-smallest approximate value. The
+    margin is twice a bound on the error of both the GEMM and the exact
+    expression, doubled again: float32 eps over the dim + 3 summed terms,
+    relative to s^2 (|q| + max |d|)^2, plus float32's smallest normal per
+    term for products in the subnormal range. So the kept columns hold every
+    column as near as the exact second neighbour. d1 and d2 are the exact
+    np.linalg.norm(q - d) in float64 on those columns, gathered from the
+    stored rows, and the nearest is the lowest column among equal distances.
 
     Returns a record array of MATCH_DTYPE in query order.
     """
@@ -61,36 +70,47 @@ def knn_ratio_match(
     if db_descs.rows < 2:
         raise TooFewDescriptors(f"ratio test needs >= 2 db descriptors, got {db_descs.rows}")
 
-    query = query_descs.data.astype(np.float64)
-    db = db_descs.data.astype(np.float64)
-    db_sq = np.einsum("ij,ij->i", db, db)
-    q_norm = np.sqrt(np.einsum("ij,ij->i", query, query))
-    # each form of |q - d|^2 is off by at most about
-    # (dim + 2) * eps * (|q| + |d|)^2; the margin is twice the sum of both
-    # bounds, doubled again to spare
-    margin = 8.0 * (query_descs.dim + 2) * np.finfo(np.float64).eps
+    dim, query, db = query_descs.dim, query_descs.data, db_descs.data
+    db_sq = np.einsum("ij,ij->i", db, db, dtype=np.float64)
+    q_norm = np.sqrt(np.einsum("ij,ij->i", query, query, dtype=np.float64))
+    db_max_norm = np.sqrt(db_sq.max())
     with np.errstate(over="ignore"):  # overflow is reported just below
-        margin = margin * (q_norm + np.sqrt(db_sq.max())) ** 2
-    if not all(np.isfinite(a).all() for a in (db_sq, q_norm, margin)):
+        reach = (q_norm + db_max_norm) ** 2
+    if not all(np.isfinite(a).all() for a in (db_sq, q_norm, reach)):
         raise NonFiniteDescriptors(
             "descriptor squared norms are not finite (NaN, inf or float64 overflow)"
         )
 
-    block = max(1, MATCH_BLOCK_BYTES // (_BLOCK_TEMPORARIES * 8 * db_descs.rows))
-    pair_chunk = max(1, MATCH_BLOCK_BYTES // (_BLOCK_TEMPORARIES * 8 * query_descs.dim))
+    # s = 2**-e; the shift s^2 |d|^2 rides in the last column
+    e = int(np.frexp(max(q_norm.max(initial=0.0), db_max_norm))[1])
+    lhs = np.empty((query_descs.rows, dim + 1), np.float32)
+    np.ldexp(query, -e, out=lhs[:, :dim])
+    lhs[:, dim] = 1.0
+    rhs = np.empty((db_descs.rows, dim + 1), np.float32)
+    np.negative(np.ldexp(db, 1 - e, out=rhs[:, :dim]), out=rhs[:, :dim])
+    rhs[:, dim] = np.ldexp(db_sq, -2 * e)
+    # each form of s^2 |q - d|^2 is off by at most (dim + 3) * eps of
+    # s^2 (|q| + |d|)^2 plus tiny per term, the float64 exact one far less;
+    # the margin is twice the sum of both bounds, doubled again to spare
+    f32 = np.finfo(np.float32)
+    margin = (8 * (dim + 3) * (f32.eps * np.ldexp(reach, -2 * e) + f32.tiny)).astype(np.float32)
+
+    block = max(1, MATCH_BLOCK_BYTES // (_BLOCK_ENTRY_BYTES * db_descs.rows))
+    pair_chunk = max(1, MATCH_BLOCK_BYTES // (_PAIR_ENTRY_BYTES * dim))
     q_idx, db_idx, d1 = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
     for start in range(0, query_descs.rows, block):
-        # bit for bit db_sq - 2.0 * (q @ db.T), without a second temporary
-        approx = query[start : start + block] @ db.T
-        approx *= -2.0
-        approx += db_sq
+        approx = lhs[start : start + block] @ rhs.T
         bound = _second_smallest(approx) + margin[start : start + block]
         flat = np.flatnonzero(approx <= bound[:, None])
         del approx
         rows, cols = np.divmod(flat, db_descs.rows)  # row-major, as np.nonzero
         rows += start
         dist = np.concatenate([
-            np.linalg.norm(query[rows[i : i + pair_chunk]] - db[cols[i : i + pair_chunk]], axis=1)
+            np.linalg.norm(
+                np.subtract(query[rows[i : i + pair_chunk]], db[cols[i : i + pair_chunk]],
+                            dtype=np.float64),
+                axis=1,
+            )
             for i in range(0, len(rows), pair_chunk)
         ])
         # by row, then distance, then column: a row's first two entries are

@@ -529,7 +529,10 @@ def validate_dataset(root: Path) -> ValidationReport:
     class_table = _read(report, "classes.txt", root / "classes.txt", load_class_table)
     if class_table is None:
         return report
-    conditions = _read(report, "conditions.txt", root / "conditions.txt", load_conditions) or {}
+    conditions = _read(report, "conditions.txt", root / "conditions.txt", load_conditions)
+    # a conditions.txt that failed is one finding, not also one per image
+    tags_known = conditions is not None
+    conditions = conditions or {}
     local_dims: dict[str, int] = {}
     global_dims: dict[str, int] = {}
 
@@ -555,7 +558,7 @@ def validate_dataset(root: Path) -> ValidationReport:
             lambda path: load_label_raster(path, (cam.width, cam.height), class_table),
             "label raster",
         )
-        if name not in conditions:
+        if tags_known and name not in conditions:
             report.add(f"{name}: missing condition tag")
         return kps, descs, gdesc, raster
 

@@ -327,6 +327,21 @@ class TestPipelineCommands:
         assert code == 2
         assert f"validation: {expected}" in capsys.readouterr().err
 
+    def test_unparsable_conditions_is_one_finding(self, cli_dataset, tmp_path, capsys):
+        # not also a "missing condition tag" for every image
+        _, data = cli_dataset
+        data = _copy(data, tmp_path / "ds")
+        path = data / "conditions.txt"
+        lines = path.read_text().splitlines()
+        first = next(text for text in lines if text.strip() and not text.startswith("#"))
+        path.write_text("".join(f"{text}\n" for text in [*lines, first]))
+        name = first.split()[0]
+        expected = f"conditions.txt: {path}:{len(lines) + 1}: duplicate image name {name}"
+        assert validate_dataset(data).findings == [expected]
+        code = main(["localize", "--data", str(data), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.count("validation: ") == 1
+
     def test_evaluate_empty_pose_file(self, cli_dataset, tmp_path, capsys):
         _, data = cli_dataset
         run = tmp_path / "empty_run"

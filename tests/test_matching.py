@@ -252,6 +252,92 @@ def test_exact_order_survives_gemm_cancellation():
     assert bits(as_triples(got)) == bits(oracles.knn_ratio_matches_full_matrix(query, db, 0.9))
 
 
+@st.composite
+def scaled_descriptor_pair(draw, dtype, scale, offset, unit_query=False):
+    """Rows of `dtype` with components in [-scale, scale], plus `offset` on
+    the first, with all-zero rows, planted exact duplicates, near-ties one
+    ulp apart, and queries on or between db rows; unit_query prepends a
+    query row of norm 1."""
+    dim = draw(st.integers(1, 8))
+    n_db = draw(st.integers(2, 12))
+    value = st.floats(-1, 1, allow_nan=False)
+
+    def row(kind):
+        if kind == "zero":
+            return np.zeros(dim, dtype)
+        return (np.array([draw(value) for _ in range(dim)]) * scale).astype(dtype)
+
+    kinds = st.sampled_from(["free", "free", "zero"])
+    db = np.array([row(draw(kinds)) for _ in range(n_db)], dtype=dtype)
+    index = st.integers(0, n_db - 1)
+    for _ in range(draw(st.integers(0, 2))):  # exact duplicates
+        db[draw(index)] = db[draw(index)]
+    for _ in range(draw(st.integers(0, 2))):  # near-ties
+        i, j = draw(index), draw(index)
+        db[i] = db[j]
+        db[i, 0] = np.nextafter(db[i, 0], dtype(np.inf))
+    query = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["free", "zero", "on", "between"]))
+        if kind == "on":
+            query.append(db[draw(index)])
+        elif kind == "between":  # halved first: two rows near 1e38 sum past float32
+            query.append(db[draw(index)] / dtype(2) + db[draw(index)] / dtype(2))
+        else:
+            query.append(row(kind))
+    if unit_query:
+        query.insert(0, np.eye(1, dim, dtype=dtype)[0])
+    query = np.array(query, dtype=dtype)
+    query[:, 0] += dtype(offset)
+    db[:, 0] += dtype(offset)
+    return query, db
+
+
+@pytest.mark.parametrize(
+    "dtype, scale, offset, unit_query",
+    [
+        # float32 rows whose float32 squares overflow
+        (np.float32, 1e19, 0.0, False),
+        (np.float32, 1e38, 0.0, False),
+        # float32 subnormals
+        (np.float32, 2.0**-140, 0.0, False),
+        (np.float64, 1e100, 0.0, False),
+        (np.float64, 1e-100, 0.0, False),
+        # a large common component, which |d|^2 - 2 q.d cancels
+        (np.float32, 1.0, 1e6, False),
+        # a unit row sets the scale, so the other rows' products round in
+        # float32's subnormal range
+        (np.float32, 2.0**-70, 0.0, True),
+    ],
+)
+@given(data=st.data(), ratio=st.sampled_from([0.0, 0.8, 0.9, 1.0, 1.5]))
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_knn_ratio_match_at_extreme_scales(dtype, scale, offset, unit_query, data, ratio):
+    query, db = data.draw(scaled_descriptor_pair(dtype, scale, offset, unit_query))
+    got = knn_ratio_match(DescriptorSet(query.shape[1], query), DescriptorSet(db.shape[1], db),
+                          ratio)
+    assert bits(as_triples(got)) == bits(oracles.knn_ratio_matches_full_matrix(query, db, ratio))
+
+
+def test_knn_ratio_match_margin_covers_subnormal_products():
+    # the unit query row sets the scale, so the other rows' products are
+    # float32 subnormals; db rows 0 and 2 tie for query row 1, and only the
+    # margin's absolute term keeps both
+    unit = np.float32(2.0**-75)
+    query = np.array([[1.0, 0.0], *(np.array([[-1, -2], [3, 3], [3, 5]]) * unit)], np.float32)
+    db = np.array([[-2, 3], [-3, -7], [0, -7]], np.float32) * unit
+    got = knn_ratio_match(descs(query), descs(db), 1.5)
+    assert bits(as_triples(got)) == bits(oracles.knn_ratio_matches_full_matrix(query, db, 1.5))
+    assert len(got) == 1
+
+
+def test_knn_ratio_match_all_zero_rows():
+    # no row norm sets the scale, and every distance ties at 0
+    query, db = np.zeros((2, 4), np.float32), np.zeros((3, 4), np.float32)
+    got = knn_ratio_match(descs(query), descs(db), 1.5)
+    assert bits(as_triples(got)) == bits(oracles.knn_ratio_matches_full_matrix(query, db, 1.5)) == []
+
+
 @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
 def test_knn_ratio_match_over_many_blocks(monkeypatch, rows_per_block):
     rng = np.random.default_rng(rows_per_block)
@@ -260,7 +346,7 @@ def test_knn_ratio_match_over_many_blocks(monkeypatch, rows_per_block):
     query = np.concatenate(
         [db[:20] + rng.normal(scale=0.05, size=(20, 8)), rng.normal(size=(11, 8))]
     ).astype(np.float32)
-    row_bytes = matching._BLOCK_TEMPORARIES * 8 * len(db)
+    row_bytes = matching._BLOCK_ENTRY_BYTES * len(db)
     monkeypatch.setattr(matching, "MATCH_BLOCK_BYTES", rows_per_block * row_bytes)
     got = knn_ratio_match(descs(query), descs(db), 0.9)
     assert bits(as_triples(got)) == bits(oracles.knn_ratio_matches_full_matrix(query, db, 0.9))
@@ -279,6 +365,20 @@ def test_knn_ratio_match_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 128 * 2**20
+
+
+def test_knn_ratio_match_float32_peak_memory():
+    # float32 GEMM blocks and float32 operands, no float64 copy of either set
+    rng = np.random.default_rng(0)
+    query = descs(rng.normal(size=(2000, 128)))
+    db = descs(rng.normal(size=(2000, 128)))
+    tracemalloc.start()
+    try:
+        knn_ratio_match(query, db, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20
 
 
 def tiny_map(point_ids):
