@@ -139,8 +139,9 @@ def weighted_sample_without_replacement(
 # fewer when its verification temporaries would pass RANSAC_BLOCK_BYTES:
 # a sample has up to four poses, and verifying one pose on one point peaks
 # below VERIFY_BYTES_PER_POINT (about 43 bytes measured with tracemalloc).
-# Most of a block's cost is fixed, so after a first one-sample block every
-# block is as large as these caps and the iterations left allow.
+# Most of a block's cost is fixed, so after a first block (one sample, or as
+# many as the caller expects the loop to use) every block is as large as
+# these caps and the iterations left allow.
 RANSAC_BLOCK_MAX = 64
 RANSAC_BLOCK_BYTES = 4 << 20
 VERIFY_BYTES_PER_POINT = 64
@@ -156,7 +157,8 @@ def _ransac_loop(
     confidence: float,
     max_iters: int,
     rng: np.random.Generator,
-) -> tuple[PoseEstimate | None, np.ndarray | None, int]:
+    first_block: int = 1,
+) -> tuple[PoseEstimate | None, np.ndarray | None, int, int]:
     """Hypothesize-and-verify loop shared by the temporary and final solvers.
 
     Sampling follows `weights`; inlier counting is unweighted. Iterations
@@ -164,15 +166,18 @@ def _ransac_loop(
     at max_iters.
 
     Samples are drawn, solved and verified in blocks: the first block is
-    one sample, which often settles a clean scene, and each later one is
-    the block cap or the iterations left, whichever is smaller. The
-    hypotheses that beat every count before them are then replayed in
-    sample order with the adaptive stop after each sample, so the outcome
-    is that of one sample at a time. When the stop falls inside a block,
-    the rng is rewound to the block's start and advanced by the draws of
-    the samples used, as if the rest had never been drawn. A solver error
+    `first_block` samples, a positive count (one often settles a clean
+    scene), and each later one the block cap; every block is clamped to
+    the cap and to the iterations left. The hypotheses that beat every
+    count before them are then replayed in sample order with the adaptive
+    stop after each sample, so the outcome is that of one sample at a
+    time, whatever the blocks. When the stop falls inside a block, the rng
+    is rewound to the block's start and advanced by the draws of the
+    samples used, as if the rest had never been drawn. A solver error
     other than a degenerate sample raises when its sample comes at or
     before the stop.
+
+    Returns (pose, inlier mask, inlier count, samples used).
     """
     n = len(points)
     best_pose, best_inliers, best_count = None, None, 0
@@ -180,8 +185,9 @@ def _ransac_loop(
     it = 0
     per_sample = 4 * max(n, 1) * VERIFY_BYTES_PER_POINT
     cap = max(1, min(RANSAC_BLOCK_MAX, RANSAC_BLOCK_BYTES // per_sample))
+    first = min(cap, first_block)
     while it < min(max_iters, needed):
-        block = min(cap if it else 1, min(max_iters, needed) - it)
+        block = min(cap if it else first, min(max_iters, needed) - it)
         state = rng.bit_generator.state
         idx = weighted_samples(rng, weights, block, 3)
         R, t, sample, failures = solve_p3p_many(pixels[idx], points[idx], K)
@@ -220,7 +226,7 @@ def _ransac_loop(
         if used < block:
             rng.bit_generator.state = state
             rng.random(3 * used)
-    return best_pose, best_inliers, best_count
+    return best_pose, best_inliers, best_count, it
 
 
 def temporary_pose(
@@ -230,9 +236,15 @@ def temporary_pose(
     K: CameraIntrinsics,
     cfg: LocalizerConfig,
     rng: np.random.Generator,
+    loop_samples: list[int],
 ) -> PoseEstimate | None:
     """Uniform-sampling RANSAC + refinement over one candidate's
     (query keypoint, map row) matches.
+
+    `loop_samples` holds the samples used by each earlier temporary loop
+    of the query: this loop's first block is as large as the last of them
+    (one sample when it is empty), and its own count is appended. The
+    block schedule never changes the result.
 
     Returns None when there are fewer than temp_pose_min_matches matches
     or the best hypothesis has fewer than 4 inliers.
@@ -241,7 +253,7 @@ def temporary_pose(
         return None
     points = smap.positions[matches[:, 1]]
     pixels = keypoints[matches[:, 0]]
-    pose, inliers, count = _ransac_loop(
+    pose, inliers, count, used = _ransac_loop(
         points,
         pixels,
         K,
@@ -250,7 +262,9 @@ def temporary_pose(
         cfg.ransac_confidence,
         cfg.temp_pose_iters,
         rng,
+        loop_samples[-1] if loop_samples else 1,
     )
+    loop_samples.append(used)
     if pose is None or count < 4:
         return None
     try:
@@ -329,7 +343,7 @@ def weighted_ransac_pnp(
         return None, 0
     points = smap.positions[matches[:, 1]]
     pixels = keypoints[matches[:, 0]]
-    pose, inliers, count = _ransac_loop(
+    pose, inliers, count, _ = _ransac_loop(
         points,
         pixels,
         K,
@@ -369,6 +383,7 @@ def localize_query(
     """
     ranked = rank_database(query.global_desc, dataset.db_global, cfg.k_for(query.condition))
     candidates: list[ScoredCandidate] = []
+    loop_samples: list[int] = []  # samples used per temporary loop; the last sizes the next
     for image_id, _dist in ranked:
         try:
             matches_2d = knn_ratio_match(
@@ -377,7 +392,7 @@ def localize_query(
         except TooFewDescriptors:
             matches_2d = np.recarray(0, dtype=MATCH_DTYPE)
         matches = lift_matches(matches_2d, dataset.model.images[image_id], smap)
-        temp = temporary_pose(matches, smap, query.keypoints, query.camera, cfg, rng)
+        temp = temporary_pose(matches, smap, query.keypoints, query.camera, cfg, rng, loop_samples)
         score = (
             semantic_score(smap, query.labels, temp, query.camera, cfg)
             if temp is not None

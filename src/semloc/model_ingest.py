@@ -153,6 +153,11 @@ def _require_finite(where, what: str, *arrays) -> None:
         raise ParseError(f"{where}: non-finite {what}")
 
 
+def _int64_ids(*ids: int) -> bool:
+    """True when every id fits the model's int64 id arrays."""
+    return -(1 << 63) <= min(ids) and max(ids) < 1 << 63
+
+
 def _pose(where: str, values: list[float]) -> PoseEstimate:
     """The pose of qw qx qy qz tx ty tz, checked finite (a zero quaternion is not)."""
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -216,6 +221,10 @@ def load_images(path: Path) -> dict[int, DbImageRecord]:
                     camera_id = int(parts[8])
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: bad image header: {exc}") from exc
+                if not _int64_ids(image_id):
+                    raise ParseError(
+                        f"{path}:{lineno}: bad image header: id out of the int64 range"
+                    )
                 name = parts[9]
                 if image_id in images:
                     raise ParseError(f"{path}:{lineno}: duplicate image id {image_id}")
@@ -227,10 +236,10 @@ def load_images(path: Path) -> dict[int, DbImageRecord]:
                 if len(parts) % 3 != 0:
                     raise ParseError(f"{path}:{lineno}: keypoint line length not a multiple of 3")
                 n = len(parts) // 3
-                try:
-                    kps = np.array([float(v) for v in parts], dtype=float).reshape(n, 3)[:, :2]
-                    ids = np.array([int(parts[3 * i + 2]) for i in range(n)], dtype=np.int64)
-                except ValueError as exc:
+                try:  # numpy converts each token with float() and int(), and keeps their errors
+                    kps = np.array(parts, dtype=float).reshape(n, 3)[:, :2]
+                    ids = np.array(parts[2::3], dtype=np.int64)
+                except (ValueError, OverflowError) as exc:
                     raise ParseError(f"{path}:{lineno}: bad keypoint line: {exc}") from exc
                 _require_finite(f"{path}:{lineno}", "keypoint", kps)
                 image_id, name, camera_id, pose = pending
@@ -251,11 +260,14 @@ def load_points(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise ParseError(f"{path}:{lineno}: bad point3D line length {len(parts)}")
         try:
             point_id = int(parts[0])
-            position = [float(v) for v in parts[1:4]]
+            x, y, z = position = [float(v) for v in parts[1:4]]
             track = [int(v) for v in parts[8:]]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad point3D line: {exc}") from exc
-        _require_finite(f"{path}:{lineno}", "point position", position)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ParseError(f"{path}:{lineno}: non-finite point position")
+        if not _int64_ids(point_id, *track):
+            raise ParseError(f"{path}:{lineno}: bad point3D line: id out of the int64 range")
         if point_id in positions:
             raise ParseError(f"{path}:{lineno}: duplicate point id {point_id}")
         if len(track) < 4:

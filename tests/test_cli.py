@@ -149,9 +149,11 @@ class TestPipelineCommands:
 
     def test_one_sample_blocks_write_the_same_bytes(self, decoy_cli_dataset, tmp_path, monkeypatch):
         """The RANSAC block schedule never reaches the outputs: with blocks
-        of one sample, localize writes the default's poses and report."""
+        of one sample, localize writes the default's poses and report, with
+        one worker and with three."""
         argv = ["localize", "--data", str(decoy_cli_dataset), "--seed", "2", "--k-day", "6"]
-        assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+        for jobs in ("1", "3"):
+            assert main([*argv, "--jobs", jobs, "--out", str(tmp_path / f"default{jobs}")]) == 0
         blocks = []
         sampler = localizer.weighted_samples
 
@@ -161,10 +163,45 @@ class TestPipelineCommands:
 
         monkeypatch.setattr(localizer, "RANSAC_BLOCK_MAX", 1)
         monkeypatch.setattr(localizer, "weighted_samples", counted)
-        assert main([*argv, "--out", str(tmp_path / "one")]) == 0
+        for jobs in ("1", "3"):
+            assert main([*argv, "--jobs", jobs, "--out", str(tmp_path / f"one{jobs}")]) == 0
+            for name in ("poses.txt", "report.json"):
+                one, default = tmp_path / f"one{jobs}" / name, tmp_path / f"default{jobs}" / name
+                assert one.read_bytes() == default.read_bytes()
         assert set(blocks) == {1} and len(blocks) > 100
-        for name in ("poses.txt", "report.json"):
-            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+    def test_decoy_block_schedule_is_pinned(self, decoy_cli_dataset, tmp_path, monkeypatch):
+        """Blocks drawn and samples used by each RANSAC loop, in run order:
+        per query six temporary loops, then the final loop. A temporary loop
+        after a query's first starts with a block as large as the samples
+        the loop before it used. A change to the schedule shows here; the
+        test above checks that it moves no output."""
+        blocks, used = [], []
+        sampler, ransac_loop = localizer.weighted_samples, localizer._ransac_loop
+
+        def counted_block(rng, weights, rows, count):
+            blocks[-1].append(rows)
+            return sampler(rng, weights, rows, count)
+
+        def counted_loop(*args, **kwargs):
+            blocks.append([])
+            result = ransac_loop(*args, **kwargs)
+            used.append(result[3])
+            return result
+
+        monkeypatch.setattr(localizer, "weighted_samples", counted_block)
+        monkeypatch.setattr(localizer, "_ransac_loop", counted_loop)
+        argv = ["localize", "--data", str(decoy_cli_dataset), "--seed", "2", "--k-day", "6"]
+        assert main([*argv, "--jobs", "1", "--out", str(tmp_path / "run")]) == 0
+        final = [1, 54, 54, 54, 54, 54]
+        assert list(zip(blocks, used)) == [
+            ([1, 64], 35), ([35], 35), ([35], 35), ([35], 35), ([35], 35), ([35], 35),
+            (final + [22], 293),
+            ([1, 64], 36), ([36], 35), ([35], 34), ([34], 34), ([34, 1], 35), ([35], 35),
+            (final + [22], 293),
+            ([1, 64], 34), ([34], 34), ([34, 1], 35), ([35], 35), ([35], 34), ([34], 34),
+            (final + [16], 287),
+        ]
 
     def test_uniform_weights_flag(self, cli_dataset):
         root, data = cli_dataset
@@ -299,6 +336,28 @@ class TestPipelineCommands:
             write_descriptors(data / "db" / "db_001.ldsc", np.ones((rows, 7), dtype=np.float32))
             expected = "db_001: local descriptor dim 7 != majority"
         assert any(f.startswith(expected) for f in validate_dataset(data).findings)
+        code = main(["localize", "--data", str(data), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"validation: {expected}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file", ["images.txt", "points3D.txt"])
+    def test_id_beyond_int64_is_a_finding_with_its_line(self, cli_dataset, tmp_path, capsys, file):
+        _, data = cli_dataset
+        data = _copy(data, tmp_path / "ds")
+        path = data / "model" / file
+        lines = path.read_text().splitlines()
+        i = next(i for i, text in enumerate(lines) if text and not text.startswith("#"))
+        if file == "images.txt":
+            i += 1  # the first image's keypoint line: its first point id
+            message = "bad keypoint line: Python int too large to convert to C long"
+        else:
+            message = "bad point3D line: id out of the int64 range"
+        parts = lines[i].split()
+        parts[2 if file == "images.txt" else 0] = "99999999999999999999"
+        lines[i] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        expected = f"model: {path}:{i + 1}: {message}"
+        assert validate_dataset(data).findings == [expected]
         code = main(["localize", "--data", str(data), "--out", str(tmp_path / "run")])
         assert code == 2
         assert f"validation: {expected}" in capsys.readouterr().err

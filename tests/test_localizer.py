@@ -165,7 +165,7 @@ class TestTemporaryPose:
         smap = map_of(points)
         matches, keypoints = synthetic_matches(rng, pose, 11, points)
         cfg = LocalizerConfig(temp_pose_min_matches=12)
-        assert temporary_pose(matches, smap, keypoints, K, cfg, np.random.default_rng(0)) is None
+        assert temporary_pose(matches, smap, keypoints, K, cfg, np.random.default_rng(0), []) is None
 
     def test_recovers_noiseless_pose(self):
         rng = np.random.default_rng(3)
@@ -173,7 +173,7 @@ class TestTemporaryPose:
         points = grid_map_points(rng, gt, 50)
         smap = map_of(points)
         matches, keypoints = synthetic_matches(rng, gt, 50, points)
-        got = temporary_pose(matches, smap, keypoints, K, LocalizerConfig(), np.random.default_rng(4))
+        got = temporary_pose(matches, smap, keypoints, K, LocalizerConfig(), np.random.default_rng(4), [])
         assert got is not None
         t_err, r_err = pose_error(got, gt)
         assert t_err < 1e-4 and r_err < 1e-4
@@ -184,7 +184,7 @@ class TestTemporaryPose:
         points = grid_map_points(rng, gt, 50)
         smap = map_of(points)
         matches, keypoints = synthetic_matches(rng, gt, 50, points, outlier_fraction=0.6)
-        got = temporary_pose(matches, smap, keypoints, K, LocalizerConfig(), np.random.default_rng(6))
+        got = temporary_pose(matches, smap, keypoints, K, LocalizerConfig(), np.random.default_rng(6), [])
         assert got is not None
         t_err, _ = pose_error(got, gt)
         assert t_err < 0.01
@@ -486,9 +486,11 @@ def test_ransac_loop_equals_one_sample_at_a_time(
     monkeypatch, seed, outlier_rate, noise_px, confidence, temp_iters, block_max, stop
 ):
     # the temporary loop, then the final loop on the same rng, as a query
-    # runs them; `stop` names how the temporary loop ends, or for
-    # "mid-block" either loop. The first block is one sample, and each later
-    # one the cap, or the iterations left when fewer, which ends the loop.
+    # runs them; `stop` names how the temporary loop ends with a one-sample
+    # first block, or for "mid-block" either loop. The first block is
+    # `first_block` samples clamped to the cap and the iterations left; each
+    # later one is the cap, or the iterations left when fewer, which ends
+    # the loop. Every first block must give the reference's bits.
     monkeypatch.setattr(localizer, "RANSAC_BLOCK_MAX", block_max)
     drawn, used = [], []  # per loop: block sizes drawn, samples the reference drew
     block_sampler, loop_sampler = localizer.weighted_samples, oracles.weighted_sample_loop
@@ -504,23 +506,42 @@ def test_ransac_loop_equals_one_sample_at_a_time(
     monkeypatch.setattr(localizer, "weighted_samples", counted_block)
     monkeypatch.setattr(oracles, "weighted_sample_loop", counted_sample)
     points, pixels, weights = ransac_instance(seed, 60, outlier_rate, noise_px)
-    block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    counts = []
-    for loop_weights, max_iters in ((np.ones(len(points)), temp_iters), (weights, 300)):
-        drawn.append([]), used.append(0)
-        pose, inliers, count = localizer._ransac_loop(
-            points, pixels, K, loop_weights, 10.0, confidence, max_iters, block_rng
+    loops = ((np.ones(len(points)), temp_iters), (weights, 300))
+    loop_rng, want = np.random.default_rng(seed), []
+    for loop_weights, max_iters in loops:
+        used.append(0)
+        want.append(
+            oracles.ransac_loop_loop(
+                points, pixels, K, loop_weights, 10.0, confidence, max_iters, loop_rng
+            )
+            + (loop_rng.bit_generator.state,)
         )
-        R, t, want_inliers, want_count = oracles.ransac_loop_loop(
-            points, pixels, K, loop_weights, 10.0, confidence, max_iters, loop_rng
-        )
-        assert (pose.rotation.tobytes(), pose.translation.tobytes()) == (R.tobytes(), t.tobytes())
-        assert np.array_equal(inliers, want_inliers) and count == want_count
-        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
-        blocks = drawn[-1]
-        assert blocks[0] == 1 and all(b == block_max for b in blocks[1:-1])
-        assert blocks[-1] <= block_max and sum(blocks[:-1]) < used[-1] <= sum(blocks)
-        counts.append(count)
+    first_blocks = {  # per schedule: the first block of a loop that the reference ran in u samples
+        "one sample": lambda u, max_iters: 1,
+        "past the stop": lambda u, max_iters: u + 1,
+        "the cap": lambda u, max_iters: block_max,
+        "past the iterations left": lambda u, max_iters: max_iters + 1,
+    }
+    schedules = {}
+    for name, first_block in first_blocks.items():
+        block_rng, drawn = np.random.default_rng(seed), []
+        for (loop_weights, max_iters), (R, t, want_inliers, want_count, state), u in zip(
+            loops, want, used
+        ):
+            drawn.append([])
+            first = first_block(u, max_iters)
+            pose, inliers, count, samples = localizer._ransac_loop(
+                points, pixels, K, loop_weights, 10.0, confidence, max_iters, block_rng, first
+            )
+            assert (pose.rotation.tobytes(), pose.translation.tobytes()) == (R.tobytes(), t.tobytes())
+            assert np.array_equal(inliers, want_inliers) and count == want_count
+            assert block_rng.bit_generator.state == state and samples == u
+            blocks = drawn[-1]
+            assert blocks[0] == min(first, block_max, max_iters)
+            assert all(b == block_max for b in blocks[1:-1])
+            assert blocks[-1] <= block_max and sum(blocks[:-1]) < u <= sum(blocks)
+        schedules[name] = drawn
+    drawn, counts = schedules["one sample"], [w[3] for w in want]
     if stop == "one sample":
         assert used[0] == 1 and counts[0] < len(points)
     elif stop == "mid-block":
@@ -531,6 +552,8 @@ def test_ransac_loop_equals_one_sample_at_a_time(
         assert used[0] == temp_iters == sum(drawn[0])
     else:
         assert used[0] == 1 and counts[0] == len(points)
+    # a first block past the stop and within the cap holds the whole loop
+    assert all(len(d) == 1 for d, u in zip(schedules["past the stop"], used) if u < block_max)
 
 
 @pytest.mark.parametrize("past_stop", [True, False])
@@ -561,7 +584,7 @@ def test_solver_fault_raises_only_at_or_before_the_stop(monkeypatch, past_stop):
 
     monkeypatch.setattr(localizer, "solve_p3p_many", planted_solve)
     if past_stop:
-        pose, _, _ = localizer._ransac_loop(*args, np.random.default_rng(21))
+        pose, _, _, _ = localizer._ransac_loop(*args, np.random.default_rng(21))
         assert sum(drawn) > planted  # the planted sample was drawn and solved
         assert pose.rotation.tobytes() == R.tobytes() and pose.translation.tobytes() == t.tobytes()
     else:

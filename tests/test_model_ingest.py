@@ -92,8 +92,39 @@ SINGLE_FAULTS = {
                                      "point 1 track lists image 1 keypoint 0 twice"),
 }
 
+BIG = "99999999999999999999"  # beyond int64
+SINGLE_PARSE_FAULTS = {  # (images.txt, points3D.txt, file, line, message)
+    "bad keypoint value": (images_txt(kps_a="320.0 abc 1"), POINT + "1 0 2 0", "images.txt", 2,
+                           "bad keypoint line: could not convert string to float: 'abc'"),
+    "bad keypoint point id": (images_txt(kps_a="320.0 240.0 1.5"), POINT + "1 0 2 0", "images.txt", 2,
+                              "bad keypoint line: invalid literal for int() with base 10: '1.5'"),
+    "non-finite keypoint": (images_txt(kps_b="320.0 nan 1"), POINT + "1 0 2 0", "images.txt", 4,
+                            "non-finite keypoint"),
+    "non-finite point position": (images_txt(), "1 0.0 -inf 0.0 128 128 128 0.0 1 0 2 0",
+                                  "points3D.txt", 1, "non-finite point position"),
+    "keypoint point id beyond int64": (
+        images_txt(kps_a=f"320.0 240.0 {BIG}"), POINT + "1 0 2 0", "images.txt", 2,
+        "bad keypoint line: Python int too large to convert to C long"),
+    "image id beyond int64": (
+        images_txt().replace("1 1.0", f"{BIG} 1.0", 1), POINT + "1 0 2 0", "images.txt", 1,
+        "bad image header: id out of the int64 range"),
+    "point id beyond int64": (images_txt(), f"{BIG} 0.0 0.0 0.0 128 128 128 0.0 1 0 2 0",
+                              "points3D.txt", 1, "bad point3D line: id out of the int64 range"),
+    "track image id beyond int64": (images_txt(), POINT + f"1 0 -{BIG} 0", "points3D.txt", 1,
+                                    "bad point3D line: id out of the int64 range"),
+}
+
 
 class TestSfmModel:
+    @pytest.mark.parametrize("fault", list(SINGLE_PARSE_FAULTS))
+    def test_single_parse_fault_message(self, tmp_path, fault):
+        images, points, file, line, message = SINGLE_PARSE_FAULTS[fault]
+        write_minimal_model(tmp_path / "model", point_line=points)
+        (tmp_path / "model" / "images.txt").write_text(images)
+        with pytest.raises(ParseError) as info:
+            load_sfm_model(tmp_path / "model")
+        assert str(info.value) == f"{tmp_path / 'model' / file}:{line}: {message}"
+
     @pytest.mark.parametrize("fault", list(SINGLE_FAULTS))
     def test_single_fault_message(self, tmp_path, fault):
         images, points, message = SINGLE_FAULTS[fault]
