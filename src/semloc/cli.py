@@ -51,15 +51,16 @@ def load_pipeline_config(path: Path | None, overrides: dict) -> LocalizerConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(values, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-    known = {f.name for f in fields(LocalizerConfig)}
-    unknown = set(values) - known
+    defaults = {f.name: f.default for f in fields(LocalizerConfig)}
+    unknown = set(values) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     values.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        cfg = LocalizerConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, value in values.items():
+        kind = type(defaults[key])  # an int passes for a float; a bool is not an int
+        if type(value) is not kind and (kind, type(value)) != (float, int):
+            raise ConfigError(f"{key} must be {kind.__name__}, got {json.dumps(value)}")
+    cfg = LocalizerConfig(**values)
     if cfg.k_day < 1 or cfg.k_night < 1:
         raise ConfigError("k_day and k_night must be >= 1")
     if not 0.0 < cfg.ransac_confidence < 1.0:
@@ -136,8 +137,9 @@ def cmd_synth(args) -> int:
     except (TypeError, InfeasibleSpec) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {len(gt.point_positions)} points, {len(gt.db_names)} db images, "
-          f"{len(gt.query_names)} queries to {args.out}")
+    model = gt.dataset.model
+    print(f"wrote {len(model.point_ids)} points, {len(model.images)} db images, "
+          f"{len(gt.dataset.queries)} queries to {args.out}")
     return 0
 
 
@@ -149,15 +151,7 @@ def cmd_localize(args) -> int:
     try:
         cfg = load_pipeline_config(
             Path(args.config) if args.config else None,
-            {
-                "seed": args.seed,
-                "k_day": args.k_day,
-                "k_night": args.k_night,
-                "theta_min_deg": args.theta_min_deg,
-                "inlier_px": args.inlier_px,
-                "uniform_weights": True if args.uniform_weights else None,
-                "jobs": args.jobs,
-            },
+            {f.name: getattr(args, f.name, None) for f in fields(LocalizerConfig)},
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -285,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loc.add_argument("--data", required=True, help="dataset directory")
     p_loc.add_argument("--out", required=True, help="run output directory")
     p_loc.add_argument("--config", default=None, help="pipeline config JSON")
+    # each flag below overrides the LocalizerConfig field named by its dest
     p_loc.add_argument("--seed", type=int, default=None)
     p_loc.add_argument("--k-day", dest="k_day", type=int, default=None)
     p_loc.add_argument("--k-night", dest="k_night", type=int, default=None)
@@ -293,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loc.add_argument(
         "--uniform-weights",
         action="store_true",
+        default=None,
         help="no-semantics baseline: uniform sampling weights",
     )
     p_loc.add_argument("--jobs", type=int, default=None)

@@ -432,17 +432,9 @@ def solve_p3p(
 def reprojection_residuals(
     pose: PoseEstimate, K: CameraIntrinsics, points: np.ndarray, pixels: np.ndarray
 ) -> np.ndarray:
-    """Stacked (2n,) pixel residuals, predicted minus observed."""
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    x_cam = points @ pose.rotation.T + pose.translation
-    z = x_cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = K.fx * x_cam[:, 0] / z + K.cx
-        v = K.fy * x_cam[:, 1] / z + K.cy
-    res = np.column_stack([u - pixels[:, 0], v - pixels[:, 1]])
-    res[z <= _MIN_DEPTH] = np.inf
-    return res.ravel()
+    """Stacked (2n,) pixel residuals, predicted minus observed; NaN for
+    points at or behind the camera."""
+    return (project_many(pose, K, points)[0] - np.reshape(pixels, (-1, 2))).ravel()
 
 
 def reprojection_jacobian(

@@ -135,6 +135,21 @@ def weighted_sample_without_replacement(
     return weighted_samples(rng, weights, 1, count)[0].tolist()
 
 
+def inlier_masks(
+    R: np.ndarray, t: np.ndarray, K: CameraIntrinsics, points: np.ndarray, pixels: np.ndarray,
+    inlier_px: float,
+) -> np.ndarray:
+    """(H, n) inlier test of H poses (R, t): a point projects in front of
+    the camera and within inlier_px of its pixel."""
+    pred, in_front = project_poses(R, t, K, points)
+    err = pred.transpose(0, 2, 1)  # (H, 2, n) in pred's buffer: x and y errors, squared
+    err -= pixels.T
+    err *= err
+    dist = err[:, 0]
+    dist += err[:, 1]  # as np.linalg.norm sums
+    return in_front & (np.sqrt(dist, out=dist) <= inlier_px)
+
+
 # A block of RANSAC samples holds at most RANSAC_BLOCK_MAX samples, and
 # fewer when its verification temporaries would pass RANSAC_BLOCK_BYTES:
 # a sample has up to four poses, and verifying one pose on one point peaks
@@ -191,13 +206,7 @@ def _ransac_loop(
         state = rng.bit_generator.state
         idx = weighted_samples(rng, weights, block, 3)
         R, t, sample, failures = solve_p3p_many(pixels[idx], points[idx], K)
-        pred, in_front = project_poses(R, t, K, points)
-        err = pred.transpose(0, 2, 1)  # (H, 2, n) in pred's buffer: x and y errors, squared
-        err -= pixels.T
-        err *= err
-        dist = err[:, 0]
-        dist += err[:, 1]  # as np.linalg.norm sums
-        inliers = in_front & (np.sqrt(dist, out=dist) <= inlier_px)
+        inliers = inlier_masks(R, t, K, points, pixels, inlier_px)
         counts = inliers.sum(axis=1)
         # the improvements: hypotheses whose count beats every count before them
         prior = np.maximum.accumulate(np.concatenate(([best_count], counts)))[:-1]
@@ -359,10 +368,8 @@ def weighted_ransac_pnp(
         refined = refine_pnp(points[inliers], pixels[inliers], K, pose)
     except NumericalFailure:
         refined = pose
-    pred, in_front = project_many(refined, K, points)
-    with np.errstate(invalid="ignore"):
-        err = np.linalg.norm(pred - pixels, axis=1)
-    final_count = int((in_front & (err <= cfg.inlier_px)).sum())
+    R, t = refined.rotation[None], refined.translation[None]
+    final_count = int(inlier_masks(R, t, K, points, pixels, cfg.inlier_px).sum())
     if final_count < 4:
         return None, 0
     return refined, final_count

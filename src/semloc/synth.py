@@ -62,12 +62,12 @@ CITYSCAPES = ClassTable(
 )
 
 SPLAT_RADIUS = 3  # px disk radius for raster rendering
-_DISK_OFFSETS = [
+_DISK_OFFSETS = np.array([
     (dx, dy)
     for dy in range(-SPLAT_RADIUS, SPLAT_RADIUS + 1)
     for dx in range(-SPLAT_RADIUS, SPLAT_RADIUS + 1)
     if dx * dx + dy * dy <= SPLAT_RADIUS * SPLAT_RADIUS
-]
+])
 
 
 @dataclass(frozen=True)
@@ -101,16 +101,12 @@ class CorruptionSpec:
 
 @dataclass(eq=False)
 class SceneGroundTruth:
-    """In-memory record of what was generated, keyed like the files."""
+    """What generation knows beyond the bundle it wrote."""
 
     spec: SceneSpec
     root: Path
-    point_positions: dict[int, np.ndarray]  # point id -> (3,)
-    point_labels: dict[int, int]  # point id -> GT class
-    dynamic_point_ids: set[int]
-    db_names: dict[int, str]  # image id -> name
-    db_poses: dict[int, PoseEstimate]
-    query_names: list[str]
+    dataset: Dataset  # as written
+    point_classes: np.ndarray  # (n_points,) true class per model point row, dynamic ones included
     query_poses: dict[str, PoseEstimate]
     query_kp_points: dict[str, np.ndarray]  # query -> point id per keypoint
 
@@ -128,11 +124,6 @@ def _look_at(center: np.ndarray, target: np.ndarray) -> PoseEstimate:
     return PoseEstimate(R, -R @ center)
 
 
-def _octant_label(spec: SceneSpec, position: np.ndarray) -> int:
-    idx = (position[0] > 0) + 2 * (position[1] > 0) + 4 * (position[2] > 0)
-    return spec.octant_labels[int(idx)]
-
-
 def _render_raster(
     width: int,
     height: int,
@@ -140,18 +131,18 @@ def _render_raster(
     labels: np.ndarray,
     center_pixels: list[tuple[int, int, int]],
 ) -> np.ndarray:
-    """Disks for every projected point, then the owned center pixels so
-    each keypoint's nearest pixel carries its own point's label."""
+    """Disks for every projected point, a later point painting over an
+    earlier one, then the owned center pixels so each keypoint's nearest
+    pixel carries its own point's label."""
     raster = np.full((height, width), VOID_ID, dtype=np.uint8)
-    for (x, y), label in zip(pixels, labels):
-        ix = int(np.floor(x + 0.5))
-        iy = int(np.floor(y + 0.5))
-        for dx, dy in _DISK_OFFSETS:
-            px, py = ix + dx, iy + dy
-            if 0 <= px < width and 0 <= py < height:
-                raster[py, px] = label
-    for ix, iy, label in center_pixels:
-        raster[iy, ix] = label
+    cells = np.floor(pixels[:, None] + 0.5).astype(np.int64) + _DISK_OFFSETS
+    inside = (cells >= 0).all(axis=2) & (cells[..., 0] < width) & (cells[..., 1] < height)
+    flat = (cells[..., 1] * width + cells[..., 0])[inside]
+    painter = np.nonzero(inside)[0]  # point of each flat index, in painting order
+    flat, last = np.unique(flat[::-1], return_index=True)  # the last painter of each pixel
+    raster.flat[flat] = labels[painter[::-1][last]]
+    centers = np.array(center_pixels, dtype=np.int64).reshape(-1, 3)
+    raster[centers[:, 1], centers[:, 0]] = centers[:, 2]  # unclamped: a pixel past the edge raises
     return raster
 
 
@@ -170,23 +161,12 @@ def write_pgm(path: Path, raster: np.ndarray) -> None:
         fh.write(raster.astype(np.uint8).tobytes())
 
 
-def write_descriptors(path: Path, data: np.ndarray) -> None:
-    rows, dim = data.shape
-    with open(path, "wb") as fh:
-        fh.write(b"LDSC" + struct.pack("<II", rows, dim))
-        fh.write(data.astype("<f4").tobytes())
-
-
-def write_keypoints(path: Path, kps: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(b"KPTS" + struct.pack("<I", len(kps)))
-        fh.write(np.asarray(kps, dtype="<f4").tobytes())
-
-
-def write_global_descriptor(path: Path, values: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(b"GDSC" + struct.pack("<I", len(values)))
-        fh.write(np.asarray(values, dtype="<f4").tobytes())
+def write_sidecar(path: Path, magic: bytes, header_fields: int, values: np.ndarray) -> None:
+    """The binary sidecar model_ingest._read_sidecar reads: magic, the first
+    header_fields dimensions of values, then every value as f32."""
+    values = np.asarray(values, dtype="<f4")
+    header = struct.pack(f"<{header_fields}I", *values.shape[:header_fields])
+    Path(path).write_bytes(magic + header + values.tobytes())
 
 
 def _pinhole_line(key: int | str, c: CameraIntrinsics) -> str:
@@ -231,9 +211,9 @@ def _write_image(directory: Path, name: str, kps, descs: DescriptorSet, gdesc, r
     """The files validate_dataset reads for one image; kps None for a
     database image, whose keypoints live in the model."""
     if kps is not None:
-        write_keypoints(directory / f"{name}.kpts", kps)
-    write_descriptors(directory / f"{name}.ldsc", descs.data)
-    write_global_descriptor(directory / f"{name}.gdsc", gdesc)
+        write_sidecar(directory / f"{name}.kpts", b"KPTS", 1, kps)
+    write_sidecar(directory / f"{name}.ldsc", b"LDSC", 2, descs.data)
+    write_sidecar(directory / f"{name}.gdsc", b"GDSC", 1, gdesc)
     write_pgm(directory / f"{name}.labels.pgm", raster)
 
 
@@ -317,10 +297,10 @@ def generate_scene(spec: SceneSpec, out_dir: Path) -> SceneGroundTruth:
     )
 
     positions = rng.uniform(-spec.extent / 2.0, spec.extent / 2.0, size=(spec.n_points, 3))
-    labels = np.array([_octant_label(spec, p) for p in positions], dtype=np.int64)
+    labels = np.array(spec.octant_labels, dtype=np.int64)[(positions > 0) @ [1, 2, 4]]
     n_dynamic = int(round(spec.dynamic_fraction * spec.n_points))
     dynamic_idx = rng.choice(spec.n_points, size=n_dynamic, replace=False) if n_dynamic else []
-    labels[list(dynamic_idx)] = spec.dynamic_class_id
+    labels[dynamic_idx] = spec.dynamic_class_id
     base_descriptors = rng.normal(size=(spec.n_points, spec.descriptor_dim))
     base_descriptors /= np.linalg.norm(base_descriptors, axis=1, keepdims=True)
 
@@ -427,18 +407,7 @@ def generate_scene(spec: SceneSpec, out_dir: Path) -> SceneGroundTruth:
         out_dir, model, CITYSCAPES, conditions, db_rasters, db_descriptors, db_global, queries
     )
     write_dataset(dataset, out_dir, query_poses)
-    return SceneGroundTruth(
-        spec=spec,
-        root=out_dir,
-        point_positions={i + 1: positions[i] for i in range(spec.n_points)},
-        point_labels={i + 1: int(labels[i]) for i in range(spec.n_points)},
-        dynamic_point_ids={int(i) + 1 for i in dynamic_idx},
-        db_names={image_id: image.name for image_id, image in db_records.items()},
-        db_poses={image_id: image.pose for image_id, image in db_records.items()},
-        query_names=[query.name for query in queries],
-        query_poses=query_poses,
-        query_kp_points=query_kp_points,
-    )
+    return SceneGroundTruth(spec, out_dir, dataset, labels, query_poses, query_kp_points)
 
 
 def _decoy_replicas(rate: float) -> int:

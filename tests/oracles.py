@@ -291,6 +291,24 @@ def project_many_loop(R, t, K, X):
     return px, in_front
 
 
+def render_raster_loop(width, height, pixels, labels, center_pixels, void_id=255, radius=3):
+    """Label raster painted one point and one disk pixel at a time: a disk of
+    `radius` px around each point's nearest pixel, clipped to the frame, a
+    later point over an earlier one; then each (x, y, label) center pixel,
+    unclipped."""
+    raster = np.full((height, width), void_id, dtype=np.uint8)
+    for (x, y), label in zip(pixels, labels):
+        ix, iy = math.floor(x + 0.5), math.floor(y + 0.5)
+        for dy in range(-radius, radius + 1):
+            for dx in range(-radius, radius + 1):
+                px, py = ix + dx, iy + dy
+                if dx * dx + dy * dy <= radius * radius and 0 <= px < width and 0 <= py < height:
+                    raster[py, px] = label
+    for ix, iy, label in center_pixels:
+        raster[iy, ix] = label
+    return raster
+
+
 def project(pose, K, X):
     """Pixel of one world point, None at or behind the camera: one row of
     project_many_loop, so its bits are those of geometry.project_many."""

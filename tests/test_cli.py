@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import semloc.cli as cli
 import semloc.localizer as localizer
 import semloc.model_ingest as ingest
-from semloc.cli import main
+from semloc.cli import load_pipeline_config, main
 from semloc.localizer import LocalizerConfig
 from semloc.model_ingest import load_descriptors, load_keypoints, validate_dataset
-from semloc.synth import write_descriptors, write_keypoints
+from semloc.synth import write_sidecar
 
 
 @pytest.fixture(scope="module")
@@ -305,12 +306,12 @@ class TestPipelineCommands:
         elif victim == "db_003.ldsc":
             bad = load_descriptors(data / "db" / victim).data.copy()
             bad[1, 2] = np.nan
-            write_descriptors(data / "db" / victim, bad)
+            write_sidecar(data / "db" / victim, b"LDSC", 2, bad)
         else:
             victim = f"{_first_query(data)}.kpts"
             kps = load_keypoints(data / "queries" / victim)
             kps[0, 1] = np.nan
-            write_keypoints(data / "queries" / victim, kps)
+            write_sidecar(data / "queries" / victim, b"KPTS", 1, kps)
         code = main(["localize", "--data", str(data), "--out", str(tmp_path / "run")])
         assert code == 2
         err = capsys.readouterr().err
@@ -324,7 +325,7 @@ class TestPipelineCommands:
         if fault == "query_outside_frame":
             kps = load_keypoints(data / "queries" / f"{query}.kpts")
             kps[0, 0] = 700.0
-            write_keypoints(data / "queries" / f"{query}.kpts", kps)
+            write_sidecar(data / "queries" / f"{query}.kpts", b"KPTS", 1, kps)
             expected = f"{query}: keypoints outside the frame"
         elif fault == "missing_condition":
             path = data / "conditions.txt"
@@ -333,7 +334,7 @@ class TestPipelineCommands:
             expected = f"{query}: missing condition tag"
         else:
             rows = load_descriptors(data / "db" / "db_001.ldsc").rows
-            write_descriptors(data / "db" / "db_001.ldsc", np.ones((rows, 7), dtype=np.float32))
+            write_sidecar(data / "db" / "db_001.ldsc", b"LDSC", 2, np.ones((rows, 7), dtype=np.float32))
             expected = "db_001: local descriptor dim 7 != majority"
         assert any(f.startswith(expected) for f in validate_dataset(data).findings)
         code = main(["localize", "--data", str(data), "--out", str(tmp_path / "run")])
@@ -474,6 +475,32 @@ class TestErrorPaths:
         assert code == 3
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values",
+        [{"ratio": "0.9"}, {"inlier_px": None}, {"k_day": "5"}, {"k_day": 2.5},
+         {"uniform_weights": "no"}, {"seed": "abc"}, {"k_day": True}],
+        ids=["str_float", "null_float", "str_int", "float_int", "str_bool", "str_seed", "bool_int"],
+    )
+    def test_config_value_of_wrong_type_exits_3(self, tmp_path, capsys, monkeypatch, values):
+        """Each value takes its default's type: one config error that names
+        the key, before any set-up and with no run directory."""
+        monkeypatch.setattr(cli, "_set_up", lambda data_dir: pytest.fail("set-up ran"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        run = tmp_path / "run"
+        code = main(["localize", "--data", str(tmp_path), "--out", str(run), "--config", str(cfg)])
+        assert code == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        (key,) = values
+        assert line.startswith(f"config error: {key} ")
+        assert not run.exists()
+
+    def test_int_config_value_passes_for_a_float(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inlier_px": 8, "theta_min_deg": 0}))
+        loaded = load_pipeline_config(cfg, {})
+        assert (loaded.inlier_px, loaded.theta_min_deg) == (8, 0)
+
     def test_bad_scene_spec_exits_3(self, tmp_path, capsys):
         spec = tmp_path / "bad_scene.json"
         spec.write_text(json.dumps({"scene": {"n_points": 10, "ring_radius": 1.0}}))
@@ -515,6 +542,55 @@ class TestErrorPaths:
         assert report["config"]["k_day"] == 4
         assert report["config"]["theta_min_deg"] == 7.5
         assert all(len(q["candidates"]) == 4 for q in report["queries"])
+
+
+# (flag and its value, the config key it overrides, a different value in the file)
+FLAG_OVERRIDES = [
+    (["--seed", "7"], "seed", 7, 3),
+    (["--k-day", "6"], "k_day", 6, 4),
+    (["--k-night", "9"], "k_night", 9, 5),
+    (["--theta-min-deg", "2.5"], "theta_min_deg", 2.5, 7.5),
+    (["--inlier-px", "4"], "inlier_px", 4.0, 8.0),
+    (["--jobs", "1"], "jobs", 1, 2),
+    (["--uniform-weights"], "uniform_weights", True, False),
+]
+
+
+def _localize_config(monkeypatch, tmp_path, argv) -> LocalizerConfig:
+    """The config `localize` runs with, stopped before its set-up."""
+    seen = []
+    monkeypatch.setattr(
+        cli, "load_pipeline_config", lambda *a: seen.append(load_pipeline_config(*a)) or seen[0]
+    )
+    monkeypatch.setattr(cli, "_set_up", lambda data_dir: None)
+    assert main(["localize", "--data", str(tmp_path), "--out", str(tmp_path / "run"), *argv]) == 2
+    return seen[0]
+
+
+def test_every_localize_flag_overrides_a_config_key():
+    (localize,) = [a.choices["localize"] for a in cli.build_parser()._actions if a.dest == "command"]
+    dests = {a.dest for a in localize._actions} & {f.name for f in fields(LocalizerConfig)}
+    assert dests == {key for _, key, _, _ in FLAG_OVERRIDES}
+
+
+@pytest.mark.parametrize("flag, key, flag_value, file_value", FLAG_OVERRIDES,
+                         ids=[key for _, key, _, _ in FLAG_OVERRIDES])
+def test_flag_overrides_config_file_and_absent_flag_keeps_it(
+    monkeypatch, tmp_path, flag, key, flag_value, file_value
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: file_value}))
+    config = ["--config", str(cfg)]
+    assert getattr(_localize_config(monkeypatch, tmp_path, config + flag), key) == flag_value
+    assert getattr(_localize_config(monkeypatch, tmp_path, config), key) == file_value
+
+
+@pytest.mark.parametrize("flag", [[], ["--uniform-weights"]], ids=["absent", "given"])
+def test_uniform_weights_in_config_file_holds_with_or_without_flag(monkeypatch, tmp_path, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"uniform_weights": True}))
+    argv = ["--config", str(cfg), *flag]
+    assert _localize_config(monkeypatch, tmp_path, argv).uniform_weights is True
 
 
 def test_readme_lists_every_config_key_with_its_default():

@@ -25,13 +25,7 @@ from semloc.model_ingest import (
     validate_dataset,
 )
 from semloc.semantic_map import build_semantic_map
-from semloc.synth import (
-    write_descriptors,
-    write_global_descriptor,
-    write_keypoints,
-    write_model,
-    write_pgm,
-)
+from semloc.synth import write_model, write_pgm, write_sidecar
 from sfm_models import views_model
 
 TABLE = ClassTable(names=("road", "sidewalk", "building"), dynamic_ids=frozenset())
@@ -280,9 +274,10 @@ class TestSfmModel:
             assert np.allclose(other.pose.rotation, image.pose.rotation, atol=1e-14)
             assert np.allclose(other.pose.translation, image.pose.translation, atol=1e-14)
         # positions and poses match the generator's ground truth
-        for pid, pos in clean_scene.point_positions.items():
+        truth = clean_scene.dataset.model
+        for pid, pos in zip(truth.point_ids.tolist(), truth.positions):
             assert np.array_equal(model.positions[id_rows(model.point_ids, [pid])[0]], pos)
-        for image_id, pose in clean_scene.db_poses.items():
+        for image_id, pose in ((i, image.pose) for i, image in truth.images.items()):
             assert np.allclose(model.images[image_id].pose.rotation, pose.rotation, atol=1e-14)
             assert np.allclose(
                 model.images[image_id].pose.translation, pose.translation, atol=1e-14
@@ -359,7 +354,7 @@ class TestBinarySidecars:
     def test_descriptor_round_trip(self, tmp_path):
         path = tmp_path / "d.ldsc"
         data = np.arange(12, dtype=np.float32).reshape(3, 4)
-        write_descriptors(path, data)
+        write_sidecar(path, b"LDSC", 2, data)
         loaded = load_descriptors(path)
         assert loaded.rows == 3 and loaded.dim == 4
         assert np.array_equal(loaded.data, data)
@@ -379,14 +374,14 @@ class TestBinarySidecars:
     def test_keypoints_round_trip(self, tmp_path):
         path = tmp_path / "k.kpts"
         kps = np.array([[1.5, 2.5], [3.0, 4.0]], dtype=np.float32)
-        write_keypoints(path, kps)
+        write_sidecar(path, b"KPTS", 1, kps)
         assert np.array_equal(load_keypoints(path), kps.astype(np.float64))
 
     def test_global_descriptor_renormalized(self, tmp_path):
         path = tmp_path / "g.gdsc"
         values = np.zeros(8, dtype=np.float32)
         values[0], values[1] = 3.0, 4.0
-        write_global_descriptor(path, values)
+        write_sidecar(path, b"GDSC", 1, values)
         loaded = load_global_descriptor(path)
         assert loaded.dtype == np.float32 and loaded.shape == (8,)
         assert np.allclose(loaded[:2], [0.6, 0.8], atol=1e-7)
@@ -401,9 +396,9 @@ class TestBinarySidecars:
     def test_non_finite_values_rejected(self, tmp_path):
         descs = np.ones((3, 4), dtype=np.float32)
         descs[2, 1] = np.nan
-        write_descriptors(tmp_path / "d.ldsc", descs)
-        write_keypoints(tmp_path / "k.kpts", np.array([[1.0, np.inf]], dtype=np.float32))
-        write_global_descriptor(tmp_path / "g.gdsc", np.array([1.0, np.nan], dtype=np.float32))
+        write_sidecar(tmp_path / "d.ldsc", b"LDSC", 2, descs)
+        write_sidecar(tmp_path / "k.kpts", b"KPTS", 1, np.array([[1.0, np.inf]], dtype=np.float32))
+        write_sidecar(tmp_path / "g.gdsc", b"GDSC", 1, np.array([1.0, np.nan], dtype=np.float32))
         for path, loader in (("d.ldsc", load_descriptors), ("k.kpts", load_keypoints),
                              ("g.gdsc", load_global_descriptor)):
             with pytest.raises(ParseError, match=f"{path}: non-finite value"):
@@ -455,7 +450,7 @@ class TestValidateDataset:
             model = load_sfm_model(root / "model")
             record = next(im for im in model.images.values() if im.name == name)
             bad = np.zeros((len(record.keypoints), 7), dtype=np.float32)
-            write_descriptors(root / "db" / f"{name}.ldsc", bad)
+            write_sidecar(root / "db" / f"{name}.ldsc", b"LDSC", 2, bad)
         report = validate_dataset(root)
         assert not report.ok
         flagged = {f.split(":")[0] for f in report.findings if "dim" in f}

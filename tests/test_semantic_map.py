@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import semloc.semantic_map as semantic_map
 from semloc.geometry import camera_center
-from semloc.model_ingest import VOID_ID, ClassTable, DbImageRecord, load_dataset
+from semloc.model_ingest import VOID_ID, ClassTable, DbImageRecord, id_rows, load_dataset
 from semloc.semantic_map import (
     MAP_ARRAYS,
     SemanticMap,
@@ -278,8 +278,8 @@ def check_build_against_oracles(model, rasters, centers):
 class TestBuildSemanticMap:
     def test_labels_match_ground_truth(self, clean_scene, clean_dataset, clean_map):
         assert len(clean_map) > 0
-        for pid, label in zip(clean_map.ids.tolist(), clean_map.labels.tolist()):
-            assert label == clean_scene.point_labels[pid]
+        rows = id_rows(clean_scene.dataset.model.point_ids, clean_map.ids)
+        assert clean_map.labels.tolist() == clean_scene.point_classes[rows].tolist()
 
     def test_dynamic_fraction_removed(self, tmp_path):
         spec = SceneSpec(
@@ -295,9 +295,10 @@ class TestBuildSemanticMap:
 
         ds = load_dataset(tmp_path / "ds")
         smap = build_semantic_map(ds.model, ds.db_rasters, ds.class_table)
-        assert len(gt.dynamic_point_ids) == 20
+        dynamic_ids = gt.dataset.model.point_ids[gt.point_classes == spec.dynamic_class_id]
+        assert len(dynamic_ids) == 20
         assert len(smap) == 180  # exactly the static points survive
-        assert (smap.rows_of(sorted(gt.dynamic_point_ids)) == -1).all()
+        assert (smap.rows_of(dynamic_ids) == -1).all()
 
     def test_empty_model_gives_empty_map(self):
         smap = build_semantic_map(sfm_model([], [], {}), {}, TABLE)

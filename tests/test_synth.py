@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semloc.synth as synth
 from semloc.cli import main
@@ -23,7 +25,7 @@ from semloc.model_ingest import (
 from semloc.retrieval import rank_database
 from semloc.semantic_map import build_semantic_map
 from semloc.synth import CorruptionSpec, SceneSpec, corrupt, generate_scene, write_dataset
-from oracles import project
+from oracles import project, render_raster_loop
 
 GOLDEN_BUNDLES = Path(__file__).parent / "golden" / "bundles.json"
 # a small scene with every generator and corruption channel switched on
@@ -292,3 +294,36 @@ class TestGoldenBundles:
         else:
             root = request.getfixturevalue(f"{bundle}_scene").root
         assert tree_digest(root) == json.loads(GOLDEN_BUNDLES.read_text())[bundle]
+
+
+@st.composite
+def splats(draw):
+    """A small frame, points that overlap, repeat, or sit on or past each
+    border (half pixels included), and distinct in-frame center pixels."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    coord = lambda size: st.one_of(  # noqa: E731
+        st.floats(-5.0, size + 5.0),
+        st.sampled_from([-3.5, -0.5, 0.0, size - 0.5, float(size), size + 3.5]),
+    )
+    spots = draw(st.lists(st.tuples(coord(width), coord(height)), min_size=1, max_size=6))
+    picks = draw(st.lists(st.sampled_from(spots), max_size=12))
+    labels = draw(st.lists(st.integers(0, 254), min_size=len(picks), max_size=len(picks)))
+    cells = draw(st.sets(st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))))
+    centers = [(x, y, draw(st.integers(0, 254))) for x, y in sorted(cells)]
+    return width, height, np.array(picks).reshape(-1, 2), np.array(labels, dtype=np.int64), centers
+
+
+@given(splats())
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_render_raster_equals_loop_oracle(case):
+    width, height, pixels, labels, centers = case
+    got = synth._render_raster(width, height, pixels, labels, centers)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, render_raster_loop(width, height, pixels, labels, centers))
+
+
+def test_render_raster_center_past_the_edge_raises():
+    """The center pixels are not clamped: one that rounds onto row `height`
+    raises, as `semloc synth` does on the scene seeds the benchmark skips."""
+    with pytest.raises(IndexError):
+        synth._render_raster(4, 4, np.array([[1.0, 3.6]]), np.array([2]), [(1, 4, 2)])
