@@ -496,11 +496,14 @@ def refine_pnp(
     if cost_trace is not None:
         cost_trace.append(cost)
     lam = _LM_DAMPING_INIT
+    stale = True  # the pose moved since J, g and H were taken
 
     for _ in range(_LM_MAX_ITERS):
-        J = reprojection_jacobian(pose, K, points)
-        g = J.T @ res
-        H = J.T @ J
+        if stale:
+            J = reprojection_jacobian(pose, K, points)
+            g = J.T @ res
+            H = J.T @ J
+            stale = False
         try:
             step = np.linalg.solve(H + lam * np.eye(6), -g)
         except np.linalg.LinAlgError:
@@ -512,7 +515,7 @@ def refine_pnp(
         trial_res = reprojection_residuals(trial, K, points, pixels)
         trial_cost = float(trial_res @ trial_res) if np.all(np.isfinite(trial_res)) else np.inf
         if trial_cost < cost:
-            pose, res, cost = trial, trial_res, trial_cost
+            pose, res, cost, stale = trial, trial_res, trial_cost, True
             if cost_trace is not None:
                 cost_trace.append(cost)
             lam *= 0.1

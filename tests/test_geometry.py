@@ -471,6 +471,35 @@ class TestRefinePnp:
         assert len(trace) >= 2
         assert all(b < a for a, b in zip(trace, trace[1:]))
 
+    def test_no_two_jacobians_at_one_pose(self, monkeypatch):
+        """A rejected step leaves the pose where it was, so the Jacobian
+        taken there serves the next step too."""
+        rng = np.random.default_rng(13)
+        jacobian, step = geometry.reprojection_jacobian, geometry.so3_exp
+        poses, trials = [], [0]
+
+        def recorded_jacobian(pose, K, points):
+            poses.append(pose.rotation.tobytes() + pose.translation.tobytes())
+            return jacobian(pose, K, points)
+
+        def counted_step(w):
+            trials[0] += 1
+            return step(w)
+
+        monkeypatch.setattr(geometry, "reprojection_jacobian", recorded_jacobian)
+        monkeypatch.setattr(geometry, "so3_exp", counted_step)
+        rejected = 0
+        for _ in range(5):
+            pose, pts, pixels = self._instance(rng, n=80, noise=1.0)
+            pixels[:20] = rng.uniform([0, 0], [K.width, K.height], size=(20, 2))  # outliers
+            poses.clear()
+            trials[0] = 0
+            trace: list = []
+            refine_pnp(pts, pixels, K, pose, cost_trace=trace)
+            assert len(set(poses)) == len(poses) <= len(trace)
+            rejected += trials[0] - (len(trace) - 1)
+        assert rejected > 0
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
