@@ -41,6 +41,25 @@ class ConfigError(Exception):
     pass
 
 
+def checked_values(values: dict, spec_type, what: str) -> dict:
+    """The JSON `values` of a `spec_type` dataclass, each of its default's
+    type: an int passes for a float, a bool is not an int, and a tuple
+    default takes a list of ints. Raises ConfigError naming the key."""
+    defaults = {f.name: f.default for f in fields(spec_type)}
+    unknown = set(values) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+    for key, value in values.items():
+        if isinstance(defaults[key], tuple):
+            if type(value) is not list or any(type(v) is not int for v in value):
+                raise ConfigError(f"{key} must be a list of int, got {json.dumps(value)}")
+            continue
+        kind = type(defaults[key])
+        if type(value) is not kind and (kind, type(value)) != (float, int):
+            raise ConfigError(f"{key} must be {kind.__name__}, got {json.dumps(value)}")
+    return values
+
+
 def load_pipeline_config(path: Path | None, overrides: dict) -> LocalizerConfig:
     values: dict = {}
     if path is not None:
@@ -51,16 +70,8 @@ def load_pipeline_config(path: Path | None, overrides: dict) -> LocalizerConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(values, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-    defaults = {f.name: f.default for f in fields(LocalizerConfig)}
-    unknown = set(values) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     values.update({k: v for k, v in overrides.items() if v is not None})
-    for key, value in values.items():
-        kind = type(defaults[key])  # an int passes for a float; a bool is not an int
-        if type(value) is not kind and (kind, type(value)) != (float, int):
-            raise ConfigError(f"{key} must be {kind.__name__}, got {json.dumps(value)}")
-    cfg = LocalizerConfig(**values)
+    cfg = LocalizerConfig(**checked_values(values, LocalizerConfig, "config"))
     if cfg.k_day < 1 or cfg.k_night < 1:
         raise ConfigError("k_day and k_night must be >= 1")
     if not 0.0 < cfg.ransac_confidence < 1.0:
@@ -124,8 +135,9 @@ def cmd_synth(args) -> int:
             and isinstance(raw.get("scene"), dict)
             and isinstance(raw.get("corruption", {}), dict)
         ):
-            raise TypeError('scene spec must be {"scene": {...}, "corruption": {...}}')
-        scene, corruption = raw["scene"], raw.get("corruption", {})
+            raise ConfigError('scene spec must be {"scene": {...}, "corruption": {...}}')
+        scene = checked_values(raw["scene"], SceneSpec, "scene")
+        corruption = checked_values(raw.get("corruption", {}), CorruptionSpec, "corruption")
         if "octant_labels" in scene:
             scene["octant_labels"] = tuple(scene["octant_labels"])
         spec, cspec = SceneSpec(**scene), CorruptionSpec(**corruption)
@@ -134,7 +146,7 @@ def cmd_synth(args) -> int:
         gt = generate_scene(spec, Path(args.out))
         if corruption:
             corrupt(Path(args.out), Path(args.out), cspec, spec.seed + 1)
-    except (TypeError, InfeasibleSpec) as exc:
+    except (ConfigError, InfeasibleSpec) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     model = gt.dataset.model

@@ -529,6 +529,27 @@ class TestErrorPaths:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("scene", "dynamic_fraction", True),  # a bool is not a number
+            ("scene", "n_points", 50.5),
+            ("scene", "seed", "7"),
+            ("scene", "octant_labels", [0, 1.5]),
+            ("corruption", "outlier_match_rate", "0.5"),
+        ],
+    )
+    def test_mistyped_spec_value_exits_3_naming_the_key(self, tmp_path, capsys, section, key, value):
+        """A synth spec value takes its default's type, as a --config value
+        does; the message names the key."""
+        spec = {"scene": SMALL_SCENE, "corruption": {}}
+        spec[section] = {**spec[section], key: value}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "ds")]) == 3
+        assert f"config error: {key} must be " in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
     def test_config_file_values_used(self, cli_dataset, tmp_path):
         root, data = cli_dataset
         cfg = tmp_path / "cfg.json"
