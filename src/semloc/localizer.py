@@ -93,25 +93,23 @@ def visible_mask(smap: SemanticMap, c_q: np.ndarray, theta_min: float) -> np.nda
     )
 
 
-def weighted_samples(
-    rng: np.random.Generator, weights: np.ndarray, rows: int, count: int
-) -> np.ndarray:
-    """Draw `rows` samples of `count` distinct indices each, with
-    probabilities proportional to `weights`, sequentially renormalizing
-    after each draw. The first draw of a sample follows the weights exactly.
+def weighted_samples(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row i of the result holds count = u.shape[1] distinct indices drawn
+    with probabilities proportional to row i of `weights`, renormalizing
+    after each draw; the first draw of a sample follows the weights exactly.
 
-    Takes one rng.random((rows, count)); row i picks the same indices as
-    the i-th of `rows` successive one-row calls. Returns a (rows, count)
-    int array.
+    u: (rows, count) uniform draws in [0, 1), used in order; weights: (n,),
+    shared by every row, or (rows, n). A zero weight is never drawn, so a
+    zero-padded row picks what its unpadded weights pick. With u from
+    rng.random((rows, count)), row i picks the same indices as the i-th of
+    `rows` successive one-sample draws. Returns a (rows, count) int array.
     """
-    w = np.asarray(weights, dtype=float)
-    positive = int((w > 0).sum())
+    rows, count = u.shape
+    left = np.array(np.broadcast_to(weights, (rows, np.shape(weights)[-1])), dtype=float)
+    positive = int((left > 0).sum(axis=1).min(initial=count))
     if positive < count:
         raise ValueError(f"need {count} positive weights, have {positive}")
-    n = len(w)
-    left = np.empty((rows, n))
-    left[:] = w
-    u = rng.random((rows, count))
+    n = left.shape[1]
     picked = np.empty((rows, count), dtype=np.intp)
     row = np.arange(rows)
     for j in range(count):
@@ -132,7 +130,7 @@ def weighted_sample_without_replacement(
     rng: np.random.Generator, weights: np.ndarray, count: int
 ) -> list[int]:
     """One sample of weighted_samples: `count` distinct indices."""
-    return weighted_samples(rng, weights, 1, count)[0].tolist()
+    return weighted_samples(rng.random((1, count)), weights)[0].tolist()
 
 
 def inlier_masks(
@@ -154,126 +152,192 @@ def inlier_masks(
 # fewer when its verification temporaries would pass RANSAC_BLOCK_BYTES:
 # a sample has up to four poses, and verifying one pose on one point peaks
 # below VERIFY_BYTES_PER_POINT (about 43 bytes measured with tracemalloc).
-# Most of a block's cost is fixed, so after a first block (one sample, or as
-# many as the caller expects the loop to use) every block is as large as
-# these caps and the iterations left allow.
+# Most of a block's cost is fixed, so a loop's first block is one sample and
+# each later one as large as these caps and the samples left to its stop allow.
 RANSAC_BLOCK_MAX = 64
 RANSAC_BLOCK_BYTES = 4 << 20
 VERIFY_BYTES_PER_POINT = 64
 
 
-# perfbench swaps it by name; temporary_pose and weighted_ransac_pnp look it up per call
+def _share(want: list[int], cap: int) -> list[int]:
+    """Samples of each problem in a block of at most `cap`: every problem
+    its `want` when they fit, else an equal share, with what a problem
+    wants below its share left to the others."""
+    take = [0] * len(want)
+    waiting = sum(w > 0 for w in want)
+    for c in sorted(range(len(want)), key=want.__getitem__):
+        if want[c] > 0:
+            take[c] = min(want[c], cap // waiting)
+            cap, waiting = cap - take[c], waiting - 1
+    return take
+
+
+# perfbench swaps it by name; temporary_poses and weighted_ransac_pnp look it up per call
 def _ransac_loop(
-    points: np.ndarray,
-    pixels: np.ndarray,
+    problems: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.random.Generator]],
     K: CameraIntrinsics,
-    weights: np.ndarray,
     inlier_px: float,
     confidence: float,
     max_iters: int,
-    rng: np.random.Generator,
-    first_block: int = 1,
-) -> tuple[PoseEstimate | None, np.ndarray | None, int, int]:
-    """Hypothesize-and-verify loop shared by the temporary and final solvers.
+) -> list[tuple[PoseEstimate | None, np.ndarray | None, int, int]]:
+    """Hypothesize-and-verify loops over C problems, run in lock-step.
 
-    Sampling follows `weights`; inlier counting is unweighted. Iterations
-    adapt to the best inlier ratio under the requested confidence, capped
-    at max_iters.
+    A problem is (points (n, 3), pixels (n, 2), weights (n,), rng). Its loop
+    samples by its weights from its own rng and counts inliers unweighted;
+    its iterations adapt to its best inlier ratio under the requested
+    confidence, capped at max_iters.
 
-    Samples are drawn, solved and verified in blocks: the first block is
-    `first_block` samples, a positive count (one often settles a clean
-    scene), and each later one the block cap; every block is clamped to
-    the cap and to the iterations left. The hypotheses that beat every
-    count before them are then replayed in sample order with the adaptive
-    stop after each sample, so the outcome is that of one sample at a
-    time, whatever the blocks. When the stop falls inside a block, the rng
-    is rewound to the block's start and advanced by the draws of the
-    samples used, as if the rest had never been drawn. A solver error
-    other than a degenerate sample raises when its sample comes at or
-    before the stop.
+    Each block draws the samples of every unfinished problem at once and
+    solves them in one solve_p3p_many: a problem's first sample alone, then
+    the samples left to its stop, shared out by _share when they pass the
+    block cap. Each problem then verifies its hypotheses on its own points
+    and replays, in sample order, those that beat every count before them,
+    with the adaptive stop after each sample. When its stop falls inside a
+    block, its rng is rewound to the block's start and advanced by the
+    draws of the samples used, as if the rest had never been drawn. A
+    solver error other than a degenerate sample, at or before the stop,
+    ends its problem; after the loop the first such error in problem order
+    is raised.
 
-    Returns (pose, inlier mask, inlier count, samples used).
+    Returns one (pose, inlier mask, inlier count, samples used) per
+    problem: those of its loop run alone one sample at a time, whatever the
+    blocks and the other problems, with its rng left where that loop leaves it.
     """
-    n = len(points)
-    best_pose, best_inliers, best_count = None, None, 0
-    needed = max_iters
-    it = 0
-    per_sample = 4 * max(n, 1) * VERIFY_BYTES_PER_POINT
+    sizes = [len(p[0]) for p in problems]
+    offsets = np.cumsum([0, *sizes])
+    points = np.concatenate([p[0] for p in problems]).reshape(-1, 3)
+    pixels = np.concatenate([p[1] for p in problems]).reshape(-1, 2)
+    weights = np.zeros((len(problems), max(sizes)))  # zero-padded rows draw as the unpadded ones
+    for c, problem in enumerate(problems):
+        weights[c, : sizes[c]] = problem[2]
+    best_pose: list[PoseEstimate | None] = [None] * len(problems)
+    best_inliers: list[np.ndarray | None] = [None] * len(problems)
+    best_count, it = [0] * len(problems), [0] * len(problems)
+    needed = [max_iters] * len(problems)
+    faults: list[Exception | None] = [None] * len(problems)
+    per_sample = 4 * max(max(sizes), 1) * VERIFY_BYTES_PER_POINT
     cap = max(1, min(RANSAC_BLOCK_MAX, RANSAC_BLOCK_BYTES // per_sample))
-    first = min(cap, first_block)
-    while it < min(max_iters, needed):
-        block = min(cap if it else first, min(max_iters, needed) - it)
-        state = rng.bit_generator.state
-        idx = weighted_samples(rng, weights, block, 3)
+    while True:
+        want = [  # a problem's first sample alone, then the samples left to its stop
+            0 if fault is not None else 1 if not done else max(0, min(max_iters, stop) - done)
+            for fault, stop, done in zip(faults, needed, it)
+        ]
+        take = _share(want, cap)
+        block = [c for c in range(len(problems)) if take[c]]
+        if not block:
+            break
+        states = [problems[c][3].bit_generator.state for c in block]
+        u = np.concatenate([problems[c][3].random((take[c], 3)) for c in block])
+        owner = np.repeat(block, [take[c] for c in block])  # the problem of each sample
+        idx = weighted_samples(u, weights[owner, : max(sizes[c] for c in block)])
+        idx += offsets[owner, None]
         R, t, sample, failures = solve_p3p_many(pixels[idx], points[idx], K)
-        inliers = inlier_masks(R, t, K, points, pixels, inlier_px)
-        counts = inliers.sum(axis=1)
-        # the improvements: hypotheses whose count beats every count before them
-        prior = np.maximum.accumulate(np.concatenate(([best_count], counts)))[:-1]
-        used, best = block, None  # samples up to the stop; this block's best hypothesis
-        for h in np.flatnonzero(counts > prior).tolist():
-            j = int(sample[h])
-            if j >= used:  # the stop came before this sample
-                break
-            best, best_count = h, int(counts[h])
-            ratio = best_count / n
-            if ratio >= 1.0:
-                needed = it + j + 1
-            else:
-                needed = math.ceil(math.log(1.0 - confidence) / math.log(1.0 - ratio**3))
-            # the stop follows the first sample from j on at which the iterations reach `needed`
-            used = min(block, max(j + 1, min(max_iters, needed) - it))
-        for failure in failures[:used]:
-            if failure is not None and not isinstance(
-                failure, (DegenerateConfiguration, NoRealSolution)
-            ):
-                raise failure  # an np.roots error is a fault, not a degenerate sample
-        if best is not None:
-            best_pose = PoseEstimate(R[best], t[best])
-            best_inliers = inliers[best].copy()
-        it += used
-        if used < block:
-            rng.bit_generator.state = state
-            rng.random(3 * used)
-    return best_pose, best_inliers, best_count, it
+        # an np.roots error is a fault, not a degenerate sample
+        faulty = [
+            i
+            for i, f in enumerate(failures)
+            if f is not None and not isinstance(f, (DegenerateConfiguration, NoRealSolution))
+        ]
+        first = 0  # the block's first sample of problem c
+        for c, state in zip(block, states):
+            drawn, n = take[c], sizes[c]
+            lo, hi = np.searchsorted(sample, [first, first + drawn]).tolist()
+            inliers = inlier_masks(
+                R[lo:hi], t[lo:hi], K, points[offsets[c] : offsets[c + 1]],
+                pixels[offsets[c] : offsets[c + 1]], inlier_px,
+            )
+            counts = inliers.sum(axis=1)
+            # the improvements: hypotheses whose count beats every count before them
+            prior = np.maximum.accumulate(np.concatenate(([best_count[c]], counts)))[:-1]
+            used, top = drawn, None  # samples up to the stop; this block's best hypothesis
+            for h in np.flatnonzero(counts > prior).tolist():
+                j = int(sample[lo + h]) - first
+                if j >= used:  # the stop came before this sample
+                    break
+                top, best_count[c] = h, int(counts[h])
+                ratio = best_count[c] / n
+                if ratio >= 1.0:
+                    needed[c] = it[c] + j + 1
+                else:
+                    needed[c] = math.ceil(math.log(1.0 - confidence) / math.log(1.0 - ratio**3))
+                # the stop follows the first sample from j on at which the iterations reach `needed`
+                used = min(drawn, max(j + 1, min(max_iters, needed[c]) - it[c]))
+            faults[c] = next((failures[i] for i in faulty if first <= i < first + used), None)
+            if top is not None:
+                best_pose[c] = PoseEstimate(R[lo + top], t[lo + top])
+                best_inliers[c] = inliers[top].copy()
+            it[c] += used
+            if used < drawn:
+                rng = problems[c][3]
+                rng.bit_generator.state = state
+                rng.random(3 * used)
+            first += drawn
+    fault = next((f for f in faults if f is not None), None)
+    if fault is not None:
+        raise fault
+    return list(zip(best_pose, best_inliers, best_count, it))
 
 
-def temporary_pose(
-    matches: np.ndarray,
+def candidate_rng(rng: np.random.Generator, image_id: int) -> np.random.Generator:
+    """The generator of one candidate's temporary loop: a child of the seed
+    of the query's generator `rng`, keyed on the db image, so that its
+    draws depend neither on the retrieval rank nor on the other candidates."""
+    seed = rng.bit_generator.seed_seq
+    return np.random.default_rng(
+        np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, image_id))
+    )
+
+
+def temporary_poses(
+    candidate_matches: list[np.ndarray],
+    image_ids: list[int],
     smap: SemanticMap,
     keypoints: np.ndarray,
     K: CameraIntrinsics,
     cfg: LocalizerConfig,
     rng: np.random.Generator,
-    loop_samples: list[int],
-) -> PoseEstimate | None:
-    """Uniform-sampling RANSAC + refinement over one candidate's
-    (query keypoint, map row) matches.
+) -> list[PoseEstimate | None]:
+    """The temporary pose of each candidate, from its (query keypoint, map
+    row) matches: a uniform-sampling RANSAC on the candidate's own
+    candidate_rng(rng, image id), all loops in lock-step, then
+    temporary_pose. `rng` itself draws nothing.
 
-    `loop_samples` holds the samples used by each earlier temporary loop
-    of the query: this loop's first block is as large as the last of them
-    (one sample when it is empty), and its own count is appended. The
-    block schedule never changes the result.
-
-    Returns None when there are fewer than temp_pose_min_matches matches
-    or the best hypothesis has fewer than 4 inliers.
+    None for a candidate with fewer than temp_pose_min_matches matches.
     """
-    if len(matches) < max(cfg.temp_pose_min_matches, 4):
-        return None
-    points = smap.positions[matches[:, 1]]
-    pixels = keypoints[matches[:, 0]]
-    pose, inliers, count, used = _ransac_loop(
-        points,
-        pixels,
-        K,
-        np.ones(len(matches)),
-        cfg.inlier_px,
-        cfg.ransac_confidence,
-        cfg.temp_pose_iters,
-        rng,
-        loop_samples[-1] if loop_samples else 1,
+    solvable = [
+        j for j, m in enumerate(candidate_matches) if len(m) >= max(cfg.temp_pose_min_matches, 4)
+    ]
+    poses: list[PoseEstimate | None] = [None] * len(candidate_matches)
+    if not solvable:
+        return poses
+    problems = [
+        (
+            smap.positions[candidate_matches[j][:, 1]],
+            keypoints[candidate_matches[j][:, 0]],
+            np.ones(len(candidate_matches[j])),
+            candidate_rng(rng, image_ids[j]),
+        )
+        for j in solvable
+    ]
+    outcomes = _ransac_loop(
+        problems, K, cfg.inlier_px, cfg.ransac_confidence, cfg.temp_pose_iters
     )
-    loop_samples.append(used)
+    for j, (points, pixels, _, _), (pose, inliers, count, _) in zip(solvable, problems, outcomes):
+        poses[j] = temporary_pose(points, pixels, K, pose, inliers, count)
+    return poses
+
+
+def temporary_pose(
+    points: np.ndarray,
+    pixels: np.ndarray,
+    K: CameraIntrinsics,
+    pose: PoseEstimate | None,
+    inliers: np.ndarray | None,
+    count: int,
+) -> PoseEstimate | None:
+    """One candidate's temporary pose from its RANSAC outcome: the best
+    hypothesis refined on its inliers, or as it is when refinement fails;
+    None when it has fewer than 4 inliers."""
     if pose is None or count < 4:
         return None
     try:
@@ -352,15 +416,12 @@ def weighted_ransac_pnp(
         return None, 0
     points = smap.positions[matches[:, 1]]
     pixels = keypoints[matches[:, 0]]
-    pose, inliers, count, _ = _ransac_loop(
-        points,
-        pixels,
+    [(pose, inliers, count, _)] = _ransac_loop(
+        [(points, pixels, weights, rng)],
         K,
-        weights,
         cfg.inlier_px,
         cfg.ransac_confidence,
         cfg.ransac_max_iters,
-        rng,
     )
     if pose is None or count < 4:
         return None, 0
@@ -389,23 +450,28 @@ def localize_query(
     computed for diagnostics.
     """
     ranked = rank_database(query.global_desc, dataset.db_global, cfg.k_for(query.condition))
-    candidates: list[ScoredCandidate] = []
-    loop_samples: list[int] = []  # samples used per temporary loop; the last sizes the next
-    for image_id, _dist in ranked:
+    image_ids = [image_id for image_id, _dist in ranked]
+    candidate_matches = []
+    for image_id in image_ids:
         try:
             matches_2d = knn_ratio_match(
                 query.descriptors, dataset.db_descriptors[image_id], cfg.ratio
             )
         except TooFewDescriptors:
             matches_2d = np.recarray(0, dtype=MATCH_DTYPE)
-        matches = lift_matches(matches_2d, dataset.model.images[image_id], smap)
-        temp = temporary_pose(matches, smap, query.keypoints, query.camera, cfg, rng, loop_samples)
-        score = (
-            semantic_score(smap, query.labels, temp, query.camera, cfg)
-            if temp is not None
-            else 0
+        candidate_matches.append(lift_matches(matches_2d, dataset.model.images[image_id], smap))
+    temps = temporary_poses(
+        candidate_matches, image_ids, smap, query.keypoints, query.camera, cfg, rng
+    )
+    candidates = [
+        ScoredCandidate(
+            image_id,
+            matches,
+            temp,
+            semantic_score(smap, query.labels, temp, query.camera, cfg) if temp is not None else 0,
         )
-        candidates.append(ScoredCandidate(image_id, matches, temp, score))
+        for image_id, matches, temp in zip(image_ids, candidate_matches, temps)
+    ]
 
     weight_source = (
         [replace(c, score=1) for c in candidates] if cfg.uniform_weights else candidates

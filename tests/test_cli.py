@@ -13,6 +13,7 @@ import semloc.cli as cli
 import semloc.localizer as localizer
 import semloc.model_ingest as ingest
 from semloc.cli import load_pipeline_config, main
+from semloc.geometry import pose_error
 from semloc.localizer import LocalizerConfig
 from semloc.model_ingest import load_descriptors, load_keypoints, validate_dataset
 from semloc.synth import write_sidecar
@@ -111,24 +112,25 @@ class TestPipelineCommands:
         eval_report = json.loads((run / "eval_report.json").read_text())
         assert eval_report["overall"] == [100.0, 100.0, 100.0]
 
-    def test_deterministic_outputs(self, cli_dataset):
-        root, data = cli_dataset
-        run_a, run_b, run_c = root / "det_a", root / "det_b", root / "det_c"
-        for run, jobs in ((run_a, "3"), (run_b, "3"), (run_c, "1")):
-            assert main(
-                ["localize", "--data", str(data), "--out", str(run), "--seed", "9", "--jobs", jobs]
-            ) == 0
-        for other in (run_b, run_c):
-            assert (run_a / "poses.txt").read_bytes() == (other / "poses.txt").read_bytes()
-            assert (run_a / "report.json").read_bytes() == (other / "report.json").read_bytes()
+    def test_deterministic_outputs(self, cli_dataset, decoy_cli_dataset, tmp_path):
+        """Each query and each of its candidates draws from its own stream,
+        so one worker or several write the same bytes."""
+        for data, extra in ((cli_dataset[1], []), (decoy_cli_dataset, ["--k-day", "6"])):
+            argv = ["localize", "--data", str(data), "--seed", "9", *extra]
+            runs = [tmp_path / f"{data.parent.name}_{jobs}" for jobs in ("1", "2", "3")]
+            for run, jobs in zip(runs, ("1", "2", "3")):
+                assert main([*argv, "--jobs", jobs, "--out", str(run)]) == 0
+            for other in runs[1:]:
+                for name in ("poses.txt", "report.json"):
+                    assert (other / name).read_bytes() == (runs[0] / name).read_bytes()
 
     @pytest.mark.parametrize(
         "flags, golden",
         [([], "cli_poses.txt"), (["--uniform-weights"], "cli_poses_uniform.txt")],
     )
     def test_poses_equal_golden_bytes(self, cli_dataset, tmp_path, flags, golden):
-        # the golden files hold the poses this scene gave before the array
-        # matcher and the batched Jacobian, written with numpy 2.4 on x86-64;
+        # the golden files hold the poses this scene gives with one generator
+        # per candidate's temporary loop, written with numpy 2.4 on x86-64;
         # a hot-path rewrite must keep every bit of them
         _, data = cli_dataset
         run = tmp_path / "run"
@@ -140,9 +142,9 @@ class TestPipelineCommands:
         [([], "decoy_poses.txt"), (["--uniform-weights"], "decoy_poses_uniform.txt")],
     )
     def test_decoy_poses_equal_golden_bytes(self, decoy_cli_dataset, tmp_path, flags, golden):
-        # written by the one-sample-at-a-time RANSAC loop, with numpy 2.4 on
-        # x86-64; the batched loop must stop, rewind its rng and pick the
-        # same hypotheses to keep every bit
+        # written with one generator per candidate's temporary loop, with
+        # numpy 2.4 on x86-64; the blocked loop must stop, rewind each rng
+        # and pick the same hypotheses as one sample at a time to keep every bit
         run = tmp_path / "run"
         argv = ["localize", "--data", str(decoy_cli_dataset), "--out", str(run), "--seed", "2"]
         assert main([*argv, "--k-day", "6", *flags]) == 0
@@ -158,9 +160,9 @@ class TestPipelineCommands:
         blocks = []
         sampler = localizer.weighted_samples
 
-        def counted(rng, weights, rows, count):
-            blocks.append(rows)
-            return sampler(rng, weights, rows, count)
+        def counted(u, weights):
+            blocks.append(len(u))
+            return sampler(u, weights)
 
         monkeypatch.setattr(localizer, "RANSAC_BLOCK_MAX", 1)
         monkeypatch.setattr(localizer, "weighted_samples", counted)
@@ -172,22 +174,23 @@ class TestPipelineCommands:
         assert set(blocks) == {1} and len(blocks) > 100
 
     def test_decoy_block_schedule_is_pinned(self, decoy_cli_dataset, tmp_path, monkeypatch):
-        """Blocks drawn and samples used by each RANSAC loop, in run order:
-        per query six temporary loops, then the final loop. A temporary loop
-        after a query's first starts with a block as large as the samples
-        the loop before it used. A change to the schedule shows here; the
-        test above checks that it moves no output."""
+        """Blocks drawn by each RANSAC loop and samples used by each of its
+        problems, in run order: per query one lock-step loop over the six
+        temporary problems, then the final loop. A block holds each
+        problem's first sample alone, then the samples left to each stop,
+        shared out when they pass the cap. A change to the schedule shows
+        here; the test above checks that it moves no output."""
         blocks, used = [], []
         sampler, ransac_loop = localizer.weighted_samples, localizer._ransac_loop
 
-        def counted_block(rng, weights, rows, count):
-            blocks[-1].append(rows)
-            return sampler(rng, weights, rows, count)
+        def counted_block(u, weights):
+            blocks[-1].append(len(u))
+            return sampler(u, weights)
 
         def counted_loop(*args, **kwargs):
             blocks.append([])
             result = ransac_loop(*args, **kwargs)
-            used.append(result[3])
+            used.append([samples for _, _, _, samples in result])
             return result
 
         monkeypatch.setattr(localizer, "weighted_samples", counted_block)
@@ -196,13 +199,25 @@ class TestPipelineCommands:
         assert main([*argv, "--jobs", "1", "--out", str(tmp_path / "run")]) == 0
         final = [1, 54, 54, 54, 54, 54]
         assert list(zip(blocks, used)) == [
-            ([1, 64], 35), ([35], 35), ([35], 35), ([35], 35), ([35], 35), ([35], 35),
-            (final + [22], 293),
-            ([1, 64], 36), ([36], 35), ([35], 34), ([34], 34), ([34, 1], 35), ([35], 35),
-            (final + [22], 293),
-            ([1, 64], 34), ([34], 34), ([34, 1], 35), ([35], 35), ([35], 34), ([34], 34),
-            (final + [16], 287),
+            ([6, 64, 64, 64, 12], [35, 35, 35, 35, 35, 35]), (final + [22], [293]),
+            ([6, 64, 64, 64, 10], [35, 35, 34, 34, 35, 35]), (final + [22], [293]),
+            ([6, 64, 64, 64, 8], [34, 34, 35, 35, 34, 34]), (final + [16], [287]),
         ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_semantic_weights_beat_uniform_weights(self, decoy_cli_dataset, tmp_path, seed):
+        """The paper's claim on the decoy fixture, at more than one seed:
+        semantic weights give more fine queries than uniform ones."""
+        gt = ingest.load_ground_truth(decoy_cli_dataset / "ground_truth.txt")
+        fine = []
+        for flags in ([], ["--uniform-weights"]):
+            run = tmp_path / f"run{len(flags)}"
+            argv = ["localize", "--data", str(decoy_cli_dataset), "--out", str(run), "--k-day", "6"]
+            assert main([*argv, "--seed", str(seed), *flags]) == 0
+            estimated = ingest.load_ground_truth(run / "poses.txt")
+            errors = [pose_error(estimated[name], gt[name]) for name in gt if name in estimated]
+            fine.append(sum(t <= 0.25 and r <= 2.0 for t, r in errors))
+        assert fine[0] > fine[1], fine
 
     def test_uniform_weights_flag(self, cli_dataset):
         root, data = cli_dataset

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from semloc.localizer import (
     assign_weights,
     localize_query,
     semantic_score,
-    temporary_pose,
+    temporary_poses,
     visible_mask,
     weighted_ransac_pnp,
     weighted_sample_without_replacement,
@@ -165,7 +166,7 @@ class TestTemporaryPose:
         smap = map_of(points)
         matches, keypoints = synthetic_matches(rng, pose, 11, points)
         cfg = LocalizerConfig(temp_pose_min_matches=12)
-        assert temporary_pose(matches, smap, keypoints, K, cfg, np.random.default_rng(0), []) is None
+        assert temporary_poses([matches], [1], smap, keypoints, K, cfg, np.random.default_rng(0)) == [None]
 
     def test_recovers_noiseless_pose(self):
         rng = np.random.default_rng(3)
@@ -173,7 +174,7 @@ class TestTemporaryPose:
         points = grid_map_points(rng, gt, 50)
         smap = map_of(points)
         matches, keypoints = synthetic_matches(rng, gt, 50, points)
-        got = temporary_pose(matches, smap, keypoints, K, LocalizerConfig(), np.random.default_rng(4), [])
+        [got] = temporary_poses([matches], [1], smap, keypoints, K, LocalizerConfig(), np.random.default_rng(4))
         assert got is not None
         t_err, r_err = pose_error(got, gt)
         assert t_err < 1e-4 and r_err < 1e-4
@@ -184,10 +185,41 @@ class TestTemporaryPose:
         points = grid_map_points(rng, gt, 50)
         smap = map_of(points)
         matches, keypoints = synthetic_matches(rng, gt, 50, points, outlier_fraction=0.6)
-        got = temporary_pose(matches, smap, keypoints, K, LocalizerConfig(), np.random.default_rng(6), [])
+        [got] = temporary_poses([matches], [1], smap, keypoints, K, LocalizerConfig(), np.random.default_rng(6))
         assert got is not None
         t_err, _ = pose_error(got, gt)
         assert t_err < 0.01
+
+    def test_pose_depends_on_the_image_not_the_rank_or_the_others(self):
+        """A candidate's loop draws from a stream keyed on (query seed, db
+        image): dropping, adding or reordering other candidates leaves its
+        pose bit for bit, and another image or query seed moves it."""
+        rng = np.random.default_rng(7)
+        gt = PoseEstimate(quat_to_rot(rng.normal(size=4)), rng.normal(size=3))
+        points = grid_map_points(rng, gt, 60)
+        smap = map_of(points)
+        matches, keypoints = synthetic_matches(rng, gt, 60, points, outlier_fraction=0.5)
+        cfg = LocalizerConfig()
+        halves = [matches[:40], matches[20:], matches]
+
+        def pose_of_image_9(candidates, ids, seed=8):
+            poses = temporary_poses(candidates, ids, smap, keypoints, K, cfg, np.random.default_rng(seed))
+            pose = poses[ids.index(9)]
+            return pose.rotation.tobytes() + pose.translation.tobytes()
+
+        alone = pose_of_image_9([matches], [9])
+        assert pose_of_image_9([halves[0], matches, halves[1]], [3, 9, 4]) == alone
+        assert pose_of_image_9([matches, halves[2]], [9, 2]) == alone
+        assert pose_of_image_9([matches, matches], [5, 9]) == alone
+
+        def first_draws(seed, image_id, consumed=0):
+            query_rng = np.random.default_rng(seed)
+            query_rng.random(consumed)  # the query generator's own draws do not matter
+            return localizer.candidate_rng(query_rng, image_id).random(4).tolist()
+
+        assert first_draws(8, 9) == first_draws(8, 9, consumed=5)
+        assert first_draws(8, 9) not in (first_draws(8, 5), first_draws(10, 9))
+        assert first_draws(8, 9) != np.random.default_rng(8).random(4).tolist()
 
 
 def splat(raster, px, label, radius=3):
@@ -439,12 +471,45 @@ def test_weighted_samples_equal_per_draw_loop(weights, rows, seed):
     block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     if np.sum(weights > 0) < 3:
         with pytest.raises(ValueError):
-            weighted_samples(block_rng, weights, rows, 3)
+            weighted_samples(block_rng.random((rows, 3)), weights)
         return
     with np.errstate(over="ignore"):
         want = [oracles.weighted_sample_loop(loop_rng, weights, 3) for _ in range(rows)]
-        assert weighted_samples(block_rng, weights, rows, 3).tolist() == want
+        assert weighted_samples(block_rng.random((rows, 3)), weights).tolist() == want
     assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.sampled_from(SPECIAL_WEIGHTS),
+                st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=3, max_size=30),
+            ).filter(lambda w: sum(v > 0 for v in w) >= 3),
+            st.integers(1, 4),  # rows drawn on these weights
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(0, 3),
+)
+@settings(derandomize=True, deadline=None)
+def test_padded_rows_equal_per_draw_loop_on_unpadded_weights(problems, pad):
+    """One draw over per-row, zero-padded weights, as a lock-step RANSAC
+    block makes it: each row picks what the per-draw loop picks on its own
+    unpadded weights and generator."""
+    width = max(len(w) for w, _, _ in problems) + pad
+    padded = np.zeros((len(problems), width))
+    u, owner, want = [], [], []
+    with np.errstate(over="ignore"):
+        for c, (w, rows, seed) in enumerate(problems):
+            padded[c, : len(w)] = w
+            u.append(np.random.default_rng(seed).random((rows, 3)))
+            loop_rng = np.random.default_rng(seed)
+            want += [oracles.weighted_sample_loop(loop_rng, np.array(w), 3) for _ in range(rows)]
+            owner += [c] * rows
+        assert weighted_samples(np.concatenate(u), padded[owner]).tolist() == want
 
 
 @pytest.mark.parametrize("weights, picks", [(SPECIAL_WEIGHTS[3], [3, 2, 0]), (SPECIAL_WEIGHTS[2], [3, 2, 0])])
@@ -455,7 +520,7 @@ def test_top_of_range_draw_falls_back_to_last_positive_weight(weights, picks):
     weights = np.array(weights)
     with np.errstate(over="ignore"):
         assert [oracles.weighted_sample_loop(TopOfRange(), weights, 3) for _ in range(2)] == [picks] * 2
-        assert weighted_samples(TopOfRange(), weights, 2, 3).tolist() == [picks] * 2
+        assert weighted_samples(TopOfRange().random((2, 3)), weights).tolist() == [picks] * 2
 
 
 def ransac_instance(seed, n, outlier_rate, noise_px):
@@ -469,6 +534,33 @@ def ransac_instance(seed, n, outlier_rate, noise_px):
     pixels[bad] = rng.uniform([0, 0], [K.width, K.height], size=(int(bad.sum()), 2))
     weights = rng.uniform(0.0, 1.0, size=n) * (rng.random(n) < 0.8)
     return points, pixels, weights
+
+
+def reference_loop(points, pixels, weights, max_iters, rng, confidence=0.99):
+    """oracles.ransac_loop_loop on rng, with the samples it drew and the
+    rng state it leaves: (R, t, inlier mask, count, samples, state)."""
+    used, loop_sampler = [0], oracles.weighted_sample_loop
+
+    def counted_sample(rng, w, count):
+        used[0] += 1
+        return loop_sampler(rng, w, count)
+
+    oracles.weighted_sample_loop = counted_sample
+    try:
+        got = oracles.ransac_loop_loop(points, pixels, K, weights, 10.0, confidence, max_iters, rng)
+    finally:
+        oracles.weighted_sample_loop = loop_sampler
+    return (*got, used[0], rng.bit_generator.state)
+
+
+def assert_loop_equals(outcome, rng, reference):
+    """One problem's outcome of the lock-step loop, and its rng after it,
+    bit for bit those of the reference loop on that problem alone."""
+    pose, inliers, count, samples = outcome
+    R, t, want_inliers, want_count, want_samples, state = reference
+    assert (pose.rotation.tobytes(), pose.translation.tobytes()) == (R.tobytes(), t.tobytes())
+    assert np.array_equal(inliers, want_inliers) and count == want_count
+    assert samples == want_samples and rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize(
@@ -485,63 +577,36 @@ def ransac_instance(seed, n, outlier_rate, noise_px):
 def test_ransac_loop_equals_one_sample_at_a_time(
     monkeypatch, seed, outlier_rate, noise_px, confidence, temp_iters, block_max, stop
 ):
-    # the temporary loop, then the final loop on the same rng, as a query
-    # runs them; `stop` names how the temporary loop ends with a one-sample
-    # first block, or for "mid-block" either loop. The first block is
-    # `first_block` samples clamped to the cap and the iterations left; each
-    # later one is the cap, or the iterations left when fewer, which ends
-    # the loop. Every first block must give the reference's bits.
+    # one problem: a uniform loop, then a weighted loop on the same rng, as
+    # the final loop follows the temporary ones; `stop` names how the
+    # uniform loop ends, or for "mid-block" either loop. The first block is
+    # one sample, each later one the cap, or the samples left to the stop
+    # when fewer. Every block schedule must give the reference's bits.
     monkeypatch.setattr(localizer, "RANSAC_BLOCK_MAX", block_max)
-    drawn, used = [], []  # per loop: block sizes drawn, samples the reference drew
-    block_sampler, loop_sampler = localizer.weighted_samples, oracles.weighted_sample_loop
+    drawn = []  # per loop: block sizes drawn
+    block_sampler = localizer.weighted_samples
 
-    def counted_block(rng, w, rows, count):
-        drawn[-1].append(rows)
-        return block_sampler(rng, w, rows, count)
-
-    def counted_sample(rng, w, count):
-        used[-1] += 1
-        return loop_sampler(rng, w, count)
+    def counted_block(u, w):
+        drawn[-1].append(len(u))
+        return block_sampler(u, w)
 
     monkeypatch.setattr(localizer, "weighted_samples", counted_block)
-    monkeypatch.setattr(oracles, "weighted_sample_loop", counted_sample)
     points, pixels, weights = ransac_instance(seed, 60, outlier_rate, noise_px)
     loops = ((np.ones(len(points)), temp_iters), (weights, 300))
-    loop_rng, want = np.random.default_rng(seed), []
+    loop_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    used, counts = [], []
     for loop_weights, max_iters in loops:
-        used.append(0)
-        want.append(
-            oracles.ransac_loop_loop(
-                points, pixels, K, loop_weights, 10.0, confidence, max_iters, loop_rng
-            )
-            + (loop_rng.bit_generator.state,)
+        want = reference_loop(points, pixels, loop_weights, max_iters, loop_rng, confidence)
+        drawn.append([])
+        [outcome] = localizer._ransac_loop(
+            [(points, pixels, loop_weights, block_rng)], K, 10.0, confidence, max_iters
         )
-    first_blocks = {  # per schedule: the first block of a loop that the reference ran in u samples
-        "one sample": lambda u, max_iters: 1,
-        "past the stop": lambda u, max_iters: u + 1,
-        "the cap": lambda u, max_iters: block_max,
-        "past the iterations left": lambda u, max_iters: max_iters + 1,
-    }
-    schedules = {}
-    for name, first_block in first_blocks.items():
-        block_rng, drawn = np.random.default_rng(seed), []
-        for (loop_weights, max_iters), (R, t, want_inliers, want_count, state), u in zip(
-            loops, want, used
-        ):
-            drawn.append([])
-            first = first_block(u, max_iters)
-            pose, inliers, count, samples = localizer._ransac_loop(
-                points, pixels, K, loop_weights, 10.0, confidence, max_iters, block_rng, first
-            )
-            assert (pose.rotation.tobytes(), pose.translation.tobytes()) == (R.tobytes(), t.tobytes())
-            assert np.array_equal(inliers, want_inliers) and count == want_count
-            assert block_rng.bit_generator.state == state and samples == u
-            blocks = drawn[-1]
-            assert blocks[0] == min(first, block_max, max_iters)
-            assert all(b == block_max for b in blocks[1:-1])
-            assert blocks[-1] <= block_max and sum(blocks[:-1]) < u <= sum(blocks)
-        schedules[name] = drawn
-    drawn, counts = schedules["one sample"], [w[3] for w in want]
+        assert_loop_equals(outcome, block_rng, want)
+        u, blocks = want[4], drawn[-1]
+        assert blocks[0] == 1 and all(b == block_max for b in blocks[1:-1])
+        assert blocks[-1] <= block_max and sum(blocks[:-1]) < u <= sum(blocks)
+        used.append(u)
+        counts.append(want[3])
     if stop == "one sample":
         assert used[0] == 1 and counts[0] < len(points)
     elif stop == "mid-block":
@@ -552,44 +617,93 @@ def test_ransac_loop_equals_one_sample_at_a_time(
         assert used[0] == temp_iters == sum(drawn[0])
     else:
         assert used[0] == 1 and counts[0] == len(points)
-    # a first block past the stop and within the cap holds the whole loop
-    assert all(len(d) == 1 for d, u in zip(schedules["past the stop"], used) if u < block_max)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 2**16),  # instance seed
+            st.integers(12, 60),  # points
+            st.sampled_from([0.0, 0.3, 0.6, 0.9]),  # outlier rate
+            st.booleans(),  # weighted sampling
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from([1, 3, 64]),
+    st.sampled_from([20, 300]),
+    st.randoms(use_true_random=False),
+)
+@settings(derandomize=True, deadline=None, max_examples=25)
+def test_lock_step_loops_equal_each_loop_alone(specs, block_max, max_iters, shuffler):
+    """Each of C problems run in lock-step ends as the reference loop ends
+    on that problem alone with its own rng; dropping or reordering the
+    other problems changes none of it."""
+    problems = []
+    for seed, n, outlier_rate, weighted in specs:
+        points, pixels, weights = ransac_instance(seed, n, outlier_rate, 0.5)
+        if not weighted or np.sum(weights > 0) < 3:
+            weights = np.ones(n)
+        problems.append((points, pixels, weights, seed))
+    want = [
+        reference_loop(points, pixels, weights, max_iters, np.random.default_rng(seed))
+        for points, pixels, weights, seed in problems
+    ]
+    order = list(range(len(problems)))
+    shuffler.shuffle(order)
+    kept = order[: shuffler.randint(1, len(order))]
+    with patch.object(localizer, "RANSAC_BLOCK_MAX", block_max):
+        for subset in (range(len(problems)), kept):
+            rngs = [np.random.default_rng(problems[c][3]) for c in subset]
+            outcomes = localizer._ransac_loop(
+                [(*problems[c][:3], rng) for c, rng in zip(subset, rngs)], K, 10.0, 0.99, max_iters
+            )
+            for c, outcome, rng in zip(subset, outcomes, rngs):
+                if want[c][0] is None:
+                    assert outcome[0] is None and outcome[2:] == (0, want[c][4])
+                else:
+                    assert_loop_equals(outcome, rng, want[c])
 
 
 @pytest.mark.parametrize("past_stop", [True, False])
 def test_solver_fault_raises_only_at_or_before_the_stop(monkeypatch, past_stop):
     """A LinAlgError planted in the sample after the stop, inside the same
-    block, is never replayed; one planted in the stop's own sample raises."""
+    block, is never replayed; one planted in the stop's own sample raises.
+    A second problem in the same blocks keeps its own outcome."""
     points, pixels, _ = ransac_instance(21, 60, 0.3, 0.5)
-    used, loop_sampler = [0], oracles.weighted_sample_loop
-
-    def counted_sample(rng, w, count):
-        used[0] += 1
-        return loop_sampler(rng, w, count)
-
-    monkeypatch.setattr(oracles, "weighted_sample_loop", counted_sample)
-    args = (points, pixels, K, np.ones(len(points)), 10.0, 0.99, 500)
-    R, t, _, _ = oracles.ransac_loop_loop(*args, np.random.default_rng(21))
-    planted = used[0] if past_stop else used[0] - 1  # 0-based sample index
+    other = ransac_instance(22, 40, 0.3, 0.5)[:2]
+    R, t, _, _, used, _ = reference_loop(points, pixels, np.ones(60), 500, np.random.default_rng(21))
+    want_other = reference_loop(*other, np.ones(40), 500, np.random.default_rng(22))
+    planted = used if past_stop else used - 1  # 0-based sample index of the first problem
     seen, drawn = [0], []
-    solve = localizer.solve_p3p_many
+    solve, sampler = localizer.solve_p3p_many, localizer.weighted_samples
+    owners = []
+
+    def recorded_sampler(u, w):
+        owners.append(w[:, 59] > 0)  # the rows of the 60-point problem
+        return sampler(u, w)
 
     def planted_solve(pixels, points, K):
         R, t, sample, failures = solve(pixels, points, K)
-        if seen[0] <= planted < seen[0] + len(failures):
-            failures[planted - seen[0]] = np.linalg.LinAlgError("planted")
-        seen[0] += len(failures)
-        drawn.append(len(failures))
+        mine = np.flatnonzero(owners[-1])
+        if seen[0] <= planted < seen[0] + len(mine):
+            failures[mine[planted - seen[0]]] = np.linalg.LinAlgError("planted")
+        seen[0] += len(mine)
+        drawn.append(len(mine))
         return R, t, sample, failures
 
+    monkeypatch.setattr(localizer, "weighted_samples", recorded_sampler)
     monkeypatch.setattr(localizer, "solve_p3p_many", planted_solve)
+    rngs = [np.random.default_rng(21), np.random.default_rng(22)]
+    problems = [(points, pixels, np.ones(60), rngs[0]), (*other, np.ones(40), rngs[1])]
     if past_stop:
-        pose, _, _, _ = localizer._ransac_loop(*args, np.random.default_rng(21))
+        [(pose, _, _, _), outcome] = localizer._ransac_loop(problems, K, 10.0, 0.99, 500)
         assert sum(drawn) > planted  # the planted sample was drawn and solved
         assert pose.rotation.tobytes() == R.tobytes() and pose.translation.tobytes() == t.tobytes()
+        assert_loop_equals(outcome, rngs[1], want_other)
     else:
         with pytest.raises(np.linalg.LinAlgError, match="planted"):
-            localizer._ransac_loop(*args, np.random.default_rng(21))
+            localizer._ransac_loop(problems, K, 10.0, 0.99, 500)
 
 
 class TestWeightedRansacPnp:
