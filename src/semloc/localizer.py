@@ -204,9 +204,6 @@ def _ransac_loop(
     blocks and the other problems, with its rng left where that loop leaves it.
     """
     sizes = [len(p[0]) for p in problems]
-    offsets = np.cumsum([0, *sizes])
-    points = np.concatenate([p[0] for p in problems]).reshape(-1, 3)
-    pixels = np.concatenate([p[1] for p in problems]).reshape(-1, 2)
     weights = np.zeros((len(problems), max(sizes)))  # zero-padded rows draw as the unpadded ones
     for c, problem in enumerate(problems):
         weights[c, : sizes[c]] = problem[2]
@@ -230,22 +227,23 @@ def _ransac_loop(
         u = np.concatenate([problems[c][3].random((take[c], 3)) for c in block])
         owner = np.repeat(block, [take[c] for c in block])  # the problem of each sample
         idx = weighted_samples(u, weights[owner, : max(sizes[c] for c in block)])
-        idx += offsets[owner, None]
-        R, t, sample, failures = solve_p3p_many(pixels[idx], points[idx], K)
+        starts = np.cumsum([0, *(take[c] for c in block)]).tolist()  # of each problem's samples
+        picked = [(problems[c], idx[a:b]) for c, a, b in zip(block, starts, starts[1:])]
+        R, t, sample, failures = solve_p3p_many(
+            np.concatenate([pixels[i] for (_, pixels, _, _), i in picked]),
+            np.concatenate([points[i] for (points, _, _, _), i in picked]),
+            K,
+        )
         # an np.roots error is a fault, not a degenerate sample
         faulty = [
             i
             for i, f in enumerate(failures)
             if f is not None and not isinstance(f, (DegenerateConfiguration, NoRealSolution))
         ]
-        first = 0  # the block's first sample of problem c
-        for c, state in zip(block, states):
+        for c, state, first in zip(block, states, starts):
             drawn, n = take[c], sizes[c]
             lo, hi = np.searchsorted(sample, [first, first + drawn]).tolist()
-            inliers = inlier_masks(
-                R[lo:hi], t[lo:hi], K, points[offsets[c] : offsets[c + 1]],
-                pixels[offsets[c] : offsets[c + 1]], inlier_px,
-            )
+            inliers = inlier_masks(R[lo:hi], t[lo:hi], K, *problems[c][:2], inlier_px)
             counts = inliers.sum(axis=1)
             # the improvements: hypotheses whose count beats every count before them
             prior = np.maximum.accumulate(np.concatenate(([best_count[c]], counts)))[:-1]
@@ -271,7 +269,6 @@ def _ransac_loop(
                 rng = problems[c][3]
                 rng.bit_generator.state = state
                 rng.random(3 * used)
-            first += drawn
     fault = next((f for f in faults if f is not None), None)
     if fault is not None:
         raise fault
