@@ -280,8 +280,9 @@ def candidate_rng(rng: np.random.Generator, image_id: int) -> np.random.Generato
     of the query's generator `rng`, keyed on the db image, so that its
     draws depend neither on the retrieval rank nor on the other candidates."""
     seed = rng.bit_generator.seed_seq
+    key = image_id % 2**64  # a spawn key is non-negative; the model parser takes any int id
     return np.random.default_rng(
-        np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, image_id))
+        np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, key))
     )
 
 
