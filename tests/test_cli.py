@@ -13,6 +13,7 @@ import semloc.cli as cli
 import semloc.localizer as localizer
 import semloc.model_ingest as ingest
 from semloc.cli import load_pipeline_config, main
+from semloc.evaluation import BUCKETS
 from semloc.geometry import pose_error
 from semloc.localizer import LocalizerConfig
 from semloc.model_ingest import load_descriptors, load_keypoints, validate_dataset
@@ -216,7 +217,7 @@ class TestPipelineCommands:
             assert main([*argv, "--seed", str(seed), *flags]) == 0
             estimated = ingest.load_ground_truth(run / "poses.txt")
             errors = [pose_error(estimated[name], gt[name]) for name in gt if name in estimated]
-            fine.append(sum(t <= 0.25 and r <= 2.0 for t, r in errors))
+            fine.append(sum(t <= BUCKETS["fine"][0] and r <= BUCKETS["fine"][1] for t, r in errors))
         assert fine[0] > fine[1], fine
 
     def test_uniform_weights_flag(self, cli_dataset):
