@@ -183,9 +183,14 @@ def _ransac_loop(
     """Hypothesize-and-verify loops over C problems, run in lock-step.
 
     A problem is (points (n, 3), pixels (n, 2), weights (n,), rng). Its loop
-    samples by its weights from its own rng and counts inliers unweighted;
-    its iterations adapt to its best inlier ratio under the requested
-    confidence, capped at max_iters.
+    samples by its weights from its own rng and counts inliers unweighted.
+    Its iterations adapt to the best inlier set under the requested
+    confidence, capped at max_iters: with m the set's share of the weight
+    (its inlier ratio under uniform weights), the loop stops after
+    log(1 - confidence) / log(1 - m**3) samples, the number at which a
+    weighted sample holds only inliers at least once with that confidence
+    (the guided-sampling stop of Tordoff and Murray, TPAMI 2005). An m too
+    small for 1 - m**3 to differ from 1 runs to max_iters.
 
     Each block draws the samples of every unfinished problem at once and
     solves them in one solve_p3p_many: a problem's first sample alone, then
@@ -207,6 +212,7 @@ def _ransac_loop(
     weights = np.zeros((len(problems), max(sizes)))  # zero-padded rows draw as the unpadded ones
     for c, problem in enumerate(problems):
         weights[c, : sizes[c]] = problem[2]
+    mass = [float(weights[c, :n].sum()) for c, n in enumerate(sizes)]
     best_pose: list[PoseEstimate | None] = [None] * len(problems)
     best_inliers: list[np.ndarray | None] = [None] * len(problems)
     best_count, it = [0] * len(problems), [0] * len(problems)
@@ -253,11 +259,14 @@ def _ransac_loop(
                 if j >= used:  # the stop came before this sample
                     break
                 top, best_count[c] = h, int(counts[h])
-                ratio = best_count[c] / n
-                if ratio >= 1.0:
+                # the odds that one weighted draw is an inlier: the inliers' share of the weight
+                m = float(weights[c, :n][inliers[h]].sum()) / mass[c]
+                if m >= 1.0:
                     needed[c] = it[c] + j + 1
+                elif 1.0 - m**3 == 1.0:  # no sample is likely all inliers: log(1.0) is 0
+                    needed[c] = max_iters
                 else:
-                    needed[c] = math.ceil(math.log(1.0 - confidence) / math.log(1.0 - ratio**3))
+                    needed[c] = math.ceil(math.log(1.0 - confidence) / math.log(1.0 - m**3))
                 # the stop follows the first sample from j on at which the iterations reach `needed`
                 used = min(drawn, max(j + 1, min(max_iters, needed[c]) - it[c]))
             faults[c] = next((failures[i] for i in faulty if first <= i < first + used), None)

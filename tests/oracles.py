@@ -496,9 +496,10 @@ def weighted_sample_loop(rng, weights, count):
 def ransac_loop_loop(points, pixels, K, weights, inlier_px, confidence, max_iters, rng):
     """Hypothesize-and-verify one sample at a time: weighted_sample_loop,
     solve_p3p_loop and one projection per hypothesis, with the adaptive stop
-    after each sample. Returns (R, t, inlier mask, count), None for the
-    first three when no hypothesis has an inlier."""
-    n = len(points)
+    after each sample; the stop takes the odds that a weighted draw is an
+    inlier as the best inliers' share of the weight. Returns (R, t, inlier
+    mask, count), None for the first three when no hypothesis has an inlier."""
+    w = np.asarray(weights, dtype=float)
     best_pose, best_inliers, best_count = None, None, 0
     needed = max_iters
     it = 0
@@ -517,12 +518,12 @@ def ransac_loop_loop(points, pixels, K, weights, inlier_px, confidence, max_iter
             count = int(inliers.sum())
             if count > best_count:
                 best_pose, best_inliers, best_count = pose, inliers, count
-                ratio = count / n
-                if ratio >= 1.0:
+                m = float(w[inliers].sum()) / float(w.sum())
+                if m >= 1.0:
                     needed = it
+                elif 1.0 - m**3 == 1.0:
+                    needed = max_iters
                 else:
-                    needed = math.ceil(
-                        math.log(1.0 - confidence) / math.log(1.0 - ratio**3)
-                    )
+                    needed = math.ceil(math.log(1.0 - confidence) / math.log(1.0 - m**3))
     R, t = best_pose if best_pose is not None else (None, None)
     return R, t, best_inliers, best_count
