@@ -393,7 +393,9 @@ def assign_weights(candidates: list[ScoredCandidate]) -> tuple[np.ndarray, np.nd
         return np.empty((0, 2), dtype=np.int64), np.empty(0), False
     matches = np.concatenate([c.matches for c in candidates])
     scores = np.concatenate([np.full(len(c.matches), float(c.score)) for c in candidates])
-    _, first, inverse = np.unique(matches, axis=0, return_index=True, return_inverse=True)
+    # one int key per (query keypoint, map row), ordered as the pairs are
+    key = matches[:, 0] * (int(matches[:, 1].max()) + 1) + matches[:, 1]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)  # unique matches in first-seen order
     slot = np.empty_like(order)
     slot[order] = np.arange(len(order))

@@ -527,3 +527,20 @@ def ransac_loop_loop(points, pixels, K, weights, inlier_px, confidence, max_iter
                     needed = math.ceil(math.log(1.0 - confidence) / math.log(1.0 - m**3))
     R, t = best_pose if best_pose is not None else (None, None)
     return R, t, best_inliers, best_count
+
+
+def pool_matches_by_rows(pairs, scores):
+    """assign_weights's pooling by np.unique over the rows of the (m, 2)
+    match array: `pairs` are the candidates' matches in order and `scores`
+    each match's raw weight. Returns (pooled, weights, used_fallback)."""
+    _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    raw = np.zeros(len(order))
+    np.add.at(raw, slot[inverse], scores)
+    pooled = pairs[first[order]]
+    total = raw.sum()
+    if total <= 0.0:
+        return pooled, np.full(len(pooled), 1.0 / len(pooled)), True
+    return pooled, raw / total, False

@@ -340,6 +340,35 @@ def test_assign_weights_equals_merge_loop_oracle(cands):
     assert fallback == want_fallback
 
 
+pair_values = st.integers(0, 3) | st.integers(0, 10**6)  # repeats, and wide keys
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.tuples(pair_values, pair_values), max_size=12),
+            st.integers(0, 200) | st.just(0),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(derandomize=True, deadline=None)
+def test_assign_weights_equals_pooling_by_rows(cands):
+    """The 1-D key gives the bits of np.unique over the match rows: with
+    repeated pairs, one candidate, empty candidates and all-zero scores."""
+    cands = [candidate(i, pairs, None, score) for i, (pairs, score) in enumerate(cands)]
+    pooled, weights, fallback = assign_weights(cands)
+    if not any(len(c.matches) for c in cands):
+        assert (pooled.shape, weights.shape, fallback) == ((0, 2), (0,), False)
+        return
+    pairs = np.concatenate([c.matches for c in cands])
+    scores = np.concatenate([np.full(len(c.matches), float(c.score)) for c in cands])
+    want_pooled, want_weights, want_fallback = oracles.pool_matches_by_rows(pairs, scores)
+    assert np.array_equal(pooled, want_pooled) and pooled.dtype == want_pooled.dtype
+    assert weights.tobytes() == want_weights.tobytes() and fallback == want_fallback
+
+
 class TestAssignWeights:
     def test_worked_example(self):
         a = candidate(1, [(i, 100 + i) for i in range(10)], PoseEstimate.identity(), 100)
