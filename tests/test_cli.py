@@ -515,7 +515,21 @@ class TestErrorPaths:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"inlier_px": 8, "theta_min_deg": 0}))
         loaded = load_pipeline_config(cfg, {})
-        assert (loaded.inlier_px, loaded.theta_min_deg) == (8, 0)
+        assert (loaded.inlier_px, loaded.theta_min_deg) == (8.0, 0.0)
+        assert type(loaded.inlier_px) is float and type(loaded.theta_min_deg) is float
+
+    def test_int_and_float_config_values_write_the_same_report(self, cli_dataset, tmp_path):
+        """A float key given as 10 runs as 10.0: the report's bytes do not
+        show how the number was written."""
+        _, data = cli_dataset
+        reports = []
+        for inlier_px in (10, 10.0):
+            cfg = tmp_path / f"{inlier_px!r}.json"
+            cfg.write_text(json.dumps({"inlier_px": inlier_px, "k_day": 4}))
+            run = tmp_path / f"run{inlier_px!r}"
+            assert main(["localize", "--data", str(data), "--out", str(run), "--config", str(cfg)]) == 0
+            reports.append((run / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_bad_scene_spec_exits_3(self, tmp_path, capsys):
         spec = tmp_path / "bad_scene.json"
