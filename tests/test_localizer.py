@@ -565,7 +565,7 @@ def ransac_instance(seed, n, outlier_rate, noise_px):
     return points, pixels, weights
 
 
-def reference_loop(points, pixels, weights, max_iters, rng, confidence=0.99):
+def reference_loop(points, pixels, weights, max_iters, rng, confidence=0.99, inlier_px=10.0):
     """oracles.ransac_loop_loop on rng, with the samples it drew and the
     rng state it leaves: (R, t, inlier mask, count, samples, state)."""
     used, loop_sampler = [0], oracles.weighted_sample_loop
@@ -576,7 +576,9 @@ def reference_loop(points, pixels, weights, max_iters, rng, confidence=0.99):
 
     oracles.weighted_sample_loop = counted_sample
     try:
-        got = oracles.ransac_loop_loop(points, pixels, K, weights, 10.0, confidence, max_iters, rng)
+        got = oracles.ransac_loop_loop(
+            points, pixels, K, weights, inlier_px, confidence, max_iters, rng
+        )
     finally:
         oracles.weighted_sample_loop = loop_sampler
     return (*got, used[0], rng.bit_generator.state)
@@ -733,6 +735,108 @@ def test_solver_fault_raises_only_at_or_before_the_stop(monkeypatch, past_stop):
     else:
         with pytest.raises(np.linalg.LinAlgError, match="planted"):
             localizer._ransac_loop(problems, K, 10.0, 0.99, 500)
+
+
+def noise_free_instance(seed, n_in, n_out):
+    """n_in points with their exact pixels, then n_out whose pixels are
+    uniform in the frame: (points, pixels, inlier mask)."""
+    rng = np.random.default_rng(seed)
+    pose = PoseEstimate(quat_to_rot(rng.normal(size=4)), rng.normal(size=3))
+    points = np.array([p.position for p in grid_map_points(rng, pose, n_in + n_out)])
+    pixels = np.array([project(pose, K, p) for p in points])
+    pixels[n_in:] = rng.uniform([0, 0], [K.width, K.height], size=(n_out, 2))
+    return points, pixels, np.arange(n_in + n_out) < n_in
+
+
+@pytest.mark.parametrize(
+    "seed, inlier_weights, share",
+    [
+        (31, [3.0] * 20, 0.75),  # 60 of 80
+        (32, [3.0, 0.0] * 10, 0.6),  # zero-weight inliers add nothing: 30 of 50
+        (33, [1.0] * 20, 0.5),  # uniform: the inlier ratio 20 / 40
+    ],
+    ids=["known_weights", "zero_weight_inliers", "uniform"],
+)
+def test_stop_follows_the_inliers_share_of_the_weight(seed, inlier_weights, share):
+    """20 exact inliers and 20 outliers of weight 1. The first sample of
+    three inliers finds every inlier, at sample j; the loop then uses
+    max(j + 1, needed) samples, with needed from the inliers' weight share."""
+    points, pixels, inlier = noise_free_instance(seed, 20, 20)
+    weights = np.concatenate((inlier_weights, np.ones(20)))
+    [(_, inliers, count, samples)] = localizer._ransac_loop(
+        [(points, pixels, weights, np.random.default_rng(seed))], K, 10.0, 0.99, 500
+    )
+    assert np.array_equal(inliers, inlier) and count == 20  # counting stays unweighted
+    replay = np.random.default_rng(seed)
+    j = next(j for j in range(500) if inlier[weighted_samples(replay.random((1, 3)), weights)].all())
+    needed = math.ceil(math.log(0.01) / math.log(1.0 - share**3))
+    assert needed == {0.75: 9, 0.6: 19, 0.5: 35}[share]  # the count / n stop is 35 for all three
+    assert samples == max(j + 1, needed) < 500
+
+
+def count_ratio_loop(points, pixels, rng, max_iters, confidence=0.99):
+    """(count, samples) of a uniform loop run one sample at a time with the
+    stop on the best inlier ratio count / n."""
+    n, best, needed, it = len(points), 0, max_iters, 0
+    while it < min(max_iters, needed):
+        it += 1
+        idx = weighted_samples(rng.random((1, 3)), np.ones(n))
+        R, t, _, _ = localizer.solve_p3p_many(pixels[idx], points[idx], K)
+        for count in localizer.inlier_masks(R, t, K, points, pixels, 10.0).sum(axis=1).tolist():
+            if count > best:
+                best = count
+                if best == n:
+                    needed = it
+                else:
+                    needed = math.ceil(math.log(1.0 - confidence) / math.log(1.0 - (best / n) ** 3))
+    return best, it
+
+
+@pytest.mark.parametrize("seed, outlier_rate", [(41, 0.0), (42, 0.3), (43, 0.6), (44, 0.9)])
+def test_uniform_weights_keep_the_count_ratio_stop(seed, outlier_rate):
+    """Under uniform weights the share of the weight is count / n to the
+    bit: each loop, alone or in lock-step, ends where the count / n stop
+    ends it, with the same rng state after it."""
+    problems = [ransac_instance(seed + 10 * c, 30 + 10 * c, outlier_rate, 0.5)[:2] for c in range(3)]
+    want = []
+    for c, (points, pixels) in enumerate(problems):
+        rng = np.random.default_rng(seed + c)
+        want.append((*count_ratio_loop(points, pixels, rng, 300), rng.bit_generator.state))
+    rngs = [np.random.default_rng(seed + c) for c in range(3)]
+    outcomes = localizer._ransac_loop(
+        [(points, pixels, np.ones(len(points)), rng) for (points, pixels), rng in zip(problems, rngs)],
+        K, 10.0, 0.99, 300,
+    )
+    got = [(count, samples, rng.bit_generator.state) for (_, _, count, samples), rng in zip(outcomes, rngs)]
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "inlier_weight, inlier_px", [(1e-9, 10.0), (0.0, 10.0), (0.0, 0.0)],
+    ids=["tiny_mass", "zero_mass", "zero_px"],
+)
+def test_vanishing_inlier_weight_runs_to_max_iters(monkeypatch, inlier_weight, inlier_px):
+    """Every sample proposes the identity pose, under which 10 points
+    project exactly onto their pixels and 15 land 50 px off. When those
+    inliers carry too little weight for 1 - m**3 to differ from 1, both
+    the loop and the oracle run max_iters samples, with no division by 0."""
+    grid = np.array([(a / 4, b / 4, 1.0) for a in range(-2, 3) for b in range(-2, 3)])
+    pixels = grid[:, :2] * [K.fx, K.fy] + [K.cx, K.cy]  # exact at (I, 0)
+    pixels[10:] += 50.0
+    weights = np.where(np.arange(25) < 10, inlier_weight, 1.0)
+
+    def identity_poses(pixels, points, K):
+        b = len(pixels)
+        return np.repeat(np.eye(3)[None], b, axis=0), np.zeros((b, 3)), np.arange(b), [None] * b
+
+    monkeypatch.setattr(localizer, "solve_p3p_many", identity_poses)
+    monkeypatch.setattr(oracles, "solve_p3p_loop", lambda *args: [(np.eye(3), np.zeros(3))])
+    [(_, inliers, count, samples)] = localizer._ransac_loop(
+        [(grid, pixels, weights, np.random.default_rng(5))], K, inlier_px, 0.99, 20
+    )
+    assert (count, samples) == (10, 20) and inliers[:10].all()
+    want = reference_loop(grid, pixels, weights, 20, np.random.default_rng(5), inlier_px=inlier_px)
+    assert (want[3], want[4]) == (10, 20)
 
 
 class TestWeightedRansacPnp:
