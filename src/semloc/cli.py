@@ -224,6 +224,19 @@ def cmd_localize(args) -> int:
     return 0
 
 
+def _report_entry_fault(entry: dict) -> str | None:
+    """What in a report.json query entry `evaluate` cannot use, or None.
+    A field left out takes its default."""
+    inliers = entry.get("inliers", 0)
+    if not isinstance(inliers, int) or isinstance(inliers, bool):
+        return f"inliers {json.dumps(inliers)} is not an integer"
+    if not isinstance(entry.get("used_fallback", False), bool):
+        return f"used_fallback {json.dumps(entry['used_fallback'])} is not true or false"
+    if entry.get("condition", "day") not in ("day", "night"):
+        return f'condition {json.dumps(entry["condition"])} is not "day" or "night"'
+    return None
+
+
 def cmd_evaluate(args) -> int:
     run_dir = Path(args.run)
     try:
@@ -252,6 +265,12 @@ def cmd_evaluate(args) -> int:
         except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
             print(f"validation: cannot read report: {report_path}: {exc!r}", file=sys.stderr)
             return 2
+        for name, entry in meta.items():
+            fault = _report_entry_fault(entry)
+            if fault is not None:
+                print(f"validation: cannot read report: {report_path}: query {name}: {fault}",
+                      file=sys.stderr)
+                return 2
 
     rows = []
     for name in sorted(gt):
