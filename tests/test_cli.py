@@ -466,6 +466,37 @@ class TestPipelineCommands:
         assert "validation: cannot read report" in capsys.readouterr().err
         assert not (run / "eval_report.json").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("inliers", "many", 'inliers "many" is not an integer'),
+            ("inliers", True, "inliers true is not an integer"),
+            ("used_fallback", "yes", 'used_fallback "yes" is not true or false'),
+            ("condition", 3, 'condition 3 is not "day" or "night"'),
+            ("condition", "dusk", 'condition "dusk" is not "day" or "night"'),
+        ],
+        ids=["inliers_text", "inliers_bool", "used_fallback_text", "condition_int", "condition_dusk"],
+    )
+    def test_evaluate_mistyped_report_field_exits_2(
+        self, cli_dataset, tmp_path, capsys, field, value, message
+    ):
+        """One mistyped field of one query's report entry: one finding that
+        names the query, and no eval_report.json."""
+        _, data = cli_dataset
+        run = tmp_path / "run"
+        assert main(["localize", "--data", str(data), "--out", str(run), "--seed", "2"]) == 0
+        report = json.loads((run / "report.json").read_text())
+        entry = report["queries"][1]
+        entry[field] = value
+        (run / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        code = main(["evaluate", "--run", str(run), "--gt", str(data / "ground_truth.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        where = f"{run / 'report.json'}: query {entry['name']}: {message}"
+        assert err == f"validation: cannot read report: {where}\n"
+        assert not (run / "eval_report.json").exists()
+
 
 SMALL_SCENE = {"n_points": 120, "n_db_images": 8, "n_queries": 3, "pixel_sigma": 0.4, "seed": 31}
 
