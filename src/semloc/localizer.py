@@ -93,35 +93,48 @@ def visible_mask(smap: SemanticMap, c_q: np.ndarray, theta_min: float) -> np.nda
     )
 
 
+# weighted_samples takes the running sums of its rows this many bytes at a time
+SAMPLE_SUM_BYTES = 1 << 18
+
+
 def weighted_samples(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Row i of the result holds count = u.shape[1] distinct indices drawn
     with probabilities proportional to row i of `weights`, renormalizing
     after each draw; the first draw of a sample follows the weights exactly.
 
     u: (rows, count) uniform draws in [0, 1), used in order; weights: (n,),
-    shared by every row, or (rows, n). A zero weight is never drawn, so a
-    zero-padded row picks what its unpadded weights pick. With u from
-    rng.random((rows, count)), row i picks the same indices as the i-th of
-    `rows` successive one-sample draws. Returns a (rows, count) int array.
+    shared by every row and left as it is, or (rows, n), drawn in place when
+    it is a writeable float64 array: each row is left with its picks zeroed. A zero
+    weight is never drawn, so a zero-padded row picks what its unpadded
+    weights pick. With u from rng.random((rows, count)), row i picks the
+    same indices as the i-th of `rows` successive one-sample draws. Returns
+    a (rows, count) int array.
     """
     rows, count = u.shape
-    left = np.array(np.broadcast_to(weights, (rows, np.shape(weights)[-1])), dtype=float)
+    if np.ndim(weights) == 1:
+        left = np.array(np.broadcast_to(weights, (rows, len(weights))), dtype=float)
+    else:
+        left = np.require(weights, dtype=float, requirements="W")
     positive = int((left > 0).sum(axis=1).min(initial=count))
     if positive < count:
         raise ValueError(f"need {count} positive weights, have {positive}")
     n = left.shape[1]
     picked = np.empty((rows, count), dtype=np.intp)
-    row = np.arange(rows)
-    for j in range(count):
-        cum = left.cumsum(axis=1)
-        # np.searchsorted(cum, r, side="right") of every row; like it, a NaN r
-        # (a zero draw times an infinite sum) lands past the end
-        idx = (~(cum > (u[:, j] * cum[:, -1])[:, None])).sum(axis=1)
-        edge = (idx >= n) | (left[row, np.minimum(idx, n - 1)] <= 0)
-        if edge.any():  # float edge at the top of the range: the last positive weight
-            idx[edge] = n - 1 - np.argmax(left[edge, ::-1] > 0, axis=1)
-        picked[:, j] = idx
-        left[row, idx] = 0.0
+    step = max(1, SAMPLE_SUM_BYTES // (8 * n))  # rows whose running sums are taken at once
+    sums = np.empty((min(rows, step), n))
+    for a in range(0, rows, step):
+        part, r = left[a : a + step], u[a : a + step]
+        cum, row = sums[: len(part)], np.arange(len(part))
+        for j in range(count):
+            np.cumsum(part, axis=1, out=cum)
+            # np.searchsorted(cum, r, side="right") of every row; like it, a NaN r
+            # (a zero draw times an infinite sum) lands past the end
+            idx = n - (cum > (r[:, j] * cum[:, -1])[:, None]).sum(axis=1)
+            edge = (idx >= n) | (part[row, np.minimum(idx, n - 1)] <= 0)
+            if edge.any():  # float edge at the top of the range: the last positive weight
+                idx[edge] = n - 1 - np.argmax(part[edge, ::-1] > 0, axis=1)
+            picked[a : a + step, j] = idx
+            part[row, idx] = 0.0
     return picked
 
 
@@ -148,15 +161,45 @@ def inlier_masks(
     return in_front & (np.sqrt(dist, out=dist) <= inlier_px)
 
 
-# A block of RANSAC samples holds at most RANSAC_BLOCK_MAX samples, and
-# fewer when its verification temporaries would pass RANSAC_BLOCK_BYTES:
-# a sample has up to four poses, and verifying one pose on one point peaks
-# below VERIFY_BYTES_PER_POINT (about 43 bytes measured with tracemalloc).
-# Most of a block's cost is fixed, so a loop's first block is one sample and
-# each later one as large as these caps and the samples left to its stop allow.
-RANSAC_BLOCK_MAX = 64
+# A block of RANSAC samples draws the samples of every unfinished loop at
+# once. Each loop verifies its own samples alone, so it takes at most as many
+# as keep its verification within RANSAC_BLOCK_BYTES: a sample has up to four
+# poses, and verifying one pose on one point peaks below
+# VERIFY_BYTES_PER_POINT (about 43 bytes measured with tracemalloc). The
+# block's draw holds a float64 and a bool row per sample, padded to the
+# largest problem, so the block holds at most as many samples as keep those
+# rows within RANSAC_BLOCK_BYTES. It holds at most RANSAC_BLOCK_MAX samples
+# in all, which keeps the P3P solve's temporaries (about 1.6 KB per sample)
+# under 2 MiB.
+RANSAC_BLOCK_MAX = 1024
 RANSAC_BLOCK_BYTES = 4 << 20
 VERIFY_BYTES_PER_POINT = 64
+SAMPLE_BYTES_PER_POINT = 9
+
+
+def _wants(
+    needed: list[int], it: list[int], live: list[int], caps: list[int], max_iters: int
+) -> list[int]:
+    """Samples each unfinished problem asks of the next block, within its cap.
+
+    Most of a block's cost is fixed, so a problem's first sample comes alone
+    and later blocks ask for the samples left to a guess of its stop. A
+    query's loops share its outlier rate, so a problem with no stop below
+    max_iters yet guesses the largest stop of the others; and a stop more
+    than twice the median stop, an estimate from a mediocre hypothesis,
+    is held to the median. A problem asks at least an equal share of its
+    cap, and never past its own stop.
+    """
+    known = sorted(s for s in needed if s < max_iters)
+    want = [0] * len(needed)
+    for c in live:
+        stop = min(max_iters, needed[c])
+        guess = stop if stop < max_iters else max(known, default=0)
+        if known and guess > 2 * known[len(known) // 2]:
+            guess = known[len(known) // 2]
+        fair = max(1, caps[c] // len(live))
+        want[c] = min(stop - it[c], caps[c], max(guess - it[c], fair)) if it[c] else 1
+    return want
 
 
 def _share(want: list[int], cap: int) -> list[int]:
@@ -194,15 +237,15 @@ def _ransac_loop(
 
     Each block draws the samples of every unfinished problem at once and
     solves them in one solve_p3p_many: a problem's first sample alone, then
-    the samples left to its stop, shared out by _share when they pass the
-    block cap. Each problem then verifies its hypotheses on its own points
-    and replays, in sample order, those that beat every count before them,
-    with the adaptive stop after each sample. When its stop falls inside a
-    block, its rng is rewound to the block's start and advanced by the
-    draws of the samples used, as if the rest had never been drawn. A
-    solver error other than a degenerate sample, at or before the stop,
-    ends its problem; after the loop the first such error in problem order
-    is raised.
+    as many as _wants guesses are left to its stop, shared out by _share
+    when they pass the block cap. Each problem then verifies its hypotheses
+    on its own points and replays, in sample order, those that beat every
+    count before them, with the adaptive stop after each sample. When its
+    stop falls inside a block, its rng is rewound to the block's start and
+    advanced by the draws of the samples used, as if the rest had never
+    been drawn. A solver error other than a degenerate sample, at or before
+    the stop, ends its problem; after the loop the first such error in
+    problem order is raised.
 
     Returns one (pose, inlier mask, inlier count, samples used) per
     problem: those of its loop run alone one sample at a time, whatever the
@@ -218,14 +261,15 @@ def _ransac_loop(
     best_count, it = [0] * len(problems), [0] * len(problems)
     needed = [max_iters] * len(problems)
     faults: list[Exception | None] = [None] * len(problems)
-    per_sample = 4 * max(max(sizes), 1) * VERIFY_BYTES_PER_POINT
-    cap = max(1, min(RANSAC_BLOCK_MAX, RANSAC_BLOCK_BYTES // per_sample))
+    caps = [max(1, RANSAC_BLOCK_BYTES // (4 * max(n, 1) * VERIFY_BYTES_PER_POINT)) for n in sizes]
+    draw_bytes = max(max(sizes), 1) * SAMPLE_BYTES_PER_POINT  # per sample of the block
+    cap = max(1, min(RANSAC_BLOCK_MAX, RANSAC_BLOCK_BYTES // draw_bytes))
     while True:
-        want = [  # a problem's first sample alone, then the samples left to its stop
-            0 if fault is not None else 1 if not done else max(0, min(max_iters, stop) - done)
-            for fault, stop, done in zip(faults, needed, it)
+        live = [
+            c for c, (fault, stop, done) in enumerate(zip(faults, needed, it))
+            if fault is None and done < min(max_iters, stop)
         ]
-        take = _share(want, cap)
+        take = _share(_wants(needed, it, live, caps, max_iters), cap)
         block = [c for c in range(len(problems)) if take[c]]
         if not block:
             break

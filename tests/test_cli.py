@@ -178,9 +178,12 @@ class TestPipelineCommands:
         """Blocks drawn by each RANSAC loop and samples used by each of its
         problems, in run order: per query one lock-step loop over the six
         temporary problems, then the final loop. A block holds each
-        problem's first sample alone, then the samples left to each stop,
-        shared out when they pass the cap. A change to the schedule shows
-        here; the test above checks that it moves no output."""
+        problem's first sample alone, then up to its cap the samples left to
+        a guess of its stop (localizer._wants): its own, the largest of the
+        query's other loops when it has none, the median when its own is
+        far above it, and at least an equal share of its cap. A change to
+        the schedule shows here; the test above checks that it moves no
+        output."""
         blocks, used = [], []
         sampler, ransac_loop = localizer.weighted_samples, localizer._ransac_loop
 
@@ -200,9 +203,9 @@ class TestPipelineCommands:
         assert main([*argv, "--jobs", "1", "--out", str(tmp_path / "run")]) == 0
         # the final loops stop on their inliers' share of the sampling weight
         assert list(zip(blocks, used)) == [
-            ([6, 64, 64, 64, 12], [35, 35, 35, 35, 35, 35]), ([1, 54], [35]),
-            ([6, 64, 64, 64, 10], [35, 35, 34, 34, 35, 35]), ([1, 54], [36]),
-            ([6, 64, 64, 64, 8], [34, 34, 35, 35, 34, 34]), ([1, 54], [34]),
+            ([6, 108, 96], [35, 35, 35, 35, 35, 35]), ([1, 54], [35]),
+            ([6, 204], [35, 35, 34, 34, 35, 35]), ([1, 54], [36]),
+            ([6, 474], [34, 34, 35, 35, 34, 34]), ([1, 54], [34]),
         ]
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])

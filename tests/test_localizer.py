@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -735,6 +736,87 @@ def test_solver_fault_raises_only_at_or_before_the_stop(monkeypatch, past_stop):
     else:
         with pytest.raises(np.linalg.LinAlgError, match="planted"):
             localizer._ransac_loop(problems, K, 10.0, 0.99, 500)
+
+
+@given(
+    st.integers(2, 8),  # loops that share an outlier rate
+    st.sampled_from([0.2, 0.3]),  # their outlier rate
+    st.integers(0, 2**16),  # instance seed
+    st.integers(0, 40),  # the sample of the last loop whose solve raises
+    st.sampled_from([3, 64, 1024]),
+)
+@settings(derandomize=True, deadline=None, max_examples=12)
+def test_borrowed_stops_keep_each_loop_alone(shared, rate, seed, planted, block_max):
+    """Lock-step loops that guess their stops from each other: `shared`
+    loops of one outlier rate, so that one with no stop yet borrows
+    another's; one at 60% outliers, which needs more samples than the stop
+    it borrows or is held to; and a last one whose solver raises at sample
+    `planted`. Each loop ends as the reference loop ends on it alone, with
+    its rng where that loop leaves it; the fault raises when the reference
+    would reach it."""
+    specs = [(seed + c, 30 + c, rate) for c in range(shared)] + [(seed + 50, 50, 0.6), (seed + 60, 61, rate)]
+    problems = [(*ransac_instance(s, n, r, 0.5)[:2], np.ones(n)) for s, n, r in specs]
+    want = [
+        reference_loop(*problem, 300, np.random.default_rng(s))
+        for problem, (s, _, _) in zip(problems, specs)
+    ]
+    assert want[shared][4] > max(w[4] for w in want[:shared])  # more than any stop it can borrow
+    seen, owners = [0], []
+    sampler, solve = localizer.weighted_samples, localizer.solve_p3p_many
+
+    def recorded_sampler(u, w):
+        # the rows of the 61-point loop; a block without it is padded to fewer points
+        owners.append(np.flatnonzero(w[:, 60] > 0) if w.shape[1] > 60 else np.zeros(0, int))
+        return sampler(u, w)
+
+    def planted_solve(pixels, points, K):
+        R, t, sample, failures = solve(pixels, points, K)
+        if seen[0] <= planted < seen[0] + len(owners[-1]):
+            failures[owners[-1][planted - seen[0]]] = np.linalg.LinAlgError("planted")
+        seen[0] += len(owners[-1])
+        return R, t, sample, failures
+
+    rngs = [np.random.default_rng(s) for s, _, _ in specs]
+    with patch.multiple(
+        localizer, RANSAC_BLOCK_MAX=block_max, weighted_samples=recorded_sampler,
+        solve_p3p_many=planted_solve,
+    ):
+        if planted < want[-1][4]:
+            with pytest.raises(np.linalg.LinAlgError, match="planted"):
+                localizer._ransac_loop([(*p, rng) for p, rng in zip(problems, rngs)], K, 10.0, 0.99, 300)
+            # the other loops ran to their stops before the fault was raised
+            assert [rng.bit_generator.state for rng in rngs[:-1]] == [w[5] for w in want[:-1]]
+            return
+        outcomes = localizer._ransac_loop([(*p, rng) for p, rng in zip(problems, rngs)], K, 10.0, 0.99, 300)
+    for outcome, rng, reference in zip(outcomes, rngs, want):
+        assert_loop_equals(outcome, rng, reference)
+
+
+def test_decoy_size_call_stays_within_the_block_bytes(monkeypatch):
+    """One lock-step call of a decoy_outliers query's size: ten loops of
+    300 points at 50% outliers, whose second block holds the full 54
+    samples of every loop. The call's peak traced memory stays within
+    RANSAC_BLOCK_BYTES."""
+    problems = [
+        (*ransac_instance(120 + c, 300, 0.5, 0.5)[:2], np.ones(300), np.random.default_rng(c))
+        for c in range(10)
+    ]
+    blocks, sampler = [], localizer.weighted_samples
+
+    def counted(u, w):
+        blocks.append(len(u))
+        return sampler(u, w)
+
+    monkeypatch.setattr(localizer, "weighted_samples", counted)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        localizer._ransac_loop(problems, K, 10.0, 0.99, 500)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert blocks == [10, 540]
+    assert peak <= localizer.RANSAC_BLOCK_BYTES, peak
 
 
 def noise_free_instance(seed, n_in, n_out):
