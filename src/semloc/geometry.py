@@ -245,24 +245,24 @@ def _newton_polish(s: np.ndarray, sq: np.ndarray, cos: np.ndarray) -> np.ndarray
     positive.
     """
     s = s.copy()
-    scale = sq.max(axis=1)
-    alive = np.ones(len(s), dtype=bool)
+    scale = _max3(sq)
+    F = _law_of_cosines(s[:, _PAIRS], sq, cos)
+    moving = np.flatnonzero(~(_max3(np.abs(F)) < 1e-14 * scale))
     for _ in range(12):
-        F = _law_of_cosines(s[:, _PAIRS], sq, cos)
-        moving = alive & ~(np.abs(F).max(axis=1) < 1e-14 * scale)
-        if not moving.any():
+        if not len(moving):
             break
         pairs, c = s[moving][:, _PAIRS], cos[moving][..., None]
         J = np.zeros((len(pairs), 3, 3))
         # d F_k / d s_i = 2 s_i - 2 s_j cos_k, and the same with i, j swapped
         J[:, _ROW[:, None], _PAIRS] = 2.0 * pairs - 2.0 * pairs[..., ::-1] * c
         s[moving] += _solve_each(J, -F[moving])
-        bad = ~np.isfinite(s).all(axis=1)
-        s[bad] = np.nan
-        alive &= ~bad
-    else:  # still moving after 12 steps
-        F = _law_of_cosines(s[:, _PAIRS], sq, cos)
-    s[(np.abs(F).max(axis=1) > 1e-9 * scale) | (s <= 0).any(axis=1)] = np.nan
+        finite = np.isfinite(_max3(np.abs(s[moving])))
+        s[moving[~finite]] = np.nan
+        moving = moving[finite]
+        # only the rows that moved have new residuals
+        F[moving] = _law_of_cosines(s[moving][:, _PAIRS], sq[moving], cos[moving])
+        moving = moving[~(_max3(np.abs(F[moving])) < 1e-14 * scale[moving])]
+    s[(_max3(np.abs(F)) > 1e-9 * scale) | (s <= 0).any(axis=1)] = np.nan
     return s
 
 
@@ -296,6 +296,12 @@ def _kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return R, c_dst - (R @ c_src[:, :, None])[:, :, 0]
 
 
+def _max3(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1) of a last axis of 3, NaN where the row holds one, in
+    elementwise calls: numpy reduces a short last axis slowly."""
+    return np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])
+
+
 def _first_unique(s: np.ndarray) -> np.ndarray:
     """Keeps each row's (M, k, 3) candidates, NaN rows absent, in slot
     order, dropping one within 1e-6 (times the larger of 1 and its largest
@@ -304,8 +310,8 @@ def _first_unique(s: np.ndarray) -> np.ndarray:
     k = s.shape[1]
     if k == 1:
         return kept
-    tol = 1e-6 * np.maximum(1.0, s.max(axis=2))
-    close = np.abs(s[:, :, None] - s[:, None]).max(axis=3) < tol[:, :, None]
+    tol = 1e-6 * np.maximum(1.0, _max3(s))
+    close = _max3(np.abs(s[:, :, None] - s[:, None])) < tol[:, :, None]
     close &= _EARLIER[:k, :k]
     if close.any():
         for j in range(1, k):
