@@ -103,12 +103,12 @@ def weighted_samples(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     after each draw; the first draw of a sample follows the weights exactly.
 
     u: (rows, count) uniform draws in [0, 1), used in order; weights: (n,),
-    shared by every row and left as it is, or (rows, n), drawn in place when
-    it is a writeable float64 array: each row is left with its picks zeroed. A zero
-    weight is never drawn, so a zero-padded row picks what its unpadded
-    weights pick. With u from rng.random((rows, count)), row i picks the
-    same indices as the i-th of `rows` successive one-sample draws. Returns
-    a (rows, count) int array.
+    shared by every row and left as it is, or (rows, n), drawn in place
+    when it is a writeable float64 array, whose rows are left with their
+    picks zeroed. A zero weight is never drawn, so a zero-padded row picks
+    what its unpadded weights pick. With u from rng.random((rows, count)),
+    row i picks the same indices as the i-th of `rows` successive
+    one-sample draws. Returns a (rows, count) int array.
     """
     rows, count = u.shape
     if np.ndim(weights) == 1:

@@ -478,7 +478,7 @@ class TestPipelineCommands:
             ("condition", 3, 'condition 3 is not "day" or "night"'),
             ("condition", "dusk", 'condition "dusk" is not "day" or "night"'),
         ],
-        ids=["inliers_text", "inliers_bool", "used_fallback_text", "condition_int", "condition_dusk"],
+        ids=["inliers_text", "inliers_bool", "fallback_text", "condition_int", "condition_dusk"],
     )
     def test_evaluate_mistyped_report_field_exits_2(
         self, cli_dataset, tmp_path, capsys, field, value, message

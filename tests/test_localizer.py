@@ -754,7 +754,8 @@ def test_borrowed_stops_keep_each_loop_alone(shared, rate, seed, planted, block_
     `planted`. Each loop ends as the reference loop ends on it alone, with
     its rng where that loop leaves it; the fault raises when the reference
     would reach it."""
-    specs = [(seed + c, 30 + c, rate) for c in range(shared)] + [(seed + 50, 50, 0.6), (seed + 60, 61, rate)]
+    specs = [(seed + c, 30 + c, rate) for c in range(shared)]
+    specs += [(seed + 50, 50, 0.6), (seed + 60, 61, rate)]
     problems = [(*ransac_instance(s, n, r, 0.5)[:2], np.ones(n)) for s, n, r in specs]
     want = [
         reference_loop(*problem, 300, np.random.default_rng(s))
@@ -777,17 +778,18 @@ def test_borrowed_stops_keep_each_loop_alone(shared, rate, seed, planted, block_
         return R, t, sample, failures
 
     rngs = [np.random.default_rng(s) for s, _, _ in specs]
+    loops = [(*p, rng) for p, rng in zip(problems, rngs)]
     with patch.multiple(
         localizer, RANSAC_BLOCK_MAX=block_max, weighted_samples=recorded_sampler,
         solve_p3p_many=planted_solve,
     ):
         if planted < want[-1][4]:
             with pytest.raises(np.linalg.LinAlgError, match="planted"):
-                localizer._ransac_loop([(*p, rng) for p, rng in zip(problems, rngs)], K, 10.0, 0.99, 300)
+                localizer._ransac_loop(loops, K, 10.0, 0.99, 300)
             # the other loops ran to their stops before the fault was raised
             assert [rng.bit_generator.state for rng in rngs[:-1]] == [w[5] for w in want[:-1]]
             return
-        outcomes = localizer._ransac_loop([(*p, rng) for p, rng in zip(problems, rngs)], K, 10.0, 0.99, 300)
+        outcomes = localizer._ransac_loop(loops, K, 10.0, 0.99, 300)
     for outcome, rng, reference in zip(outcomes, rngs, want):
         assert_loop_equals(outcome, rng, reference)
 
