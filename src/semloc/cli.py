@@ -44,8 +44,8 @@ class ConfigError(Exception):
 def checked_values(values: dict, spec_type, what: str) -> dict:
     """The JSON `values` of a `spec_type` dataclass, each of its default's
     type: an int passes for a float and is returned as one, a bool is not
-    an int, and a tuple default takes a list of ints. Raises ConfigError
-    naming the key."""
+    an int, a float must be finite, and a tuple default takes a list of
+    ints. Raises ConfigError naming the key."""
     defaults = {f.name: f.default for f in fields(spec_type)}
     unknown = set(values) - set(defaults)
     if unknown:
@@ -58,6 +58,8 @@ def checked_values(values: dict, spec_type, what: str) -> dict:
         kind = type(defaults[key])
         if type(value) is not kind and (kind, type(value)) != (float, int):
             raise ConfigError(f"{key} must be {kind.__name__}, got {json.dumps(value)}")
+        if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf or too large an int
+            raise ConfigError(f"{key} must be finite, got {json.dumps(value)}")
     return {k: float(v) if type(defaults[k]) is float else v for k, v in values.items()}
 
 

@@ -2,10 +2,13 @@
 
 Per retrieved candidate image the pipeline matches features, lifts them to
 2D-3D matches, recovers a temporary pose, and counts label-consistent
-visible map points as the candidate's semantic score. The scores become
-sampling weights for a final weighted RANSAC over the pooled matches:
-semantics bias which correspondences propose hypotheses, while inlier
-counting stays unweighted (a soft constraint, not a filter).
+visible map points as the candidate's semantic score. The temporary pose is
+the candidate's best unrefined P3P hypothesis: it only decides which map
+points land on which query label. The scores become sampling weights for a
+final weighted RANSAC over the pooled matches: semantics bias which
+correspondences propose hypotheses, while inlier counting stays unweighted
+(a soft constraint, not a filter). LM refinement runs once per query, on
+the final pose.
 """
 
 from __future__ import annotations
@@ -349,11 +352,12 @@ def temporary_poses(
     rng: np.random.Generator,
 ) -> list[PoseEstimate | None]:
     """The temporary pose of each candidate, from its (query keypoint, map
-    row) matches: a uniform-sampling RANSAC on the candidate's own
-    candidate_rng(rng, image id), all loops in lock-step, then
-    temporary_pose. `rng` itself draws nothing.
+    row) matches: the best P3P hypothesis, unrefined, of a uniform-sampling
+    RANSAC on the candidate's own candidate_rng(rng, image id), all loops
+    in lock-step. `rng` itself draws nothing.
 
-    None for a candidate with fewer than temp_pose_min_matches matches.
+    None for a candidate with fewer than temp_pose_min_matches matches, or
+    whose best hypothesis has fewer than 4 inliers.
     """
     solvable = [
         j for j, m in enumerate(candidate_matches) if len(m) >= max(cfg.temp_pose_min_matches, 4)
@@ -373,28 +377,17 @@ def temporary_poses(
     outcomes = _ransac_loop(
         problems, K, cfg.inlier_px, cfg.ransac_confidence, cfg.temp_pose_iters
     )
-    for j, (points, pixels, _, _), (pose, inliers, count, _) in zip(solvable, problems, outcomes):
-        poses[j] = temporary_pose(points, pixels, K, pose, inliers, count)
+    for j, (pose, _, count, _) in zip(solvable, outcomes):
+        poses[j] = temporary_pose(pose, count)
     return poses
 
 
-def temporary_pose(
-    points: np.ndarray,
-    pixels: np.ndarray,
-    K: CameraIntrinsics,
-    pose: PoseEstimate | None,
-    inliers: np.ndarray | None,
-    count: int,
-) -> PoseEstimate | None:
+# perfbench swaps it by name to count the temporary poses found
+def temporary_pose(pose: PoseEstimate | None, count: int) -> PoseEstimate | None:
     """One candidate's temporary pose from its RANSAC outcome: the best
-    hypothesis refined on its inliers, or as it is when refinement fails;
-    None when it has fewer than 4 inliers."""
-    if pose is None or count < 4:
-        return None
-    try:
-        return refine_pnp(points[inliers], pixels[inliers], K, pose)
-    except NumericalFailure:
-        return pose
+    hypothesis as it is, with no refinement; None when it has fewer than 4
+    inliers."""
+    return pose if pose is not None and count >= 4 else None
 
 
 def semantic_score(

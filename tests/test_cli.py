@@ -1,5 +1,7 @@
 import json
 import logging
+import math
+import random
 import re
 import shutil
 from collections import Counter
@@ -17,7 +19,7 @@ from semloc.evaluation import BUCKETS
 from semloc.geometry import pose_error
 from semloc.localizer import LocalizerConfig
 from semloc.model_ingest import load_descriptors, load_keypoints, validate_dataset
-from semloc.synth import write_sidecar
+from semloc.synth import CorruptionSpec, SceneSpec, write_sidecar
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +145,8 @@ class TestPipelineCommands:
         [([], "decoy_poses.txt"), (["--uniform-weights"], "decoy_poses_uniform.txt")],
     )
     def test_decoy_poses_equal_golden_bytes(self, decoy_cli_dataset, tmp_path, flags, golden):
-        # written with one generator per candidate's temporary loop, with
+        # written by `localize` with one generator per candidate's temporary
+        # loop and each temporary pose its unrefined RANSAC hypothesis, with
         # numpy 2.4 on x86-64; the blocked loop must stop, rewind each rng
         # and pick the same hypotheses as one sample at a time to keep every bit
         run = tmp_path / "run"
@@ -204,9 +207,25 @@ class TestPipelineCommands:
         # the final loops stop on their inliers' share of the sampling weight
         assert list(zip(blocks, used)) == [
             ([6, 108, 96], [35, 35, 35, 35, 35, 35]), ([1, 54], [35]),
-            ([6, 204], [35, 35, 34, 34, 35, 35]), ([1, 54], [36]),
+            ([6, 204], [35, 35, 34, 34, 35, 35]), ([1, 34], [35]),
             ([6, 474], [34, 34, 35, 35, 34, 34]), ([1, 54], [34]),
         ]
+
+    def test_refinement_runs_once_per_final_pose(self, decoy_cli_dataset, tmp_path, monkeypatch):
+        """Temporary poses are RANSAC hypotheses as they are: LM
+        refinement runs only on the final pose of each query that has one."""
+        calls = []
+        refine = localizer.refine_pnp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(localizer, "refine_pnp", counted)
+        run = tmp_path / "run"
+        argv = ["localize", "--data", str(decoy_cli_dataset), "--out", str(run), "--seed", "2"]
+        assert main([*argv, "--k-day", "6", "--jobs", "1"]) == 0
+        assert len(calls) == len((run / "poses.txt").read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_semantic_weights_beat_uniform_weights(self, decoy_cli_dataset, tmp_path, seed):
@@ -676,6 +695,92 @@ def test_uniform_weights_in_config_file_holds_with_or_without_flag(monkeypatch, 
     cfg.write_text(json.dumps({"uniform_weights": True}))
     argv = ["--config", str(cfg), *flag]
     assert _localize_config(monkeypatch, tmp_path, argv).uniform_weights is True
+
+
+# every float key of the localize config and of the synth spec's two sections
+FLOAT_KEYS = [
+    (section, f.name)
+    for section, spec_type in (
+        ("config", LocalizerConfig), ("scene", SceneSpec), ("corruption", CorruptionSpec)
+    )
+    for f in fields(spec_type)
+    if type(f.default) is float
+]
+FLOAT_FLAGS = {key: flag[0] for flag, key, _, _ in FLAG_OVERRIDES if ("config", key) in FLOAT_KEYS}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[key for _, key in FLOAT_KEYS])
+def test_non_finite_value_exits_3_naming_the_key(tmp_path, capsys, monkeypatch, section, key, value):
+    """NaN and infinity pass a sign check and JSON reads them, yet no float
+    key takes them: through --config, a flag where one exists and a synth
+    spec alike, one config error names the key before any set-up or output."""
+    monkeypatch.setattr(cli, "_set_up", lambda data_dir: pytest.fail("set-up ran"))
+    out = tmp_path / "out"
+    if section == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argvs = [["--config", str(cfg)]]
+        if key in FLOAT_FLAGS:
+            argvs.append([FLOAT_FLAGS[key], str(value)])
+        commands = [["localize", "--data", str(tmp_path), "--out", str(out), *a] for a in argvs]
+    else:
+        spec = {"scene": SMALL_SCENE, "corruption": {}}
+        spec[section] = {**spec[section], key: value}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        commands = [["synth", "--spec", str(path), "--out", str(out)]]
+    for argv in commands:
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {key} must be finite, got {json.dumps(value)}"
+        ]
+        assert not out.exists()
+
+
+def test_int_beyond_float_range_exits_3(tmp_path, capsys):
+    """An integer too large for a float is no finite value either."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"inlier_px": 1' + "0" * 400 + "}")
+    argv = ["localize", "--data", str(tmp_path), "--out", str(tmp_path / "r"), "--config", str(cfg)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("config error: inlier_px must be finite, got 1000")
+
+
+def _mutated(data: bytes, kind: str, rng: random.Random) -> bytes:
+    """`data` with one fault of the given kind at a place rng picks."""
+    at = rng.randrange(len(data))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "bit_flip":
+        return data[:at] + bytes([data[at] ^ (1 << rng.randrange(8))]) + data[at + 1:]
+    if kind == "zero_bytes":
+        end = min(len(data), at + rng.randint(1, 16))
+        return data[:at] + bytes(end - at) + data[end:]
+    lines = data.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    copies = 0 if kind == "drop_line" else 2
+    return b"".join(lines[:i] + [lines[i]] * copies + lines[i + 1:])
+
+
+MUTATIONS = ("truncate", "bit_flip", "zero_bytes", "drop_line", "repeat_line")
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_single_file_mutation_exits_0_or_2(decoy_cli_dataset, tmp_path, case):
+    """A damaged dataset either localizes or fails validation: each of
+    these seeded single faults in one file `localize` reads gives exit 0
+    or 2, never an uncaught exception."""
+    data = _copy(decoy_cli_dataset, tmp_path / "ds")
+    rng = random.Random(case)
+    unread = {"ground_truth.txt", "corruption_manifest.json"}
+    files = sorted(f for f in data.rglob("*") if f.is_file() and f.name not in unread)
+    # a kind of file first, so that the few text files are hit as often as the many binary ones
+    suffix = rng.choice(sorted({f.suffix for f in files}))
+    victim = rng.choice([f for f in files if f.suffix == suffix])
+    victim.write_bytes(_mutated(victim.read_bytes(), MUTATIONS[case % len(MUTATIONS)], rng))
+    argv = ["localize", "--data", str(data), "--out", str(tmp_path / "run"), "--seed", "2"]
+    assert main([*argv, "--k-day", "6", "--jobs", "1"]) in (0, 2), victim.relative_to(data)
 
 
 def test_readme_lists_every_config_key_with_its_default():

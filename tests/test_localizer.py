@@ -191,6 +191,38 @@ class TestTemporaryPose:
         t_err, _ = pose_error(got, gt)
         assert t_err < 0.01
 
+    def test_pose_is_the_ransac_hypothesis_unrefined(self):
+        """A candidate's temporary pose is, bit for bit, the best hypothesis
+        of its RANSAC loop run alone, and None when that hypothesis has
+        fewer than 4 inliers."""
+        rng = np.random.default_rng(9)
+        gt = PoseEstimate(quat_to_rot(rng.normal(size=4)), rng.normal(size=3))
+        points = grid_map_points(rng, gt, 60)
+        smap = map_of(points)
+        matches, keypoints = synthetic_matches(rng, gt, 60, points, outlier_fraction=0.5)
+        keypoints = keypoints + rng.normal(0.0, 0.1, keypoints.shape)
+        cfg = LocalizerConfig(inlier_px=0.5)
+        candidates, ids = [matches, matches[:12]], [3, 4]  # the second holds only outliers
+        got = temporary_poses(candidates, ids, smap, keypoints, K, cfg, np.random.default_rng(10))
+        counts = []
+        for m, image_id, pose in zip(candidates, ids, got):
+            problem = (
+                smap.positions[m[:, 1]],
+                keypoints[m[:, 0]],
+                np.ones(len(m)),
+                localizer.candidate_rng(np.random.default_rng(10), image_id),
+            )
+            [(best, _, count, _)] = localizer._ransac_loop(
+                [problem], K, cfg.inlier_px, cfg.ransac_confidence, cfg.temp_pose_iters
+            )
+            counts.append(count)
+            if count < 4:
+                assert pose is None
+            else:
+                assert pose.rotation.tobytes() == best.rotation.tobytes()
+                assert pose.translation.tobytes() == best.translation.tobytes()
+        assert counts[0] >= 4 > counts[1]
+
     def test_pose_depends_on_the_image_not_the_rank_or_the_others(self):
         """A candidate's loop draws from a stream keyed on (query seed, db
         image): dropping, adding or reordering other candidates leaves its
