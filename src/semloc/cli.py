@@ -1,6 +1,7 @@
 """Command-line front end: synth, build-map, localize, evaluate.
 
-Exit codes: 0 success, 2 dataset validation failure, 3 configuration error.
+Exit codes: 0 success, 2 dataset validation failure, 3 configuration error,
+a command-line usage error included. Only main maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import numpy as np
 from . import __version__
 from .errors import InfeasibleSpec, SemlocError
 from .evaluation import QueryEvalRow, build_eval_report, format_eval_report
-from .geometry import PoseEstimate, pose_error
+from .geometry import pose_error
 from .localizer import LocalizerConfig, localize_query
 # load_dataset is not called here; it stays bound because perfbench swaps it by name
 from .model_ingest import Dataset, load_dataset, load_ground_truth, validate_dataset  # noqa: F401
+from .model_ingest import pose_values, write_json, write_poses
 from .semantic_map import (
     SemanticMap,
     build_semantic_map,
@@ -39,6 +41,14 @@ logger = logging.getLogger(__name__)
 
 class ConfigError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError, after the usage."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def checked_values(values: dict, spec_type, what: str) -> dict:
@@ -118,40 +128,29 @@ def _set_up(data_dir: Path) -> tuple[Dataset, SemanticMap] | None:
     return report.dataset, _load_or_build_map(report.dataset)
 
 
-def _pose_to_list(pose: PoseEstimate) -> list[float]:
-    q = pose.quaternion()
-    t = pose.translation
-    return [float(v) for v in (*q, *t)]
-
-
 def cmd_synth(args) -> int:
     try:
         with open(args.spec) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: cannot read scene spec: {exc}", file=sys.stderr)
-        return 3
-    try:
-        if not (
-            isinstance(raw, dict)
-            and set(raw) <= {"scene", "corruption"}
-            and isinstance(raw.get("scene"), dict)
-            and isinstance(raw.get("corruption", {}), dict)
-        ):
-            raise ConfigError('scene spec must be {"scene": {...}, "corruption": {...}}')
-        scene = checked_values(raw["scene"], SceneSpec, "scene")
-        corruption = checked_values(raw.get("corruption", {}), CorruptionSpec, "corruption")
-        if "octant_labels" in scene:
-            scene["octant_labels"] = tuple(scene["octant_labels"])
-        spec, cspec = SceneSpec(**scene), CorruptionSpec(**corruption)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        gt = generate_scene(spec, Path(args.out))
-        if corruption:
-            corrupt(Path(args.out), Path(args.out), cspec, spec.seed + 1)
-    except (ConfigError, InfeasibleSpec) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
+        raise ConfigError(f"cannot read scene spec: {exc}") from exc
+    if not (
+        isinstance(raw, dict)
+        and set(raw) <= {"scene", "corruption"}
+        and isinstance(raw.get("scene"), dict)
+        and isinstance(raw.get("corruption", {}), dict)
+    ):
+        raise ConfigError('scene spec must be {"scene": {...}, "corruption": {...}}')
+    scene = checked_values(raw["scene"], SceneSpec, "scene")
+    corruption = checked_values(raw.get("corruption", {}), CorruptionSpec, "corruption")
+    if "octant_labels" in scene:
+        scene["octant_labels"] = tuple(scene["octant_labels"])
+    spec, cspec = SceneSpec(**scene), CorruptionSpec(**corruption)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
+    gt = generate_scene(spec, Path(args.out))
+    if corruption:
+        corrupt(Path(args.out), Path(args.out), cspec, spec.seed + 1)
     model = gt.dataset.model
     print(f"wrote {len(model.point_ids)} points, {len(model.images)} db images, "
           f"{len(gt.dataset.queries)} queries to {args.out}")
@@ -163,15 +162,10 @@ def cmd_build_map(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    try:
-        cfg = load_pipeline_config(
-            Path(args.config) if args.config else None,
-            {f.name: getattr(args, f.name, None) for f in fields(LocalizerConfig)},
-        )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-
+    cfg = load_pipeline_config(
+        Path(args.config) if args.config else None,
+        {f.name: getattr(args, f.name, None) for f in fields(LocalizerConfig)},
+    )
     setup = _set_up(Path(args.data))
     if setup is None:
         return 2
@@ -190,39 +184,31 @@ def cmd_localize(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pose_lines = []
-    query_entries = []
-    for query, result in zip(queries, results):
-        if result.pose is not None:
-            vals = _pose_to_list(result.pose)
-            pose_lines.append(query.name + " " + " ".join(repr(v) for v in vals))
-        query_entries.append(
-            {
-                "name": query.name,
-                "condition": query.condition or "day",
-                "pose": _pose_to_list(result.pose) if result.pose is not None else None,
-                "inliers": result.inliers,
-                "used_fallback": result.used_fallback,
-                "candidates": [
-                    {
-                        "image": dataset.model.images[c.image_id].name,
-                        "matches": len(c.matches),
-                        "temp_pose": c.temp_pose is not None,
-                        "score": c.score,
-                    }
-                    for c in result.candidates
-                ],
-            }
-        )
-    with open(out_dir / "poses.txt", "w") as fh:
-        fh.write("".join(line + "\n" for line in pose_lines))
+    poses = {q.name: r.pose for q, r in zip(queries, results) if r.pose is not None}
+    query_entries = [
+        {
+            "name": query.name,
+            "condition": query.condition or "day",
+            "pose": pose_values(result.pose) if result.pose is not None else None,
+            "inliers": result.inliers,
+            "used_fallback": result.used_fallback,
+            "candidates": [
+                {
+                    "image": dataset.model.images[c.image_id].name,
+                    "matches": len(c.matches),
+                    "temp_pose": c.temp_pose is not None,
+                    "score": c.score,
+                }
+                for c in result.candidates
+            ],
+        }
+        for query, result in zip(queries, results)
+    ]
+    write_poses(out_dir / "poses.txt", poses)
     config = asdict(cfg)
     del config["jobs"]  # --jobs does not change results, so the report leaves it out
-    payload = {"schema": 1, "config": config, "queries": query_entries}
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"localized {len(pose_lines)}/{len(queries)} queries -> {out_dir}")
+    write_json(out_dir / "report.json", {"schema": 1, "config": config, "queries": query_entries})
+    print(f"localized {len(poses)}/{len(queries)} queries -> {out_dir}")
     return 0
 
 
@@ -244,17 +230,14 @@ def cmd_evaluate(args) -> int:
     try:
         gt = load_ground_truth(Path(args.gt))
     except (OSError, SemlocError) as exc:
-        print(f"validation: cannot read ground truth: {exc}", file=sys.stderr)
-        return 2
+        raise SemlocError(f"cannot read ground truth: {exc}") from exc
     poses_path = run_dir / "poses.txt"
     if not poses_path.exists():
-        print(f"validation: missing {poses_path}", file=sys.stderr)
-        return 2
+        raise SemlocError(f"missing {poses_path}")
     try:
         estimated = load_ground_truth(poses_path)  # same line format
     except SemlocError as exc:
-        print(f"validation: cannot read poses: {exc}", file=sys.stderr)
-        return 2
+        raise SemlocError(f"cannot read poses: {exc}") from exc
     if not estimated:
         print("warning: pose file is empty", file=sys.stderr)
 
@@ -265,14 +248,11 @@ def cmd_evaluate(args) -> int:
             payload = json.loads(report_path.read_text())
             meta = {entry["name"]: entry for entry in payload.get("queries", [])}
         except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
-            print(f"validation: cannot read report: {report_path}: {exc!r}", file=sys.stderr)
-            return 2
+            raise SemlocError(f"cannot read report: {report_path}: {exc!r}") from exc
         for name, entry in meta.items():
             fault = _report_entry_fault(entry)
             if fault is not None:
-                print(f"validation: cannot read report: {report_path}: query {name}: {fault}",
-                      file=sys.stderr)
-                return 2
+                raise SemlocError(f"cannot read report: {report_path}: query {name}: {fault}")
 
     rows = []
     for name in sorted(gt):
@@ -285,14 +265,12 @@ def cmd_evaluate(args) -> int:
         ))
     report = build_eval_report(rows)
     print(format_eval_report(report))
-    with open(run_dir / "eval_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(run_dir / "eval_report.json", report)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semloc",
         description="Semantically weighted visual localization on sparse SfM maps",
     )
@@ -336,10 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except InfeasibleSpec as exc:
+    except (ConfigError, InfeasibleSpec) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except SemlocError as exc:

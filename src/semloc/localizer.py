@@ -181,40 +181,27 @@ SAMPLE_BYTES_PER_POINT = 9
 
 
 def _wants(
-    needed: list[int], it: list[int], live: list[int], caps: list[int], max_iters: int
+    needed: list[int], it: list[int], live: list[int], caps: list[int], cap: int, max_iters: int
 ) -> list[int]:
-    """Samples each unfinished problem asks of the next block, within its cap.
+    """Samples of each unfinished problem in the next block of at most `cap`.
 
     Most of a block's cost is fixed, so a problem's first sample comes alone
-    and later blocks ask for the samples left to a guess of its stop. A
-    query's loops share its outlier rate, so a problem with no stop below
-    max_iters yet guesses the largest stop of the others; and a stop more
-    than twice the median stop, an estimate from a mediocre hypothesis,
-    is held to the median. A problem asks at least an equal share of its
-    cap, and never past its own stop.
+    and later blocks ask for the samples left to one guess of its stop: the
+    median of the problems' stops below max_iters, since a query's loops
+    share its outlier rate. A problem asks at least an equal share of its
+    own cap, never more than that cap and never past its own stop. The
+    block takes each want in problem order until `cap` is used up; what a
+    problem does not get waits for the next block.
     """
     known = sorted(s for s in needed if s < max_iters)
-    want = [0] * len(needed)
+    guess = known[len(known) // 2] if known else 0
+    take = [0] * len(needed)
     for c in live:
         stop = min(max_iters, needed[c])
-        guess = stop if stop < max_iters else max(known, default=0)
-        if known and guess > 2 * known[len(known) // 2]:
-            guess = known[len(known) // 2]
         fair = max(1, caps[c] // len(live))
-        want[c] = min(stop - it[c], caps[c], max(guess - it[c], fair)) if it[c] else 1
-    return want
-
-
-def _share(want: list[int], cap: int) -> list[int]:
-    """Samples of each problem in a block of at most `cap`: every problem
-    its `want` when they fit, else an equal share, with what a problem
-    wants below its share left to the others."""
-    take = [0] * len(want)
-    waiting = sum(w > 0 for w in want)
-    for c in sorted(range(len(want)), key=want.__getitem__):
-        if want[c] > 0:
-            take[c] = min(want[c], cap // waiting)
-            cap, waiting = cap - take[c], waiting - 1
+        want = min(stop - it[c], caps[c], max(guess - it[c], fair)) if it[c] else 1
+        take[c] = min(want, cap)
+        cap -= take[c]
     return take
 
 
@@ -240,13 +227,13 @@ def _ransac_loop(
 
     Each block draws the samples of every unfinished problem at once and
     solves them in one solve_p3p_many: a problem's first sample alone, then
-    as many as _wants guesses are left to its stop, shared out by _share
-    when they pass the block cap. Each problem then verifies its hypotheses
-    on its own points and replays, in sample order, those that beat every
-    count before them, with the adaptive stop after each sample. When its
-    stop falls inside a block, its rng is rewound to the block's start and
-    advanced by the draws of the samples used, as if the rest had never
-    been drawn. A solver error other than a degenerate sample, at or before
+    as many as _wants guesses are left to its stop, the problems' median
+    stop, while the block has room. Each problem then verifies its
+    hypotheses on its own points and replays, in sample order, those that
+    beat every count before them, with the adaptive stop after each sample.
+    When its stop falls inside a block, its rng is rewound to the block's
+    start and advanced by the draws of the samples used, as if the rest had
+    never been drawn. A solver error other than a degenerate sample, at or before
     the stop, ends its problem; after the loop the first such error in
     problem order is raised.
 
@@ -272,7 +259,7 @@ def _ransac_loop(
             c for c, (fault, stop, done) in enumerate(zip(faults, needed, it))
             if fault is None and done < min(max_iters, stop)
         ]
-        take = _share(_wants(needed, it, live, caps, max_iters), cap)
+        take = _wants(needed, it, live, caps, cap, max_iters)
         block = [c for c in range(len(problems)) if take[c]]
         if not block:
             break

@@ -26,6 +26,7 @@ raises or lands in the validation report.
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from collections import Counter
@@ -511,6 +512,26 @@ def load_ground_truth(path: Path) -> dict[str, PoseEstimate]:
             raise ParseError(f"{path}:{lineno}: duplicate query name {parts[0]}")
         poses[parts[0]] = _pose(f"{path}:{lineno}", vals)
     return poses
+
+
+def pose_values(pose: PoseEstimate) -> list[float]:
+    """qw qx qy qz tx ty tz, as pose lines and report.json hold a pose."""
+    return [float(v) for v in (*pose.quaternion(), *pose.translation)]
+
+
+def pose_fields(pose: PoseEstimate) -> str:
+    """The pose of a pose line or an images.txt line: pose_values by repr."""
+    return " ".join(map(repr, pose_values(pose)))
+
+
+def write_poses(path: Path, poses: dict[str, PoseEstimate]) -> None:
+    """The lines load_ground_truth reads, `<name> qw qx qy qz tx ty tz`, by name."""
+    path.write_text("".join(f"{name} {pose_fields(poses[name])}\n" for name in sorted(poses)))
+
+
+def write_json(path: Path, payload) -> None:
+    """payload as indented JSON with sorted keys and a final newline."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _read(report: ValidationReport, label: str, path: Path, loader, missing: str | None = None):

@@ -23,7 +23,6 @@ which load renormalized.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import asdict, dataclass, replace
@@ -48,6 +47,9 @@ from .model_ingest import (
     id_rows,
     load_dataset,
     load_ground_truth,
+    pose_fields,
+    write_json,
+    write_poses,
 )
 
 # Cityscapes train-id classes; the people and vehicles (11-18) are dynamic
@@ -173,11 +175,6 @@ def _pinhole_line(key: int | str, c: CameraIntrinsics) -> str:
     return f"{key} PINHOLE {c.width} {c.height} {_fmt(c.fx)} {_fmt(c.fy)} {_fmt(c.cx)} {_fmt(c.cy)}"
 
 
-def _pose_fields(pose: PoseEstimate) -> str:
-    """qw qx qy qz tx ty tz"""
-    return " ".join(_fmt(v) for v in (*pose.quaternion(), *pose.translation))
-
-
 def write_model(model_dir: Path, model: SfmModel) -> None:
     """cameras.txt, images.txt and points3D.txt in COLMAP text form."""
     model_dir.mkdir(parents=True, exist_ok=True)
@@ -187,7 +184,7 @@ def write_model(model_dir: Path, model: SfmModel) -> None:
     )
     img_lines = []
     for image_id, im in sorted(model.images.items()):
-        img_lines.append(f"{image_id} {_pose_fields(im.pose)} {im.camera_id} {im.name}")
+        img_lines.append(f"{image_id} {pose_fields(im.pose)} {im.camera_id} {im.name}")
         img_lines.append(
             " ".join(
                 f"{_fmt(x)} {_fmt(y)} {int(pid)}"
@@ -246,10 +243,7 @@ def write_dataset(
         [f"{cid} {name} {int(table.is_dynamic(cid))}" for cid, name in enumerate(table.names)],
     )
     if ground_truth is not None:
-        _write_text(
-            out_dir / "ground_truth.txt",
-            [f"{name} {_pose_fields(ground_truth[name])}" for name in sorted(ground_truth)],
-        )
+        write_poses(out_dir / "ground_truth.txt", ground_truth)
 
 
 def _position_global_descriptor(center: np.ndarray, dim: int) -> np.ndarray:
@@ -553,8 +547,6 @@ def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> di
         out_dir,
         ground_truth,
     )
-    with open(out_dir / "corruption_manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "corruption_manifest.json", manifest)
     load_dataset(out_dir)
     return manifest

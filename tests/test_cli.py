@@ -182,9 +182,8 @@ class TestPipelineCommands:
         problems, in run order: per query one lock-step loop over the six
         temporary problems, then the final loop. A block holds each
         problem's first sample alone, then up to its cap the samples left to
-        a guess of its stop (localizer._wants): its own, the largest of the
-        query's other loops when it has none, the median when its own is
-        far above it, and at least an equal share of its cap. A change to
+        the median of the loops' known stops (localizer._wants), at least an
+        equal share of its cap and never past its own stop. A change to
         the schedule shows here; the test above checks that it moves no
         output."""
         blocks, used = [], []
@@ -524,6 +523,28 @@ SMALL_SCENE = {"n_points": 120, "n_db_images": 8, "n_queries": 3, "pixel_sigma":
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["localize", "--data", "x", "--out", "y", "--inlier-px", "-inf"],
+             "semloc localize: argument --inlier-px: expected one argument"),
+            (["localize", "--data", "x"],
+             "semloc localize: the following arguments are required: --out"),
+            (["localize", "--data", "x", "--out", "y", "--jobs", "two"],
+             "semloc localize: argument --jobs: invalid int value: 'two'"),
+            (["locate"], "semloc: argument command: invalid choice: 'locate'"),
+        ],
+        ids=["negative_infinity", "missing_out", "mistyped_jobs", "unknown_command"],
+    )
+    def test_usage_error_exits_3(self, capsys, monkeypatch, argv, message):
+        """A command line argparse rejects is a configuration error: exit 3,
+        the usage, then one config error line, before any set-up."""
+        monkeypatch.setattr(cli, "_set_up", lambda data_dir: pytest.fail("set-up ran"))
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: semloc")
+        assert err.splitlines()[-1].startswith(f"config error: {message}")
+
     def test_bad_config_json_exits_3(self, cli_dataset, tmp_path, capsys):
         _, data = cli_dataset
         cfg = tmp_path / "bad.json"

@@ -702,7 +702,8 @@ def test_ransac_loop_equals_one_sample_at_a_time(
 def test_lock_step_loops_equal_each_loop_alone(specs, block_max, max_iters, shuffler):
     """Each of C problems run in lock-step ends as the reference loop ends
     on that problem alone with its own rng; dropping or reordering the
-    other problems changes none of it."""
+    other problems changes none of it. No block draws more than
+    RANSAC_BLOCK_MAX samples, however many problems want them."""
     problems = []
     for seed, n, outlier_rate, weighted in specs:
         points, pixels, weights = ransac_instance(seed, n, outlier_rate, 0.5)
@@ -716,7 +717,13 @@ def test_lock_step_loops_equal_each_loop_alone(specs, block_max, max_iters, shuf
     order = list(range(len(problems)))
     shuffler.shuffle(order)
     kept = order[: shuffler.randint(1, len(order))]
-    with patch.object(localizer, "RANSAC_BLOCK_MAX", block_max):
+    blocks, sampler = [], localizer.weighted_samples
+
+    def counted(u, w):
+        blocks.append(len(u))
+        return sampler(u, w)
+
+    with patch.multiple(localizer, RANSAC_BLOCK_MAX=block_max, weighted_samples=counted):
         for subset in (range(len(problems)), kept):
             rngs = [np.random.default_rng(problems[c][3]) for c in subset]
             outcomes = localizer._ransac_loop(
@@ -727,6 +734,7 @@ def test_lock_step_loops_equal_each_loop_alone(specs, block_max, max_iters, shuf
                     assert outcome[0] is None and outcome[2:] == (0, want[c][4])
                 else:
                     assert_loop_equals(outcome, rng, want[c])
+    assert max(blocks) <= block_max
 
 
 @pytest.mark.parametrize("past_stop", [True, False])
@@ -779,13 +787,14 @@ def test_solver_fault_raises_only_at_or_before_the_stop(monkeypatch, past_stop):
 )
 @settings(derandomize=True, deadline=None, max_examples=12)
 def test_borrowed_stops_keep_each_loop_alone(shared, rate, seed, planted, block_max):
-    """Lock-step loops that guess their stops from each other: `shared`
-    loops of one outlier rate, so that one with no stop yet borrows
-    another's; one at 60% outliers, which needs more samples than the stop
-    it borrows or is held to; and a last one whose solver raises at sample
-    `planted`. Each loop ends as the reference loop ends on it alone, with
-    its rng where that loop leaves it; the fault raises when the reference
-    would reach it."""
+    """Lock-step loops whose blocks ask for the samples left to the median
+    of their known stops: `shared` loops of one outlier rate, so that one
+    with no stop yet guesses the others'; one at 60% outliers, which needs
+    more samples than that median; and a last one whose solver raises at
+    sample `planted`. Each loop ends as the reference loop ends on it
+    alone, with its rng where that loop leaves it; the fault raises when
+    the reference would reach it. No block draws more than
+    RANSAC_BLOCK_MAX samples."""
     specs = [(seed + c, 30 + c, rate) for c in range(shared)]
     specs += [(seed + 50, 50, 0.6), (seed + 60, 61, rate)]
     problems = [(*ransac_instance(s, n, r, 0.5)[:2], np.ones(n)) for s, n, r in specs]
@@ -793,13 +802,14 @@ def test_borrowed_stops_keep_each_loop_alone(shared, rate, seed, planted, block_
         reference_loop(*problem, 300, np.random.default_rng(s))
         for problem, (s, _, _) in zip(problems, specs)
     ]
-    assert want[shared][4] > max(w[4] for w in want[:shared])  # more than any stop it can borrow
-    seen, owners = [0], []
+    assert want[shared][4] > max(w[4] for w in want[:shared])  # more than any median it guesses
+    seen, owners, blocks = [0], [], []
     sampler, solve = localizer.weighted_samples, localizer.solve_p3p_many
 
     def recorded_sampler(u, w):
         # the rows of the 61-point loop; a block without it is padded to fewer points
         owners.append(np.flatnonzero(w[:, 60] > 0) if w.shape[1] > 60 else np.zeros(0, int))
+        blocks.append(len(u))
         return sampler(u, w)
 
     def planted_solve(pixels, points, K):
@@ -820,10 +830,12 @@ def test_borrowed_stops_keep_each_loop_alone(shared, rate, seed, planted, block_
                 localizer._ransac_loop(loops, K, 10.0, 0.99, 300)
             # the other loops ran to their stops before the fault was raised
             assert [rng.bit_generator.state for rng in rngs[:-1]] == [w[5] for w in want[:-1]]
+            assert max(blocks) <= block_max
             return
         outcomes = localizer._ransac_loop(loops, K, 10.0, 0.99, 300)
     for outcome, rng, reference in zip(outcomes, rngs, want):
         assert_loop_equals(outcome, rng, reference)
+    assert max(blocks) <= block_max
 
 
 def test_decoy_size_call_stays_within_the_block_bytes(monkeypatch):
