@@ -32,7 +32,7 @@ from .semantic_map import (
     map_inputs_sha256,
     save_map_cache,
 )
-from .synth import CorruptionSpec, SceneSpec, corrupt, generate_scene
+from .synth import CorruptionSpec, SceneSpec, check_corruption, corrupt, generate_scene
 
 MAP_CACHE_NAME = "semantic_map.npz"
 
@@ -148,6 +148,7 @@ def cmd_synth(args) -> int:
     spec, cspec = SceneSpec(**scene), CorruptionSpec(**corruption)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
+    check_corruption(cspec)
     gt = generate_scene(spec, Path(args.out))
     if corruption:
         corrupt(Path(args.out), Path(args.out), cspec, spec.seed + 1)

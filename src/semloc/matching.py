@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimMismatch, NonFiniteDescriptors, TooFewDescriptors
-from .model_ingest import DbImageRecord, DescriptorSet, NO_POINT
+from .model_ingest import DbImageRecord, DescriptorSet
 from .semantic_map import SemanticMap
 
 # One record per 2D-2D match; distance is the L2 to the nearest db descriptor.
@@ -140,5 +140,5 @@ def lift_matches(matches: np.recarray, db_image: DbImageRecord, smap: SemanticMa
     """
     point_ids = db_image.point3d_ids[matches.db_kp]
     rows = smap.rows_of(point_ids)
-    keep = (point_ids != NO_POINT) & (rows >= 0)
+    keep = rows >= 0  # NO_POINT is no point's id
     return np.column_stack((matches.query_kp[keep], rows[keep]))

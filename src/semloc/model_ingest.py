@@ -3,13 +3,19 @@
 A dataset directory looks like:
 
     data/
-      model/cameras.txt images.txt points3D.txt   (COLMAP text, PINHOLE only)
+      model/cameras.txt  # <camera-id> PINHOLE <w> <h> <fx> <fy> <cx> <cy>
+      model/images.txt points3D.txt                (COLMAP text)
       db/<image>.labels.pgm .ldsc .gdsc            (per database image)
       queries/<query>.kpts .ldsc .gdsc .labels.pgm
       queries.txt        # <query-name> PINHOLE <w> <h> <fx> <fy> <cx> <cy>
       conditions.txt     # <image-name> day|night   (database and query images)
       classes.txt        # <id> <name> <dynamic:0|1>
       ground_truth.txt   # <query-name> qw qx qy qz tx ty tz  (optional)
+
+The five files with a # pattern hold one keyed record a line (poses.txt is
+ground_truth.txt's form). A malformed line raises ParseError
+"<path>:<line>: expected '<pattern>': <why>", and a key equal to an
+earlier one once parsed "<path>:<line>: duplicate <noun> <key>".
 
 Label rasters are 8-bit binary PGM (P5) holding class ids in the Cityscapes
 train-id convention, void = 255. Binary sidecar formats are little-endian:
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -52,6 +59,9 @@ NO_POINT = -1
 DB_SUBDIR = "db"
 QUERY_SUBDIR = "queries"
 MODEL_SUBDIR = "model"
+
+# four PGM header tokens after whitespace and '#' comments; lookaheads keep each whole
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)(?!\S)" * 4)
 
 
 @dataclass(frozen=True)
@@ -149,6 +159,35 @@ def _data_lines(path: Path):
             yield lineno, stripped
 
 
+def _records(path: Path, fields: str, noun: str, key, parse, model: str | None = None) -> dict:
+    """key(first field) -> parse(where, *other fields) of each data line, in
+    file order, with the faults of the module docstring; a line whose second
+    field is not `model`, when given, is an unsupported camera model."""
+    n = len(fields.split())
+    records: dict = {}
+    for lineno, line in _data_lines(path):
+        where, parts = f"{path}:{lineno}", line.split()
+        if model is not None and len(parts) > 1 and parts[1] != model:
+            raise ParseError(f"{where}: unsupported camera model {parts[1]!r}")
+        try:
+            if len(parts) != n:
+                raise ValueError(f"got {len(parts)} fields")
+            record_key = key(parts[0])
+            if record_key in records:
+                raise ParseError(f"{where}: duplicate {noun} {record_key}")
+            records[record_key] = parse(where, *parts[1:])
+        except ValueError as exc:
+            raise ParseError(f"{where}: expected '{fields}': {exc}") from exc
+    return records
+
+
+def _choice(value: str, choices: str) -> str:
+    """value, when it is one of the |-separated choices."""
+    if value not in choices.split("|"):
+        raise ValueError(f"{value!r} is not {choices}")
+    return value
+
+
 def _require_finite(where, what: str, *arrays) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise ParseError(f"{where}: non-finite {what}")
@@ -167,12 +206,20 @@ def _pose(where: str, values: list[float]) -> PoseEstimate:
     return pose
 
 
-def _pinhole(where: str, width: int, height: int, params) -> CameraIntrinsics:
-    fx, fy, cx, cy = params
-    _require_finite(where, "intrinsics", params)
-    if not (fx > 0 and fy > 0 and 0 < cx < width and 0 < cy < height):
-        raise ParseError(f"{where}: intrinsics out of range")
-    return CameraIntrinsics(fx, fy, cx, cy, width, height)
+def _pinhole_records(path: Path, key_field: str, noun: str, key) -> dict:
+    """The cameras of cameras.txt or queries.txt by key, finite, with a
+    positive focal length and the principal point inside the frame."""
+
+    def parse(where, model, width, height, *params):
+        width, height = int(width), int(height)
+        fx, fy, cx, cy = params = [float(v) for v in params]
+        _require_finite(where, "intrinsics", params)
+        if not (fx > 0 and fy > 0 and 0 < cx < width and 0 < cy < height):
+            raise ParseError(f"{where}: intrinsics out of range")
+        return CameraIntrinsics(fx, fy, cx, cy, width, height)
+
+    fields = f"{key_field} PINHOLE <w> <h> <fx> <fy> <cx> <cy>"
+    return _records(path, fields, noun, key, parse, model="PINHOLE")
 
 
 def _in_frame(kps: np.ndarray, cam: CameraIntrinsics) -> bool:
@@ -182,24 +229,7 @@ def _in_frame(kps: np.ndarray, cam: CameraIntrinsics) -> bool:
 
 
 def load_cameras(path: Path) -> dict[int, CameraIntrinsics]:
-    cameras: dict[int, CameraIntrinsics] = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        try:
-            cam_id = int(parts[0])
-            model = parts[1]
-            width, height = int(parts[2]), int(parts[3])
-            params = [float(p) for p in parts[4:]]
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}:{lineno}: bad camera line: {exc}") from exc
-        if model != "PINHOLE":
-            raise ParseError(f"{path}:{lineno}: unsupported camera model {model!r}")
-        if len(params) != 4:
-            raise ParseError(f"{path}:{lineno}: PINHOLE needs 4 params, got {len(params)}")
-        if cam_id in cameras:
-            raise ParseError(f"{path}:{lineno}: duplicate camera id {cam_id}")
-        cameras[cam_id] = _pinhole(f"{path}:{lineno}", width, height, params)
-    return cameras
+    return _pinhole_records(path, "<camera-id>", "camera id", int)
 
 
 def load_images(path: Path) -> dict[int, DbImageRecord]:
@@ -269,6 +299,8 @@ def load_points(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise ParseError(f"{path}:{lineno}: non-finite point position")
         if not _int64_ids(point_id, *track):
             raise ParseError(f"{path}:{lineno}: bad point3D line: id out of the int64 range")
+        if point_id == NO_POINT:
+            raise ParseError(f"{path}:{lineno}: bad point3D line: id -1 marks untracked keypoints")
         if point_id in positions:
             raise ParseError(f"{path}:{lineno}: duplicate point id {point_id}")
         if len(track) < 4:
@@ -369,29 +401,16 @@ def load_label_raster(
     """Read a P5 PGM of class ids as a (height, width) uint8 array;
     expected_dims is (width, height)."""
     raw = Path(path).read_bytes()
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < 4 and pos < len(raw):
-        # PGM header tokens are whitespace separated, '#' starts a comment
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(raw[start:pos])
-    if len(tokens) < 4 or tokens[0] != b"P5":
+    header = _PGM_HEADER.match(raw)
+    if header is None or header[1] != b"P5":
         raise ParseError(f"{path}: not a binary PGM (P5) file")
     try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        width, height, maxval = map(int, header.groups()[1:])
     except ValueError as exc:
         raise ParseError(f"{path}: bad PGM header: {exc}") from exc
     if maxval != 255:
         raise ParseError(f"{path}: PGM maxval must be 255, got {maxval}")
-    pos += 1  # single whitespace byte after maxval
+    pos = header.end() + 1  # single whitespace byte after maxval
     data = raw[pos : pos + width * height]
     if len(data) < width * height:
         raise TruncatedFile(f"{path}: expected {width * height} pixels, got {len(data)}")
@@ -450,68 +469,34 @@ def load_global_descriptor(path: Path) -> np.ndarray:
 
 
 def load_class_table(path: Path) -> ClassTable:
-    entries: dict[int, tuple[str, bool]] = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 3 or parts[2] not in ("0", "1"):
-            raise ParseError(f"{path}:{lineno}: expected '<id> <name> <0|1>'")
-        try:
-            class_id = int(parts[0])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad class id") from exc
-        if class_id in entries:
-            raise ParseError(f"{path}:{lineno}: duplicate class id {class_id}")
-        entries[class_id] = (parts[1], parts[2] == "1")
-    if sorted(entries) != list(range(len(entries))):
-        raise ParseError(f"{path}: class ids must be contiguous from 0")
-    names = tuple(entries[i][0] for i in range(len(entries)))
-    dynamic = frozenset(i for i in range(len(entries)) if entries[i][1])
-    return ClassTable(names=names, dynamic_ids=dynamic)
+    entries = _records(
+        path, "<id> <name> <dynamic:0|1>", "class id", int,
+        lambda where, name, dynamic: (where, name, _choice(dynamic, "0|1") == "1"),
+    )
+    # n distinct ids are 0..n-1 when none lies outside that range
+    stray = [entries[i][0] for i in entries if not 0 <= i < len(entries)]
+    if stray:
+        raise ParseError(f"{stray[0]}: class ids must be contiguous from 0")
+    names = tuple(entries[i][1] for i in sorted(entries))
+    return ClassTable(names=names, dynamic_ids=frozenset(i for i in entries if entries[i][2]))
 
 
 def load_conditions(path: Path) -> dict[str, str]:
-    conditions: dict[str, str] = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 2 or parts[1] not in ("day", "night"):
-            raise ParseError(f"{path}:{lineno}: expected '<image-name> day|night'")
-        if parts[0] in conditions:
-            raise ParseError(f"{path}:{lineno}: duplicate image name {parts[0]}")
-        conditions[parts[0]] = parts[1]
-    return conditions
+    return _records(
+        path, "<image-name> day|night", "image name", str,
+        lambda where, condition: _choice(condition, "day|night"),
+    )
 
 
 def load_query_cameras(path: Path) -> dict[str, CameraIntrinsics]:
-    cameras: dict[str, CameraIntrinsics] = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 8 or parts[1] != "PINHOLE":
-            raise ParseError(f"{path}:{lineno}: expected '<name> PINHOLE w h fx fy cx cy'")
-        try:
-            width, height = int(parts[2]), int(parts[3])
-            params = [float(v) for v in parts[4:8]]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad query camera line: {exc}") from exc
-        if parts[0] in cameras:
-            raise ParseError(f"{path}:{lineno}: duplicate query name {parts[0]}")
-        cameras[parts[0]] = _pinhole(f"{path}:{lineno}", width, height, params)
-    return cameras
+    return _pinhole_records(path, "<query-name>", "query name", str)
 
 
 def load_ground_truth(path: Path) -> dict[str, PoseEstimate]:
-    poses: dict[str, PoseEstimate] = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 8:
-            raise ParseError(f"{path}:{lineno}: expected '<name> qw qx qy qz tx ty tz'")
-        try:
-            vals = [float(v) for v in parts[1:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad pose line: {exc}") from exc
-        if parts[0] in poses:
-            raise ParseError(f"{path}:{lineno}: duplicate query name {parts[0]}")
-        poses[parts[0]] = _pose(f"{path}:{lineno}", vals)
-    return poses
+    return _records(
+        path, "<query-name> qw qx qy qz tx ty tz", "query name", str,
+        lambda where, *values: _pose(where, [float(v) for v in values]),
+    )
 
 
 def pose_values(pose: PoseEstimate) -> list[float]:

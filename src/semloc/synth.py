@@ -258,6 +258,10 @@ def _validate_spec(spec: SceneSpec) -> None:
         raise InfeasibleSpec("need >= 1 point and query, >= 2 database images")
     if spec.pixel_sigma < 0:
         raise InfeasibleSpec("pixel_sigma must be >= 0")
+    if spec.seed < 0:
+        raise InfeasibleSpec("seed must be >= 0")
+    if spec.descriptor_dim < 1 or spec.global_dim < 3:  # a global descriptor holds a position
+        raise InfeasibleSpec("need descriptor_dim >= 1 and global_dim >= 3")
     if len(spec.octant_labels) != 8 or not set(spec.octant_labels) <= static_ids:
         raise InfeasibleSpec("octant_labels must be 8 static class ids")
     if not 0.0 <= spec.dynamic_fraction <= 1.0:
@@ -407,7 +411,7 @@ def generate_scene(spec: SceneSpec, out_dir: Path) -> SceneGroundTruth:
 def _decoy_replicas(rate: float) -> int:
     """Decoy clones per source so that every top-k prefix holds the
     requested fraction of decoys: rate = d / (d + 1)."""
-    d = rate / (1.0 - rate)
+    d = rate / (1.0 - rate) if rate < 1.0 else 0.0  # 1.0 would take endless clones
     if abs(d - round(d)) > 1e-9 or round(d) < 1:
         raise InfeasibleSpec(
             f"wrong_retrieval_rate {rate} not of the form d/(d+1) for integer d >= 1"
@@ -431,6 +435,18 @@ def _permute_static_labels(dataset: Dataset) -> dict[int, int]:
     return {static[i]: static[(i + 1) % len(static)] for i in range(len(static))}
 
 
+def check_corruption(cspec: CorruptionSpec) -> None:
+    """Raise InfeasibleSpec for a spec that corrupt() cannot apply to any
+    bundle, so that a caller can check it before writing one."""
+    for rate in (cspec.wrong_retrieval_rate, cspec.label_flip_rate, cspec.outlier_match_rate):
+        if not 0.0 <= rate <= 1.0:
+            raise InfeasibleSpec(f"corruption rate {rate} outside [0, 1]")
+    if cspec.descriptor_noise < 0:
+        raise InfeasibleSpec("descriptor_noise must be >= 0")
+    if cspec.wrong_retrieval_rate > 0:
+        _decoy_replicas(cspec.wrong_retrieval_rate)
+
+
 def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> dict:
     """Apply the corruption channels to a bundle, writing a new bundle plus
     a corruption_manifest.json recording exactly what changed.
@@ -439,12 +455,7 @@ def corrupt(in_dir: Path, out_dir: Path, cspec: CorruptionSpec, seed: int) -> di
     The written bundle is loaded back, so one that does not load raises
     InvalidDataset with its findings.
     """
-    for rate in (cspec.wrong_retrieval_rate, cspec.label_flip_rate, cspec.outlier_match_rate):
-        if not 0.0 <= rate <= 1.0:
-            raise InfeasibleSpec(f"corruption rate {rate} outside [0, 1]")
-    if cspec.descriptor_noise < 0:
-        raise InfeasibleSpec("descriptor_noise must be >= 0")
-
+    check_corruption(cspec)
     in_dir, out_dir = Path(in_dir), Path(out_dir)
     dataset = load_dataset(in_dir)
     gt_path = in_dir / "ground_truth.txt"

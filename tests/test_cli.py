@@ -613,23 +613,32 @@ class TestErrorPaths:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, flags",
         [
-            {"scene": SMALL_SCENE, "corruption": "x"},
-            {"scene": {**SMALL_SCENE, "octant_labels": 5}},
-            SMALL_SCENE,
-            {"scene": {**SMALL_SCENE, "corruption": {"outlier_match_rate": 0.5}}},
-            {"scene": SMALL_SCENE, "corruption": {"outlier_match_rate": 0.5, "seed": 3}},
+            ({"scene": SMALL_SCENE, "corruption": "x"}, []),
+            ({"scene": {**SMALL_SCENE, "octant_labels": 5}}, []),
+            (SMALL_SCENE, []),
+            ({"scene": {**SMALL_SCENE, "corruption": {"outlier_match_rate": 0.5}}}, []),
+            ({"scene": SMALL_SCENE, "corruption": {"outlier_match_rate": 0.5, "seed": 3}}, []),
+            ({"scene": SMALL_SCENE}, ["--seed", "-1"]),
+            ({"scene": {**SMALL_SCENE, "seed": -4}}, []),
+            ({"scene": {**SMALL_SCENE, "global_dim": 2}}, []),
+            ({"scene": {**SMALL_SCENE, "descriptor_dim": 0}}, []),
+            ({"scene": SMALL_SCENE, "corruption": {"wrong_retrieval_rate": 1.0}}, []),
+            ({"scene": SMALL_SCENE, "corruption": {"wrong_retrieval_rate": 0.4}}, []),
         ],
         ids=["corruption_not_an_object", "octant_labels_not_a_list", "flat_scene",
-             "corruption_inside_scene", "corruption_seed"],
+             "corruption_inside_scene", "corruption_seed", "negative_seed_flag",
+             "negative_seed", "global_dim_2", "descriptor_dim_0", "all_retrieval_wrong",
+             "retrieval_rate_not_d_over_d_plus_1"],
     )
-    def test_malformed_scene_spec_exits_3(self, tmp_path, capsys, spec):
-        """Only {"scene": {...}, "corruption": {...}} is a spec; anything else
-        is a configuration error before a file is written."""
+    def test_malformed_scene_spec_exits_3(self, tmp_path, capsys, spec, flags):
+        """Only {"scene": {...}, "corruption": {...}} is a spec, and only one
+        that generate_scene and corrupt can build; anything else is a
+        configuration error before a file is written."""
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
-        assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "ds")]) == 3
+        assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "ds"), *flags]) == 3
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "ds").exists()
 

@@ -1,4 +1,6 @@
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +17,16 @@ from semloc.errors import (
 from semloc.model_ingest import (
     ClassTable,
     id_rows,
+    load_cameras,
     load_class_table,
+    load_conditions,
     load_dataset,
     load_descriptors,
     load_global_descriptor,
+    load_ground_truth,
     load_keypoints,
     load_label_raster,
+    load_query_cameras,
     load_sfm_model,
     validate_dataset,
 )
@@ -106,7 +112,87 @@ SINGLE_PARSE_FAULTS = {  # (images.txt, points3D.txt, file, line, message)
                               "points3D.txt", 1, "bad point3D line: id out of the int64 range"),
     "track image id beyond int64": (images_txt(), POINT + f"1 0 -{BIG} 0", "points3D.txt", 1,
                                     "bad point3D line: id out of the int64 range"),
+    "point id -1": (images_txt(kps_a="320.0 240.0 -1", kps_b="320.0 240.0 -1"),
+                    "-1 0.0 0.0 0.0 128 128 128 0.0 1 0 2 0", "points3D.txt", 1,
+                    "bad point3D line: id -1 marks untracked keypoints"),
 }
+
+# the five keyed text files: their loader and the line pattern each expects
+KEYED_FILES = {
+    "cameras.txt": (load_cameras, "<camera-id> PINHOLE <w> <h> <fx> <fy> <cx> <cy>"),
+    "queries.txt": (load_query_cameras, "<query-name> PINHOLE <w> <h> <fx> <fy> <cx> <cy>"),
+    "conditions.txt": (load_conditions, "<image-name> day|night"),
+    "classes.txt": (load_class_table, "<id> <name> <dynamic:0|1>"),
+    "ground_truth.txt": (load_ground_truth, "<query-name> qw qx qy qz tx ty tz"),
+}
+CAM = "640 480 500.0 500.0 320.0 240.0"
+INT = "invalid literal for int() with base 10:"
+KEYED_FAULTS = {  # (file, data lines, message at the last line)
+    "cameras.txt field count": ("cameras.txt", ["1 PINHOLE 640 480 500.0 500.0 320.0"],
+                                "expected '{fields}': got 7 fields"),
+    "cameras.txt value": ("cameras.txt", ["1 PINHOLE 640 480 500.0 x 320.0 240.0"],
+                          "expected '{fields}': could not convert string to float: 'x'"),
+    "cameras.txt key": ("cameras.txt", [f"one PINHOLE {CAM}"], f"expected '{{fields}}': {INT} 'one'"),
+    "cameras.txt repeated id": ("cameras.txt", [f"1 PINHOLE {CAM}", f"01 PINHOLE {CAM}"],
+                                "duplicate camera id 1"),
+    "cameras.txt 8-field model": ("cameras.txt", ["1 SIMPLE_RADIAL 640 480 500 320 240 0.01"],
+                                  "unsupported camera model 'SIMPLE_RADIAL'"),
+    "cameras.txt 12-field model": ("cameras.txt", [f"1 OPENCV {CAM} 0.1 0.01 0 0"],
+                                   "unsupported camera model 'OPENCV'"),
+    "queries.txt field count": ("queries.txt", [f"q PINHOLE {CAM} 0.1"],
+                                "expected '{fields}': got 9 fields"),
+    "queries.txt value": ("queries.txt", ["q PINHOLE 640.5 480 500.0 500.0 320.0 240.0"],
+                          f"expected '{{fields}}': {INT} '640.5'"),
+    "queries.txt repeated name": ("queries.txt", [f"q PINHOLE {CAM}", f"q PINHOLE {CAM}"],
+                                  "duplicate query name q"),
+    "queries.txt model": ("queries.txt", [f"q OPENCV {CAM}"], "unsupported camera model 'OPENCV'"),
+    "conditions.txt field count": ("conditions.txt", ["img day 1"],
+                                   "expected '{fields}': got 3 fields"),
+    "conditions.txt value": ("conditions.txt", ["img dusk"],
+                             "expected '{fields}': 'dusk' is not day|night"),
+    "conditions.txt repeated name": ("conditions.txt", ["img day", "img night"],
+                                     "duplicate image name img"),
+    "classes.txt field count": ("classes.txt", ["0 road"], "expected '{fields}': got 2 fields"),
+    "classes.txt value": ("classes.txt", ["0 road 2"], "expected '{fields}': '2' is not 0|1"),
+    "classes.txt key": ("classes.txt", ["0.0 road 0"], f"expected '{{fields}}': {INT} '0.0'"),
+    "classes.txt repeated id": ("classes.txt", ["0 road 0", "1 sidewalk 0", "01 building 0"],
+                                "duplicate class id 1"),
+    "classes.txt gap": ("classes.txt", ["0 road 0", "2 building 0"],
+                        "class ids must be contiguous from 0"),
+    "ground_truth.txt field count": ("ground_truth.txt", ["q 1 0 0 0 0 0"],
+                                     "expected '{fields}': got 7 fields"),
+    "ground_truth.txt value": ("ground_truth.txt", ["q 1 0 0 0 0 0 zero"],
+                               "expected '{fields}': could not convert string to float: 'zero'"),
+    "ground_truth.txt repeated name": ("ground_truth.txt", ["q 1 0 0 0 0 0 0", "q 1 0 0 0 1 0 0"],
+                                       "duplicate query name q"),
+}
+
+
+@pytest.mark.parametrize("fault", list(KEYED_FAULTS))
+def test_keyed_file_fault_message(tmp_path, fault):
+    """Each keyed text file reports a fault at its line, after a comment and
+    a blank line, in the one message form of its loader."""
+    file, lines, message = KEYED_FAULTS[fault]
+    loader, fields = KEYED_FILES[file]
+    path = tmp_path / file
+    path.write_text("".join(f"{line}\n" for line in ["# header", "", *lines]))
+    with pytest.raises(ParseError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}:{len(lines) + 2}: {message.format(fields=fields)}"
+
+
+@pytest.mark.parametrize("file", list(KEYED_FILES))
+def test_readme_layout_line_is_the_loaders_pattern(tmp_path, file):
+    """The pattern a loader names for a malformed line is that file's line
+    in README's "Dataset layout" block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Dataset layout")[1].split("```")[1]
+    documented = re.search(rf"^ *{re.escape(file)} +(.+?)(?: {{2,}}\(.*\))?$", block, re.M)
+    path = tmp_path / file
+    path.write_text("x\n")
+    with pytest.raises(ParseError) as info:
+        KEYED_FILES[file][0](path)
+    assert str(info.value) == f"{path}:1: expected '{documented[1]}': got 1 fields"
 
 
 class TestSfmModel:
@@ -342,6 +428,30 @@ class TestLabelRaster:
         )
         with pytest.raises(ConsistencyError, match="image 1 has keypoints outside the frame"):
             load_sfm_model(model_dir)
+
+    def test_header_comments_between_tokens(self, tmp_path):
+        path = tmp_path / "r.pgm"
+        pixels = np.arange(6, dtype=np.uint8).reshape(2, 3) % 3
+        path.write_bytes(b"# made by hand\nP5 # binary\n3 # the width\n# rows:\n2\n\n255\n"
+                         + pixels.tobytes())
+        assert load_label_raster(path, (3, 2), TABLE).tolist() == pixels.tolist()
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"P2\n3 2\n255\n" + bytes(6), "not a binary PGM (P5) file"),
+            (b"P5\n3 2 # no maxval\n", "not a binary PGM (P5) file"),
+            (b"P5\n3 x2\n255\n" + bytes(6), f"bad PGM header: {INT} b'x2'"),
+            (b"P5\n3 2\n#255\n15\n" + bytes(6), "PGM maxval must be 255, got 15"),
+        ],
+        ids=["ascii", "three_tokens", "bad_height", "maxval"],
+    )
+    def test_header_fault_message(self, tmp_path, raw, message):
+        path = tmp_path / "r.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError) as info:
+            load_label_raster(path, (3, 2), TABLE)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_truncated_pgm(self, tmp_path):
         path = tmp_path / "r.pgm"

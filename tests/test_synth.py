@@ -103,6 +103,15 @@ class TestGenerateScene:
             generate_scene(SceneSpec(octant_labels=(0, 1, 2, 3, 4, 5, 8, 13)), tmp_path / "y")
         with pytest.raises(InfeasibleSpec):
             generate_scene(SceneSpec(n_db_images=1), tmp_path / "z")
+        for bad in ({"seed": -4}, {"global_dim": 2}, {"descriptor_dim": 0}):
+            with pytest.raises(InfeasibleSpec):
+                generate_scene(SceneSpec(**bad), tmp_path / "w")
+        # checked before the input bundle is read, which does not exist
+        for rate in (1.0, 0.4):
+            cspec = CorruptionSpec(wrong_retrieval_rate=rate)
+            with pytest.raises(InfeasibleSpec, match="not of the form d/\\(d\\+1\\)"):
+                corrupt(tmp_path / "in", tmp_path / "out", cspec, 1)
+        assert not any(tmp_path.iterdir())
 
 
 class TestCorrupt:
