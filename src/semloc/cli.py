@@ -29,7 +29,7 @@ from .semantic_map import (
     SemanticMap,
     build_semantic_map,
     load_map_cache,
-    map_inputs_sha256,
+    map_key,
     save_map_cache,
 )
 from .synth import CorruptionSpec, SceneSpec, check_corruption, corrupt, generate_scene
@@ -106,7 +106,7 @@ def _load_or_build_map(dataset: Dataset) -> SemanticMap:
     """The cached map when it was built from the dataset's current inputs,
     else a new build that replaces the cache."""
     cache = dataset.root / MAP_CACHE_NAME
-    inputs = map_inputs_sha256(dataset.root)
+    inputs = map_key(dataset.model, dataset.db_rasters, dataset.class_table)
     smap = load_map_cache(cache, dataset.class_table, inputs)
     if smap is not None:
         print(f"loaded semantic map cache: {len(smap)} points")

@@ -59,6 +59,8 @@ NO_POINT = -1
 DB_SUBDIR = "db"
 QUERY_SUBDIR = "queries"
 MODEL_SUBDIR = "model"
+# points3D.txt lines converted together; their tokens are all that is held at once
+POINT_BLOCK_LINES = 64
 
 # four PGM header tokens after whitespace and '#' comments; lookaheads keep each whole
 _PGM_HEADER = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)(?!\S)" * 4)
@@ -282,7 +284,41 @@ def load_images(path: Path) -> dict[int, DbImageRecord]:
 
 
 def load_points(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(point_ids, positions, tracks) of points3D.txt, in SfmModel's layout."""
+    """(point_ids, positions, tracks) of points3D.txt, in SfmModel's layout.
+
+    Each block of POINT_BLOCK_LINES data lines converts with one numpy call
+    per kind of value; a file with a fault goes through the line loop,
+    which names its first faulty line."""
+    # track lengths in tokens, point ids, positions, track entries
+    blocks = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64))]
+    try:
+        with open(path, "r") as fh:
+            lines = [s for s in map(str.strip, fh) if s[:1] not in ("", "#")]
+        for start in range(0, len(lines), POINT_BLOCK_LINES):
+            rows = [line.split() for line in lines[start : start + POINT_BLOCK_LINES]]
+            # numpy converts each token with int() or float(), as the line loop does
+            blocks.append((
+                np.array([len(row) - 8 for row in rows], dtype=np.int64),
+                np.array([row[0] for row in rows], dtype=np.int64),
+                np.array([v for row in rows for v in row[1:4]], dtype=float),
+                np.array([v for row in rows for v in row[8:]], dtype=np.int64),
+            ))
+    except (ValueError, OverflowError):  # UnicodeDecodeError included
+        return _load_points_by_line(path)
+    lengths, point_ids, positions, entries = map(np.concatenate, zip(*blocks))
+    unique = np.sort(point_ids)
+    if (
+        np.all((lengths >= 4) & (lengths % 2 == 0))  # a position and at least two views
+        and np.isfinite(positions).all()
+        and np.all(point_ids != NO_POINT)
+        and np.all(unique[1:] != unique[:-1])
+    ):
+        return _track_table(point_ids, positions.reshape(-1, 3), lengths // 2, entries)
+    return _load_points_by_line(path)
+
+
+def _load_points_by_line(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """load_points one line at a time, raising at the first faulty line."""
     positions: dict[int, list[float]] = {}  # by point id, in file order
     lengths, entries = [], []
     for lineno, line in _data_lines(path):
@@ -308,13 +344,23 @@ def load_points(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         positions[point_id] = position
         lengths.append(len(track) // 2)
         entries += track
-    point_ids = np.array(list(positions), dtype=np.int64)
+    return _track_table(
+        np.array(list(positions), dtype=np.int64),
+        np.array(list(positions.values())).reshape(-1, 3),
+        lengths,
+        np.array(entries, dtype=np.int64),
+    )
+
+
+def _track_table(point_ids, positions, lengths, entries):
+    """(point_ids, positions, tracks) sorted by id, from the points in file
+    order, their track lengths and the flat (image id, keypoint) entries."""
     order = np.argsort(point_ids)
     owners = np.repeat(point_ids, lengths)
-    tracks = np.column_stack((owners, np.array(entries, dtype=np.int64).reshape(-1, 2)))
+    tracks = np.column_stack((owners, entries.reshape(-1, 2)))
     tracks = tracks[np.argsort(owners, kind="stable")]
     tracks[:, 0] = np.searchsorted(point_ids[order], tracks[:, 0])
-    return point_ids[order], np.array(list(positions.values())).reshape(-1, 3)[order], tracks
+    return point_ids[order], positions[order], tracks
 
 
 def id_rows(sorted_ids: np.ndarray, ids) -> np.ndarray:
@@ -411,7 +457,7 @@ def load_label_raster(
     if maxval != 255:
         raise ParseError(f"{path}: PGM maxval must be 255, got {maxval}")
     pos = header.end() + 1  # single whitespace byte after maxval
-    data = raw[pos : pos + width * height]
+    data = memoryview(raw)[pos : pos + width * height]  # a view, not a copy
     if len(data) < width * height:
         raise TruncatedFile(f"{path}: expected {width * height} pixels, got {len(data)}")
     if (width, height) != tuple(expected_dims):
@@ -419,9 +465,14 @@ def load_label_raster(
             f"{path}: raster is {width}x{height}, expected {expected_dims[0]}x{expected_dims[1]}"
         )
     labels = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
-    bad = labels[(labels >= len(class_table.names)) & (labels != class_table.void_id)]
-    if bad.size:
-        raise UnknownLabel(f"{path}: label id {int(bad[0])} outside the class table")
+    n, void = len(class_table.names), class_table.void_id
+    # read as int8, void 255 is -1, next to the class ids 0..n-1: a min and
+    # a max with no temporaries clear a raster of class ids and void 255
+    signed = labels.view(np.int8)
+    if not (signed.max(initial=0) < n and signed.min(initial=0) >= (-1 if void == 255 else 0)):
+        bad = labels[(labels >= n) & (labels != void)]  # in row-major order
+        if bad.size:
+            raise UnknownLabel(f"{path}: label id {int(bad[0])} outside the class table")
     return labels
 
 

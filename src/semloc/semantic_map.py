@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import camera_center
-from .model_ingest import DB_SUBDIR, MODEL_SUBDIR, ClassTable, SfmModel, id_rows
+from .model_ingest import ClassTable, SfmModel, id_rows
 
-MAP_CACHE_VERSION = 3  # stored in every cache; bump it when the map build or the layout changes
+MAP_CACHE_VERSION = 4  # stored in every cache; bump it when the map build or the layout changes
 MAP_ARRAYS = ("ids", "positions", "labels", "d_lower", "d_upper", "v_mid", "theta")
 MAP_BLOCK_BYTES = 256 * 2**10  # padded temporaries of one block of the extreme-pair search
 
@@ -103,6 +103,25 @@ def _block_pairs(dirs, starts, lengths, longest: int, step: int) -> tuple[np.nda
     return first, second
 
 
+def _observations(model: SfmModel, rasters: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(votes, centers): the label and the camera center of each row of the
+    track table, as build_semantic_map describes the vote."""
+    _, image_ids, kp_idx = model.tracks.T
+    votes, centers = np.empty(len(image_ids), dtype=np.int64), np.empty((len(image_ids), 3))
+    by_image = np.argsort(image_ids, kind="stable")
+    sorted_ids = image_ids[by_image]
+    first = np.ones(len(sorted_ids), dtype=bool)  # the first entry of each observing image
+    first[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    starts = np.flatnonzero(first)
+    for image_id, obs in zip(sorted_ids[starts].tolist(), np.split(by_image, starts[1:])):
+        image, raster = model.images[image_id], rasters[image_id]
+        last = (raster.shape[1] - 1, raster.shape[0] - 1)
+        x, y = np.minimum(image.keypoints[kp_idx[obs]] + 0.5, last).astype(np.int64).T
+        votes[obs] = raster[y, x]
+        centers[obs] = camera_center(image.pose)
+    return votes, centers
+
+
 def build_semantic_map(
     model: SfmModel, rasters: dict[int, np.ndarray], class_table: ClassTable
 ) -> SemanticMap:
@@ -119,17 +138,8 @@ def build_semantic_map(
     viewing directions are antiparallel (v_mid undefined). The extreme pair
     is found by exact pairwise search, within MAP_BLOCK_BYTES of temporaries.
     """
-    rows, image_ids, kp_idx = model.tracks.T
-    votes, centers = np.empty(len(rows), dtype=np.int64), np.empty((len(rows), 3))
-    by_image = np.argsort(image_ids, kind="stable")
-    observing = np.unique(image_ids)
-    ends = np.searchsorted(image_ids[by_image], observing, side="right")
-    for image_id, obs in zip(observing.tolist(), np.split(by_image, ends[:-1])):
-        image, raster = model.images[image_id], rasters[image_id]
-        last = (raster.shape[1] - 1, raster.shape[0] - 1)
-        x, y = np.minimum(image.keypoints[kp_idx[obs]] + 0.5, last).astype(np.int64).T
-        votes[obs] = raster[y, x]
-        centers[obs] = camera_center(image.pose)
+    rows = model.tracks[:, 0]
+    votes, centers = _observations(model, rasters)
 
     # (point row, label) vote counts, keyed row * 256 + label as labels are
     # bytes; each row's first after sorting by count, then label, wins
@@ -166,26 +176,22 @@ def build_semantic_map(
     )
 
 
-def map_inputs_sha256(root: Path) -> str:
-    """Digest of the files a semantic map is built from: the model, the
-    database label rasters and classes.txt."""
+def map_key(model: SfmModel, rasters: dict[int, np.ndarray], class_table: ClassTable) -> str:
+    """SHA-256 of what build_semantic_map reads, as parsed: the point ids,
+    positions and track table, each observation's vote and camera center,
+    the void id and the dynamic ids. A raster pixel that no keypoint votes
+    on is not part of it."""
     digest = hashlib.sha256()
-    files = [
-        *sorted((root / MODEL_SUBDIR).glob("*")),
-        *sorted((root / DB_SUBDIR).glob("*.labels.pgm")),
-        root / "classes.txt",
-    ]
-    for path in files:
-        if path.is_file():
-            data = path.read_bytes()
-            digest.update(f"{path.relative_to(root)}\0{len(data)}\0".encode())
-            digest.update(data)
+    ids = np.array([class_table.void_id, *sorted(class_table.dynamic_ids)], dtype=np.int64)
+    for array in (model.point_ids, model.positions, model.tracks, *_observations(model, rasters), ids):
+        digest.update(f"{array.dtype.str}{array.shape}\0".encode())
+        digest.update(np.ascontiguousarray(array))
     return digest.hexdigest()
 
 
 def save_map_cache(smap: SemanticMap, path: Path, inputs_sha256: str) -> None:
     """Binary cache of the map arrays, keyed by the format version and the
-    digest of the inputs the map was built from; round-trips exactly.
+    map_key of the inputs the map was built from; round-trips exactly.
 
     Written to a temporary file that then replaces `path`, so an interrupted
     write leaves no partial cache behind.

@@ -1,3 +1,5 @@
+import builtins
+import io
 import json
 import logging
 import math
@@ -19,7 +21,7 @@ from semloc.evaluation import BUCKETS
 from semloc.geometry import pose_error
 from semloc.localizer import LocalizerConfig
 from semloc.model_ingest import load_descriptors, load_keypoints, validate_dataset
-from semloc.synth import CorruptionSpec, SceneSpec, write_sidecar
+from semloc.synth import CorruptionSpec, SceneSpec, write_pgm, write_sidecar
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,55 @@ def _copy(data, dst):
     """A copy of the dataset without its map cache."""
     shutil.copytree(data, dst, ignore=shutil.ignore_patterns("semantic_map.npz"))
     return dst
+
+
+def _voting_pixels(data):
+    """(name, (width, height), pixels) of the first database image: the
+    (row, col) pixels that its track entries vote with, by
+    build_semantic_map's rule."""
+    model = ingest.load_sfm_model(data / "model")
+    image_id = min(model.images)
+    image = model.images[image_id]
+    camera = model.cameras[image.camera_id]
+    dims = (camera.width, camera.height)
+    kps = image.keypoints[model.tracks[model.tracks[:, 1] == image_id, 2]]
+    x, y = np.minimum(kps + 0.5, (dims[0] - 1, dims[1] - 1)).astype(int).T
+    return image.name, dims, set(zip(y.tolist(), x.tolist()))
+
+
+def _edit_map_input(data, edit):
+    """Change one thing in a dataset, keeping it valid (see
+    test_map_cache_key_follows_map_inputs)."""
+    def edit_line(path, index, field, change):
+        """Apply `change` to one field of the index-th data line."""
+        lines = path.read_text().splitlines(keepends=True)
+        rows = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
+        parts = lines[rows[index]].split()
+        parts[field] = change(parts[field])
+        lines[rows[index]] = " ".join(parts) + "\n"
+        path.write_text("".join(lines))
+
+    def edit_pixel(voted):
+        name, dims, pixels = _voting_pixels(data)
+        path = data / "db" / f"{name}.labels.pgm"
+        raster = ingest.load_label_raster(path, dims, ingest.load_class_table(data / "classes.txt")).copy()
+        free = [(r, c) for r in range(dims[1]) for c in range(3) if (r, c) not in pixels]
+        row, col = min(pixels) if voted else free[0]
+        raster[row, col] = 1 if raster[row, col] != 1 else 2
+        write_pgm(path, raster)
+
+    model = data / "model"
+    if edit == "point position":
+        edit_line(model / "points3D.txt", 0, 1, lambda x: repr(float(x) + 0.25))
+    elif edit == "image pose":  # the first header line's tx
+        edit_line(model / "images.txt", 0, 5, lambda tx: repr(float(tx) + 0.1))
+    elif edit in ("voted raster pixel", "unvoted raster pixel"):
+        edit_pixel(edit == "voted raster pixel")
+    elif edit == "dynamic flag":
+        edit_line(data / "classes.txt", 0, 2, lambda flag: "1" if flag == "0" else "0")
+    elif edit == "points3D comment":
+        path = model / "points3D.txt"
+        path.write_text("# an added comment\n" + path.read_text())
 
 
 def _first_query(data):
@@ -282,6 +333,8 @@ class TestPipelineCommands:
         assert "db_002" in capsys.readouterr().err
 
     def test_each_input_file_parsed_once(self, cli_dataset, tmp_path, monkeypatch):
+        """Each loader runs once per file, and each input file is opened for
+        reading once: the map cache's key comes from the parsed arrays."""
         _, data = cli_dataset
         calls = Counter()
         for name in ("load_sfm_model", "load_label_raster", "load_descriptors",
@@ -300,10 +353,25 @@ class TestPipelineCommands:
             "load_global_descriptor": sum(f.suffix == ".gdsc" for f in files),
         }
         data = _copy(data, tmp_path / "ds")
+        # every file of the dataset but the ground truth, which localize does not read
+        inputs = {f for f in data.rglob("*") if f.is_file() and f.name != "ground_truth.txt"}
+        reads = Counter()
+        real_open = io.open
+
+        def counted_open(file, mode="r", *args, **kwargs):
+            if "r" in mode and "+" not in mode and not isinstance(file, int):
+                reads[Path(file)] += 1
+            return real_open(file, mode, *args, **kwargs)
+
+        # pathlib opens through io.open, everything else through the builtin
+        monkeypatch.setattr(io, "open", counted_open)
+        monkeypatch.setattr(builtins, "open", counted_open)
         for argv in (["build-map"], ["localize", "--out", str(tmp_path / "run")]):
             calls.clear()
+            reads.clear()
             assert main([*argv, "--data", str(data)]) == 0
             assert calls == expected
+            assert {f: reads[f] for f in inputs} == {f: 1 for f in inputs}
 
     def test_stale_map_cache_is_rebuilt(self, cli_dataset, tmp_path):
         root, data = cli_dataset
@@ -315,6 +383,33 @@ class TestPipelineCommands:
         assert (stale / "semantic_map.npz").exists() and not (fresh / "semantic_map.npz").exists()
         for ds in (stale, fresh):
             assert main(["localize", "--data", str(ds), "--out", str(ds / "run"), "--seed", "2"]) == 0
+        assert (stale / "run" / "poses.txt").read_bytes() == (fresh / "run" / "poses.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, rebuilt",
+        [
+            ("point position", True),
+            ("image pose", True),
+            ("voted raster pixel", True),
+            ("dynamic flag", True),
+            ("unvoted raster pixel", False),
+            ("points3D comment", False),
+        ],
+    )
+    def test_map_cache_key_follows_map_inputs(self, cli_dataset, tmp_path, capsys, edit, rebuilt):
+        """A cache built before an edit of a map input is rebuilt, and the
+        poses equal those of a run without a cache; an edit that the map
+        build does not read keeps the cache."""
+        _, data = cli_dataset
+        stale = _copy(data, tmp_path / "stale")
+        assert main(["build-map", "--data", str(stale)]) == 0
+        _edit_map_input(stale, edit)
+        fresh = _copy(stale, tmp_path / "fresh")
+        capsys.readouterr()
+        assert main(["localize", "--data", str(stale), "--out", str(stale / "run")]) == 0
+        out = capsys.readouterr().out
+        assert ("built semantic map" in out, "loaded semantic map cache" in out) == (rebuilt, not rebuilt)
+        assert main(["localize", "--data", str(fresh), "--out", str(fresh / "run")]) == 0
         assert (stale / "run" / "poses.txt").read_bytes() == (fresh / "run" / "poses.txt").read_bytes()
 
     def test_unreadable_map_cache_is_rebuilt(self, cli_dataset, tmp_path):

@@ -15,7 +15,9 @@ from semloc.errors import (
     UnknownLabel,
 )
 from semloc.model_ingest import (
+    POINT_BLOCK_LINES,
     ClassTable,
+    _load_points_by_line,
     id_rows,
     load_cameras,
     load_class_table,
@@ -26,6 +28,7 @@ from semloc.model_ingest import (
     load_ground_truth,
     load_keypoints,
     load_label_raster,
+    load_points,
     load_query_cameras,
     load_sfm_model,
     validate_dataset,
@@ -193,6 +196,78 @@ def test_readme_layout_line_is_the_loaders_pattern(tmp_path, file):
     with pytest.raises(ParseError) as info:
         KEYED_FILES[file][0](path)
     assert str(info.value) == f"{path}:1: expected '{documented[1]}': got 1 fields"
+
+
+# points3D.txt lines the line loop rejects, beyond those of SINGLE_PARSE_FAULTS
+POINT_FAULTS = {
+    "short line": "5 0.0 0.0 0.0 128 128 128",
+    "odd track": POINT.replace("1 ", "5 ", 1) + "1 0 2",
+    "bad position": "5 0.0 abc 0.0 128 128 128 0.0 1 0 2 0",
+    "bad track entry": POINT.replace("1 ", "5 ", 1) + "1 0 2 1.5",
+    "float point id": "5.0 0.0 0.0 0.0 128 128 128 0.0 1 0 2 0",
+    "repeated point id": "1_000 0.0 0.0 0.0 128 128 128 0.0 1 0 2 0",
+    "one view": POINT.replace("1 ", "5 ", 1) + "1 0",
+}
+
+
+def points_outcome(loader, path):
+    """The arrays a points loader returns, each as (dtype, shape, values),
+    or the type and message of what it raises."""
+    try:
+        return [(a.dtype, a.shape, a.tolist()) for a in loader(path)]
+    except (ParseError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def valid_point_lines(count, first_id=1000):
+    return [f"{first_id + i} {i}.5 -{i} 1e-3 128 128 128 0.5 1 {i} 2 {i}" for i in range(count)]
+
+
+class TestPointsFastPath:
+    """load_points converts whole blocks of lines at once and falls back to
+    the line loop on a fault; both must give the same arrays and errors."""
+
+    @pytest.mark.parametrize("fault", [*SINGLE_PARSE_FAULTS, *POINT_FAULTS])
+    def test_fault_last_after_comment_and_blank_line(self, tmp_path, fault):
+        line = SINGLE_PARSE_FAULTS[fault][1] if fault in SINGLE_PARSE_FAULTS else POINT_FAULTS[fault]
+        lines = ["# points", *valid_point_lines(POINT_BLOCK_LINES + 3), "", line]
+        path = tmp_path / "points3D.txt"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        outcome = points_outcome(load_points, path)
+        assert outcome == points_outcome(_load_points_by_line, path)
+        if fault in SINGLE_PARSE_FAULTS and SINGLE_PARSE_FAULTS[fault][2] == "points3D.txt":
+            assert outcome == (ParseError, f"{path}:{len(lines)}: {SINGLE_PARSE_FAULTS[fault][4]}")
+        elif fault in POINT_FAULTS:
+            assert outcome[1].startswith(f"{path}:{len(lines)}: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "# only a comment\n\n",
+            "\n".join(valid_point_lines(2 * POINT_BLOCK_LINES + 1)) + "\n",
+            # unsorted ids, tabs, CRLF, padding, no final newline, and tokens that
+            # int() and float() take: underscores, signs, exponents, non-ASCII digits
+            "9 1.0 2.0 3.0 1 2 3 0.0 1 1 2 1\r\n"
+            "  \t# indented comment\n"
+            "\t4\t+4.0 -5e0 6_0.5 x y z ? 2 0 1_0 0 +1 ٣\n"
+            "\n"
+            "7 -0.0 0 0 0 0 0 0 1 2 2 2 1 4",
+        ],
+        ids=["empty", "comments_only", "three_blocks", "odd_but_valid_tokens"],
+    )
+    def test_valid_file_arrays_equal_the_line_loop(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "points3D.txt"
+        path.write_text(text)
+        expected = points_outcome(_load_points_by_line, path)
+        assert [dtype for dtype, _, _ in expected] == [np.int64, np.float64, np.int64]
+        # a valid file never reaches the line loop
+        monkeypatch.setattr("semloc.model_ingest._load_points_by_line", None)
+        assert points_outcome(load_points, path) == expected
+
+    def test_generated_model_equals_the_line_loop(self, clean_scene):
+        path = clean_scene.root / "model" / "points3D.txt"
+        assert points_outcome(load_points, path) == points_outcome(_load_points_by_line, path)
 
 
 class TestSfmModel:
@@ -452,6 +527,41 @@ class TestLabelRaster:
         with pytest.raises(ParseError) as info:
             load_label_raster(path, (3, 2), TABLE)
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "strays, named",
+        [({(0, 0): 7}, 7), ({(3, 4): 9}, 9), ({(1, 2): 3, (2, 0): 200}, 3), ({(1, 2): 200, (2, 0): 3}, 200)],
+        ids=["first_pixel", "last_pixel", "two_strays_small_first", "two_strays_large_first"],
+    )
+    def test_first_stray_label_in_row_major_order(self, tmp_path, strays, named):
+        path = tmp_path / "r.pgm"
+        raster = np.array([0, 1, 2, 255, 255] * 4, dtype=np.uint8).reshape(4, 5)
+        for pixel, label in strays.items():
+            raster[pixel] = label
+        write_pgm(path, raster)
+        with pytest.raises(UnknownLabel) as info:
+            load_label_raster(path, (5, 4), TABLE)
+        assert str(info.value) == f"{path}: label id {named} outside the class table"
+
+    @pytest.mark.parametrize(
+        "n_classes, void_id",
+        [(4, 1), (4, 4), (4, 100), (4, 255), (200, 255), (200, 150)],
+        ids=["void_below_count", "void_at_count", "void_apart", "void_255", "200_classes", "200_void_150"],
+    )
+    def test_labels_checked_against_any_class_table(self, tmp_path, n_classes, void_id):
+        """Every raster of every label pair is accepted exactly when each
+        label is a class id or the void id, and else names the first stray."""
+        table = ClassTable(tuple(f"c{i}" for i in range(n_classes)), frozenset(), void_id)
+        path = tmp_path / "r.pgm"
+        for first, second in [(a, b) for a in range(256) for b in (0, n_classes - 1, void_id, 255)]:
+            raster = np.array([[second, first], [second, second]], dtype=np.uint8)
+            write_pgm(path, raster)
+            strays = [v for v in raster.ravel().tolist() if v >= n_classes and v != void_id]
+            if strays:
+                with pytest.raises(UnknownLabel, match=f"label id {strays[0]} outside"):
+                    load_label_raster(path, (2, 2), table)
+            else:
+                assert load_label_raster(path, (2, 2), table).tolist() == raster.tolist()
 
     def test_truncated_pgm(self, tmp_path):
         path = tmp_path / "r.pgm"
