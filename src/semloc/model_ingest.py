@@ -3,19 +3,24 @@
 A dataset directory looks like:
 
     data/
-      model/cameras.txt  # <camera-id> PINHOLE <w> <h> <fx> <fy> <cx> <cy>
-      model/images.txt points3D.txt                (COLMAP text)
+      model/cameras.txt   # <camera-id> PINHOLE <w> <h> <fx> <fy> <cx> <cy>
+      model/images.txt    # <image-id> qw qx qy qz tx ty tz <camera-id> <name>
+                          # (<x> <y> <point3d-id>)...   (the line after each)
+      model/points3D.txt  # <point-id> <x> <y> <z> <r> <g> <b> <error> (<image-id> <point2d-idx>)...
       db/<image>.labels.pgm .ldsc .gdsc            (per database image)
       queries/<query>.kpts .ldsc .gdsc .labels.pgm
-      queries.txt        # <query-name> PINHOLE <w> <h> <fx> <fy> <cx> <cy>
-      conditions.txt     # <image-name> day|night   (database and query images)
-      classes.txt        # <id> <name> <dynamic:0|1>
-      ground_truth.txt   # <query-name> qw qx qy qz tx ty tz  (optional)
+      queries.txt         # <query-name> PINHOLE <w> <h> <fx> <fy> <cx> <cy>
+      conditions.txt      # <image-name> day|night   (database and query images)
+      classes.txt         # <id> <name> <dynamic:0|1>
+      ground_truth.txt    # <query-name> qw qx qy qz tx ty tz  (optional)
 
-The five files with a # pattern hold one keyed record a line (poses.txt is
-ground_truth.txt's form). A malformed line raises ParseError
-"<path>:<line>: expected '<pattern>': <why>", and a key equal to an
-earlier one once parsed "<path>:<line>: duplicate <noun> <key>".
+The seven text files hold one keyed record a line and skip blank lines
+and # comments, but for the line after an images.txt record: its keypoint
+line, which may be empty (poses.txt is ground_truth.txt's form). A pattern
+may end in a repeated group, `(<a> <b>)...`. A malformed line raises
+ParseError "<path>:<line>: expected '<pattern>': <why>", a key (as parsed)
+or an images.txt name given before "<path>:<line>: duplicate <noun> <key>",
+and bytes that do not decode "<path>: <why>".
 
 Label rasters are 8-bit binary PGM (P5) holding class ids in the Cityscapes
 train-id convention, void = 255. Binary sidecar formats are little-endian:
@@ -37,6 +42,7 @@ import math
 import re
 import struct
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,35 +157,54 @@ class ValidationReport:
         self.findings.append(finding)
 
 
-def _data_lines(path: Path):
-    """Yield (line_number, stripped_line) skipping blanks and # comments."""
+def _numbered(path: Path):
+    """("<path>:<line>", stripped line) of each line of path; text decodes
+    in chunks, so bytes that do not decode raise ParseError "<path>: <why>"."""
     with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield lineno, stripped
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                yield f"{path}:{lineno}", line.strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
 
-def _records(path: Path, fields: str, noun: str, key, parse, model: str | None = None) -> dict:
-    """key(first field) -> parse(where, *other fields) of each data line, in
-    file order, with the faults of the module docstring; a line whose second
-    field is not `model`, when given, is an unsupported camera model."""
-    n = len(fields.split())
+def _is_data(line: str) -> bool:
+    """The text inputs' data-line rule: a stripped line, not blank or a # comment."""
+    return line[:1] not in ("", "#")
+
+
+@contextmanager
+def _expected(where: str, fields: str, parts: list[str]):
+    """Guard the block that converts `parts`, a line's tokens, of the pattern
+    `fields`, which may end in a repeated group: a count that does not fit,
+    a ValueError or an OverflowError raise "<where>: expected '<fields>': <why>"."""
+    fixed, _, group = fields.partition("(")
+    extra, size = len(parts) - len(fixed.split()), len(group.split())
+    try:
+        if extra < 0 or (extra % size if size else extra):
+            raise ValueError(f"got {len(parts)} fields")
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: expected '{fields}': {exc}") from exc
+
+
+def _records(lines, fields: str, noun: str, key, parse, model: str | None = None) -> dict:
+    """key(first field) -> parse(where, key, *other fields) of each data
+    line of `lines`, _numbered pairs, in file order, with the faults of the
+    module docstring; a line whose second field is not `model`, when given,
+    is an unsupported camera model."""
     records: dict = {}
-    for lineno, line in _data_lines(path):
-        where, parts = f"{path}:{lineno}", line.split()
+    for where, line in lines:
+        if not _is_data(line):
+            continue
+        parts = line.split()
         if model is not None and len(parts) > 1 and parts[1] != model:
             raise ParseError(f"{where}: unsupported camera model {parts[1]!r}")
-        try:
-            if len(parts) != n:
-                raise ValueError(f"got {len(parts)} fields")
+        with _expected(where, fields, parts):
             record_key = key(parts[0])
             if record_key in records:
                 raise ParseError(f"{where}: duplicate {noun} {record_key}")
-            records[record_key] = parse(where, *parts[1:])
-        except ValueError as exc:
-            raise ParseError(f"{where}: expected '{fields}': {exc}") from exc
+            records[record_key] = parse(where, record_key, *parts[1:])
     return records
 
 
@@ -195,9 +220,12 @@ def _require_finite(where, what: str, *arrays) -> None:
         raise ParseError(f"{where}: non-finite {what}")
 
 
-def _int64_ids(*ids: int) -> bool:
-    """True when every id fits the model's int64 id arrays."""
-    return -(1 << 63) <= min(ids) and max(ids) < 1 << 63
+def _int64(token: str) -> int:
+    """int(token), an id that must fit the model's int64 id arrays."""
+    value = int(token)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError("id out of the int64 range")
+    return value
 
 
 def _pose(where: str, values: list[float]) -> PoseEstimate:
@@ -212,7 +240,7 @@ def _pinhole_records(path: Path, key_field: str, noun: str, key) -> dict:
     """The cameras of cameras.txt or queries.txt by key, finite, with a
     positive focal length and the principal point inside the frame."""
 
-    def parse(where, model, width, height, *params):
+    def parse(where, _, model, width, height, *params):
         width, height = int(width), int(height)
         fx, fy, cx, cy = params = [float(v) for v in params]
         _require_finite(where, "intrinsics", params)
@@ -221,7 +249,7 @@ def _pinhole_records(path: Path, key_field: str, noun: str, key) -> dict:
         return CameraIntrinsics(fx, fy, cx, cy, width, height)
 
     fields = f"{key_field} PINHOLE <w> <h> <fx> <fy> <cx> <cy>"
-    return _records(path, fields, noun, key, parse, model="PINHOLE")
+    return _records(_numbered(path), fields, noun, key, parse, model="PINHOLE")
 
 
 def _in_frame(kps: np.ndarray, cam: CameraIntrinsics) -> bool:
@@ -235,52 +263,30 @@ def load_cameras(path: Path) -> dict[int, CameraIntrinsics]:
 
 
 def load_images(path: Path) -> dict[int, DbImageRecord]:
-    images: dict[int, DbImageRecord] = {}
-    pending = None  # header parsed, observation line expected next
-    with open(path, "r") as fh:
-        for lineno, raw_line in enumerate(fh, start=1):
-            line = raw_line.strip()
-            if pending is None:
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) != 10:
-                    raise ParseError(
-                        f"{path}:{lineno}: image header needs 10 fields, got {len(parts)}"
-                    )
-                try:
-                    image_id = int(parts[0])
-                    pose_values = [float(v) for v in parts[1:8]]
-                    camera_id = int(parts[8])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad image header: {exc}") from exc
-                if not _int64_ids(image_id):
-                    raise ParseError(
-                        f"{path}:{lineno}: bad image header: id out of the int64 range"
-                    )
-                name = parts[9]
-                if image_id in images:
-                    raise ParseError(f"{path}:{lineno}: duplicate image id {image_id}")
-                pose = _pose(f"{path}:{lineno}", pose_values)
-                pending = (image_id, name, camera_id, pose)
-            else:
-                # the observation line follows its header and may be empty
-                parts = line.split()
-                if len(parts) % 3 != 0:
-                    raise ParseError(f"{path}:{lineno}: keypoint line length not a multiple of 3")
-                n = len(parts) // 3
-                try:  # numpy converts each token with float() and int(), and keeps their errors
-                    kps = np.array(parts, dtype=float).reshape(n, 3)[:, :2]
-                    ids = np.array(parts[2::3], dtype=np.int64)
-                except (ValueError, OverflowError) as exc:
-                    raise ParseError(f"{path}:{lineno}: bad keypoint line: {exc}") from exc
-                _require_finite(f"{path}:{lineno}", "keypoint", kps)
-                image_id, name, camera_id, pose = pending
-                images[image_id] = DbImageRecord(name, camera_id, pose, kps, ids)
-                pending = None
-    if pending is not None:
-        raise ParseError(f"{path}: missing keypoint line for image id {pending[0]}")
-    return images
+    """The images of images.txt by id: each header line's, with the
+    keypoints of the line after it, which may be empty."""
+    lines = _numbered(path)
+    names: set[str] = set()
+
+    def parse(where, image_id, *values):
+        *pose, camera_id, name = values
+        camera_id, pose = int(camera_id), _pose(where, [float(v) for v in pose])
+        if name in names:
+            raise ParseError(f"{where}: duplicate image name {name}")
+        names.add(name)
+        kp_where, line = next(lines, (None, None))
+        if line is None:
+            raise ParseError(f"{where}: missing keypoint line for image id {image_id}")
+        parts = line.split()
+        with _expected(kp_where, "(<x> <y> <point3d-id>)...", parts):
+            # numpy converts each token with float() and int(), and keeps their errors
+            kps = np.array(parts, dtype=float).reshape(-1, 3)[:, :2]
+            ids = np.array(parts[2::3], dtype=np.int64)
+        _require_finite(kp_where, "keypoint", kps)
+        return DbImageRecord(name, camera_id, pose, kps, ids)
+
+    fields = "<image-id> qw qx qy qz tx ty tz <camera-id> <name>"
+    return _records(lines, fields, "image id", _int64, parse)
 
 
 def load_points(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,7 +299,7 @@ def load_points(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     blocks = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64))]
     try:
         with open(path, "r") as fh:
-            lines = [s for s in map(str.strip, fh) if s[:1] not in ("", "#")]
+            lines = [s for s in map(str.strip, fh) if _is_data(s)]
         for start in range(0, len(lines), POINT_BLOCK_LINES):
             rows = [line.split() for line in lines[start : start + POINT_BLOCK_LINES]]
             # numpy converts each token with int() or float(), as the line loop does
@@ -319,36 +325,25 @@ def load_points(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _load_points_by_line(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """load_points one line at a time, raising at the first faulty line."""
-    positions: dict[int, list[float]] = {}  # by point id, in file order
-    lengths, entries = [], []
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) < 8 or (len(parts) - 8) % 2 != 0:
-            raise ParseError(f"{path}:{lineno}: bad point3D line length {len(parts)}")
-        try:
-            point_id = int(parts[0])
-            x, y, z = position = [float(v) for v in parts[1:4]]
-            track = [int(v) for v in parts[8:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad point3D line: {exc}") from exc
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise ParseError(f"{path}:{lineno}: non-finite point position")
-        if not _int64_ids(point_id, *track):
-            raise ParseError(f"{path}:{lineno}: bad point3D line: id out of the int64 range")
+
+    def parse(where, point_id, *values):
         if point_id == NO_POINT:
-            raise ParseError(f"{path}:{lineno}: bad point3D line: id -1 marks untracked keypoints")
-        if point_id in positions:
-            raise ParseError(f"{path}:{lineno}: duplicate point id {point_id}")
+            raise ValueError("id -1 marks untracked keypoints")
+        # numpy converts as the block path does: with float() and int()
+        position, track = np.array(values[:3], dtype=float), np.array(values[7:], dtype=np.int64)
+        _require_finite(where, "point position", position)
         if len(track) < 4:
-            raise ConsistencyError(f"{path}:{lineno}: point {point_id} tracked in < 2 views")
-        positions[point_id] = position
-        lengths.append(len(track) // 2)
-        entries += track
+            raise ConsistencyError(f"{where}: point {point_id} tracked in < 2 views")
+        return position, track
+
+    fields = "<point-id> <x> <y> <z> <r> <g> <b> <error> (<image-id> <point2d-idx>)..."
+    points = _records(_numbered(path), fields, "point id", _int64, parse)
+    positions, tracks = zip(*points.values()) if points else ((), ())
     return _track_table(
-        np.array(list(positions), dtype=np.int64),
-        np.array(list(positions.values())).reshape(-1, 3),
-        lengths,
-        np.array(entries, dtype=np.int64),
+        np.array(list(points), dtype=np.int64),
+        np.array(positions).reshape(-1, 3),
+        [len(track) // 2 for track in tracks],
+        np.concatenate([np.zeros(0, np.int64), *tracks]),
     )
 
 
@@ -379,8 +374,6 @@ def _check_model_consistency(model: SfmModel) -> None:
         cam = model.cameras.get(image.camera_id)
         if cam is None:
             raise ConsistencyError(f"image {image_id} references missing camera {image.camera_id}")
-        if len(image.keypoints) != len(image.point3d_ids):
-            raise ConsistencyError(f"image {image_id}: keypoint/point3d_id length mismatch")
         if not _in_frame(image.keypoints, cam):
             raise ConsistencyError(f"image {image_id} has keypoints outside the frame")
 
@@ -521,8 +514,8 @@ def load_global_descriptor(path: Path) -> np.ndarray:
 
 def load_class_table(path: Path) -> ClassTable:
     entries = _records(
-        path, "<id> <name> <dynamic:0|1>", "class id", int,
-        lambda where, name, dynamic: (where, name, _choice(dynamic, "0|1") == "1"),
+        _numbered(path), "<id> <name> <dynamic:0|1>", "class id", int,
+        lambda where, _, name, dynamic: (where, name, _choice(dynamic, "0|1") == "1"),
     )
     # n distinct ids are 0..n-1 when none lies outside that range
     stray = [entries[i][0] for i in entries if not 0 <= i < len(entries)]
@@ -534,8 +527,8 @@ def load_class_table(path: Path) -> ClassTable:
 
 def load_conditions(path: Path) -> dict[str, str]:
     return _records(
-        path, "<image-name> day|night", "image name", str,
-        lambda where, condition: _choice(condition, "day|night"),
+        _numbered(path), "<image-name> day|night", "image name", str,
+        lambda where, _, condition: _choice(condition, "day|night"),
     )
 
 
@@ -545,8 +538,8 @@ def load_query_cameras(path: Path) -> dict[str, CameraIntrinsics]:
 
 def load_ground_truth(path: Path) -> dict[str, PoseEstimate]:
     return _records(
-        path, "<query-name> qw qx qy qz tx ty tz", "query name", str,
-        lambda where, *values: _pose(where, [float(v) for v in values]),
+        _numbered(path), "<query-name> qw qx qy qz tx ty tz", "query name", str,
+        lambda where, _, *values: _pose(where, [float(v) for v in values]),
     )
 
 
@@ -642,6 +635,9 @@ def validate_dataset(root: Path) -> ValidationReport:
         QueryRecord(name, cam, *read_image(root / QUERY_SUBDIR, name, cam, None), conditions.get(name))
         for name, cam in sorted(query_cams.items())
     ]
+    # conditions.txt, like the findings, keys both kinds of image by name
+    for name in sorted(query_cams.keys() & {image.name for image in model.images.values()}):
+        report.add(f"{name}: names both a query and a database image")
 
     for dims, kind in ((local_dims, "local"), (global_dims, "global")):
         counts = Counter(dims.values())

@@ -482,9 +482,12 @@ class TestPipelineCommands:
         i = next(i for i, text in enumerate(lines) if text and not text.startswith("#"))
         if file == "images.txt":
             i += 1  # the first image's keypoint line: its first point id
-            message = "bad keypoint line: Python int too large to convert to C long"
+            message = "expected '(<x> <y> <point3d-id>)...': Python int too large to convert to C long"
         else:
-            message = "bad point3D line: id out of the int64 range"
+            message = (
+                "expected '<point-id> <x> <y> <z> <r> <g> <b> <error> (<image-id> <point2d-idx>)...': "
+                "id out of the int64 range"
+            )
         parts = lines[i].split()
         parts[2 if file == "images.txt" else 0] = "99999999999999999999"
         lines[i] = " ".join(parts)
@@ -515,6 +518,33 @@ class TestPipelineCommands:
         path.write_text("".join(f"{text}\n" for text in [*lines, line.format(query=query)]))
         expected = f"{file}: {path}:{len(lines) + 1}: {message} {query}"
         assert expected in validate_dataset(data).findings
+        code = main(["localize", "--data", str(data), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"validation: {expected}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("renamed", ["images.txt", "queries.txt"])
+    def test_name_given_to_two_images_reported_by_validate_and_localize(
+        self, cli_dataset, tmp_path, capsys, renamed
+    ):
+        """Files, findings and condition tags are keyed by name, so a
+        database image or a query renamed db_000 would read db_000's."""
+        _, data = cli_dataset
+        data = _copy(data, tmp_path / "ds")
+        if renamed == "images.txt":
+            path = data / "model" / "images.txt"
+            lines = path.read_text().splitlines()
+            i = next(i for i, text in enumerate(lines) if text.endswith(" db_001"))
+            lines[i] = lines[i].replace(" db_001", " db_000")
+            path.write_text("".join(f"{text}\n" for text in lines))
+            expected = f"model: {path}:{i + 1}: duplicate image name db_000"
+        else:
+            query = _first_query(data)
+            path = data / "queries.txt"
+            path.write_text(path.read_text().replace(f"{query} ", "db_000 ", 1))
+            for suffix in (".kpts", ".ldsc", ".gdsc", ".labels.pgm"):
+                (data / "queries" / f"{query}{suffix}").rename(data / "queries" / f"db_000{suffix}")
+            expected = "db_000: names both a query and a database image"
+        assert validate_dataset(data).findings == [expected]
         code = main(["localize", "--data", str(data), "--out", str(tmp_path / "run")])
         assert code == 2
         assert f"validation: {expected}" in capsys.readouterr().err

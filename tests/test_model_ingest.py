@@ -26,6 +26,7 @@ from semloc.model_ingest import (
     load_descriptors,
     load_global_descriptor,
     load_ground_truth,
+    load_images,
     load_keypoints,
     load_label_raster,
     load_points,
@@ -34,7 +35,7 @@ from semloc.model_ingest import (
     validate_dataset,
 )
 from semloc.semantic_map import build_semantic_map
-from semloc.synth import write_model, write_pgm, write_sidecar
+from semloc.synth import CorruptionSpec, corrupt, write_model, write_pgm, write_sidecar
 from sfm_models import views_model
 
 TABLE = ClassTable(names=("road", "sidewalk", "building"), dynamic_ids=frozenset())
@@ -96,41 +97,50 @@ SINGLE_FAULTS = {
 }
 
 BIG = "99999999999999999999"  # beyond int64
+IMAGE = "<image-id> qw qx qy qz tx ty tz <camera-id> <name>"
+KEYPOINTS = "(<x> <y> <point3d-id>)..."
+POINTS = "<point-id> <x> <y> <z> <r> <g> <b> <error> (<image-id> <point2d-idx>)..."
+LONG = "Python int too large to convert to C long"
 SINGLE_PARSE_FAULTS = {  # (images.txt, points3D.txt, file, line, message)
     "bad keypoint value": (images_txt(kps_a="320.0 abc 1"), POINT + "1 0 2 0", "images.txt", 2,
-                           "bad keypoint line: could not convert string to float: 'abc'"),
+                           f"expected '{KEYPOINTS}': could not convert string to float: 'abc'"),
     "bad keypoint point id": (images_txt(kps_a="320.0 240.0 1.5"), POINT + "1 0 2 0", "images.txt", 2,
-                              "bad keypoint line: invalid literal for int() with base 10: '1.5'"),
+                              f"expected '{KEYPOINTS}': invalid literal for int() with base 10: '1.5'"),
     "non-finite keypoint": (images_txt(kps_b="320.0 nan 1"), POINT + "1 0 2 0", "images.txt", 4,
                             "non-finite keypoint"),
     "non-finite point position": (images_txt(), "1 0.0 -inf 0.0 128 128 128 0.0 1 0 2 0",
                                   "points3D.txt", 1, "non-finite point position"),
     "keypoint point id beyond int64": (
         images_txt(kps_a=f"320.0 240.0 {BIG}"), POINT + "1 0 2 0", "images.txt", 2,
-        "bad keypoint line: Python int too large to convert to C long"),
+        f"expected '{KEYPOINTS}': {LONG}"),
     "image id beyond int64": (
         images_txt().replace("1 1.0", f"{BIG} 1.0", 1), POINT + "1 0 2 0", "images.txt", 1,
-        "bad image header: id out of the int64 range"),
+        f"expected '{IMAGE}': id out of the int64 range"),
     "point id beyond int64": (images_txt(), f"{BIG} 0.0 0.0 0.0 128 128 128 0.0 1 0 2 0",
-                              "points3D.txt", 1, "bad point3D line: id out of the int64 range"),
+                              "points3D.txt", 1, f"expected '{POINTS}': id out of the int64 range"),
     "track image id beyond int64": (images_txt(), POINT + f"1 0 -{BIG} 0", "points3D.txt", 1,
-                                    "bad point3D line: id out of the int64 range"),
+                                    f"expected '{POINTS}': {LONG}"),
     "point id -1": (images_txt(kps_a="320.0 240.0 -1", kps_b="320.0 240.0 -1"),
                     "-1 0.0 0.0 0.0 128 128 128 0.0 1 0 2 0", "points3D.txt", 1,
-                    "bad point3D line: id -1 marks untracked keypoints"),
+                    f"expected '{POINTS}': id -1 marks untracked keypoints"),
 }
 
-# the five keyed text files: their loader and the line pattern each expects
+# the seven text files: the loader and the pattern of each kind of line; an
+# images.txt header's next line is its keypoint line
 KEYED_FILES = {
     "cameras.txt": (load_cameras, "<camera-id> PINHOLE <w> <h> <fx> <fy> <cx> <cy>"),
     "queries.txt": (load_query_cameras, "<query-name> PINHOLE <w> <h> <fx> <fy> <cx> <cy>"),
     "conditions.txt": (load_conditions, "<image-name> day|night"),
     "classes.txt": (load_class_table, "<id> <name> <dynamic:0|1>"),
     "ground_truth.txt": (load_ground_truth, "<query-name> qw qx qy qz tx ty tz"),
+    "images.txt": (load_images, IMAGE),
+    "images.txt keypoints": (load_images, KEYPOINTS),
+    "points3D.txt": (load_points, POINTS),
 }
+HEADER = "1 1 0 0 0 0 0 0 1 a"  # image 1, named a, camera 1
 CAM = "640 480 500.0 500.0 320.0 240.0"
 INT = "invalid literal for int() with base 10:"
-KEYED_FAULTS = {  # (file, data lines, message at the last line)
+KEYED_FAULTS = {  # (kind of line, data lines, message at the last line)
     "cameras.txt field count": ("cameras.txt", ["1 PINHOLE 640 480 500.0 500.0 320.0"],
                                 "expected '{fields}': got 7 fields"),
     "cameras.txt value": ("cameras.txt", ["1 PINHOLE 640 480 500.0 x 320.0 240.0"],
@@ -168,34 +178,78 @@ KEYED_FAULTS = {  # (file, data lines, message at the last line)
                                "expected '{fields}': could not convert string to float: 'zero'"),
     "ground_truth.txt repeated name": ("ground_truth.txt", ["q 1 0 0 0 0 0 0", "q 1 0 0 0 1 0 0"],
                                        "duplicate query name q"),
+    # the empty line after a header is its keypoint line, not a skipped blank
+    "images.txt field count": ("images.txt", ["1 1 0 0 0 0 0 0 1"], "expected '{fields}': got 9 fields"),
+    "images.txt value": ("images.txt", ["1 1 0 0 0 zero 0 0 1 a"],
+                         "expected '{fields}': could not convert string to float: 'zero'"),
+    "images.txt camera id": ("images.txt", ["1 1 0 0 0 0 0 0 c a"], f"expected '{{fields}}': {INT} 'c'"),
+    "images.txt repeated id": ("images.txt", [HEADER, "", "01 1 0 0 0 0 0 0 1 b"],
+                               "duplicate image id 1"),
+    "images.txt repeated name": ("images.txt", [HEADER, "", "2 1 0 0 0 0 0 0 1 a"],
+                                 "duplicate image name a"),
+    "images.txt missing keypoint line": ("images.txt", [HEADER, "", "2 1 0 0 0 0 0 0 1 b"],
+                                         "missing keypoint line for image id 2"),
+    "images.txt keypoints field count": ("images.txt keypoints", [HEADER, "320.0 240.0"],
+                                         "expected '{fields}': got 2 fields"),
+    "images.txt keypoints comment": ("images.txt keypoints", [HEADER, "# keypoints"],
+                                     "expected '{fields}': got 2 fields"),
+    "images.txt keypoints value": ("images.txt keypoints", [HEADER, "320.0 240.0 1 330.0 240.0 x"],
+                                   "expected '{fields}': could not convert string to float: 'x'"),
+    "points3D.txt field count": ("points3D.txt", ["1 0 0 0 128 128 128 0 1 0 2"],
+                                 "expected '{fields}': got 11 fields"),
+    "points3D.txt short line": ("points3D.txt", ["1 0 0 0 128 128 128"],
+                                "expected '{fields}': got 7 fields"),
+    "points3D.txt value": ("points3D.txt", ["1 0 zero 0 128 128 128 0 1 0 2 0"],
+                           "expected '{fields}': could not convert string to float: 'zero'"),
+    "points3D.txt track value": ("points3D.txt", ["1 0 0 0 128 128 128 0 1 0 2 0.5"],
+                                 f"expected '{{fields}}': {INT} '0.5'"),
+    "points3D.txt repeated id": ("points3D.txt", ["1 0 0 0 128 128 128 0 1 0 2 0",
+                                                  "01 0 0 0 128 128 128 0 1 1 2 1"],
+                                 "duplicate point id 1"),
 }
 
 
 @pytest.mark.parametrize("fault", list(KEYED_FAULTS))
 def test_keyed_file_fault_message(tmp_path, fault):
-    """Each keyed text file reports a fault at its line, after a comment and
-    a blank line, in the one message form of its loader."""
-    file, lines, message = KEYED_FAULTS[fault]
-    loader, fields = KEYED_FILES[file]
-    path = tmp_path / file
+    """Each text file reports a fault at its line, after a comment and a
+    blank line, in the one message form of its loader."""
+    kind, lines, message = KEYED_FAULTS[fault]
+    loader, fields = KEYED_FILES[kind]
+    path = tmp_path / kind.split()[0]
     path.write_text("".join(f"{line}\n" for line in ["# header", "", *lines]))
     with pytest.raises(ParseError) as info:
         loader(path)
     assert str(info.value) == f"{path}:{len(lines) + 2}: {message.format(fields=fields)}"
 
 
-@pytest.mark.parametrize("file", list(KEYED_FILES))
-def test_readme_layout_line_is_the_loaders_pattern(tmp_path, file):
+@pytest.mark.parametrize("kind", list(KEYED_FILES))
+def test_readme_layout_line_is_the_loaders_pattern(tmp_path, kind):
     """The pattern a loader names for a malformed line is that file's line
-    in README's "Dataset layout" block."""
+    in README's "Dataset layout" block; a keypoint line's is the next one."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Dataset layout")[1].split("```")[1]
-    documented = re.search(rf"^ *{re.escape(file)} +(.+?)(?: {{2,}}\(.*\))?$", block, re.M)
+    file, *keypoints = kind.split()
+    head = rf"{re.escape(file)} .*\n +" if keypoints else rf"{re.escape(file)} +"
+    documented = re.search(rf"^ *{head}(.+?)(?: {{2,}}\(.*\))?$", block, re.M)
+    lines = [HEADER, "x"] if keypoints else ["x"]
     path = tmp_path / file
-    path.write_text("x\n")
+    path.write_text("".join(f"{line}\n" for line in lines))
     with pytest.raises(ParseError) as info:
-        KEYED_FILES[file][0](path)
-    assert str(info.value) == f"{path}:1: expected '{documented[1]}': got 1 fields"
+        KEYED_FILES[kind][0](path)
+    assert str(info.value) == f"{path}:{len(lines)}: expected '{documented[1]}': got 1 fields"
+
+
+@pytest.mark.parametrize("kind", list(KEYED_FILES))
+def test_undecodable_text_names_its_file(tmp_path, kind):
+    """A byte that does not decode fails with the file's path, also where
+    an images.txt keypoint line is read inside its header's parse."""
+    file, *keypoints = kind.split()
+    path = tmp_path / file
+    path.write_bytes((f"{HEADER}\n".encode() if keypoints else b"") + b"\xff\n")
+    with pytest.raises(ParseError) as info:
+        KEYED_FILES[kind][0](path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert "can't decode byte 0xff" in str(info.value)
 
 
 # points3D.txt lines the line loop rejects, beyond those of SINGLE_PARSE_FAULTS
@@ -268,6 +322,20 @@ class TestPointsFastPath:
     def test_generated_model_equals_the_line_loop(self, clean_scene):
         path = clean_scene.root / "model" / "points3D.txt"
         assert points_outcome(load_points, path) == points_outcome(_load_points_by_line, path)
+
+    @pytest.mark.parametrize("corruption", [None, {"wrong_retrieval_rate": 0.5, "outlier_match_rate": 0.5}],
+                             ids=["clean", "corrupted"])
+    def test_generated_bundle_never_reaches_the_line_loop(self, clean_scene, tmp_path, monkeypatch,
+                                                          corruption):
+        """The bundles the benchmark runs on all take the block path."""
+        root = clean_scene.root
+        if corruption is not None:
+            root = tmp_path / "corrupted"
+            corrupt(clean_scene.root, root, CorruptionSpec(**corruption), seed=99)
+        path = root / "model" / "points3D.txt"
+        expected = points_outcome(_load_points_by_line, path)
+        monkeypatch.setattr("semloc.model_ingest._load_points_by_line", None)
+        assert points_outcome(load_points, path) == expected
 
 
 class TestSfmModel:
