@@ -30,6 +30,7 @@ from .semantic_map import (
     build_semantic_map,
     load_map_cache,
     map_key,
+    observations,
     save_map_cache,
 )
 from .synth import CorruptionSpec, SceneSpec, check_corruption, corrupt, generate_scene
@@ -106,12 +107,15 @@ def _load_or_build_map(dataset: Dataset) -> SemanticMap:
     """The cached map when it was built from the dataset's current inputs,
     else a new build that replaces the cache."""
     cache = dataset.root / MAP_CACHE_NAME
-    inputs = map_key(dataset.model, dataset.db_rasters, dataset.class_table)
+    observed = observations(dataset.model, dataset.db_rasters)
+    inputs = map_key(dataset.model, observed, dataset.class_table)
     smap = load_map_cache(cache, dataset.class_table, inputs)
     if smap is not None:
         print(f"loaded semantic map cache: {len(smap)} points")
         return smap
-    smap = build_semantic_map(dataset.model, dataset.db_rasters, dataset.class_table)
+    smap = build_semantic_map(
+        dataset.model, dataset.db_rasters, dataset.class_table, observed=observed
+    )
     save_map_cache(smap, cache, inputs)
     print(f"built semantic map: {len(smap)} points kept of {len(dataset.model.point_ids)} ({cache})")
     return smap

@@ -488,7 +488,8 @@ def localize_query(
     for image_id in image_ids:
         try:
             matches_2d = knn_ratio_match(
-                query.descriptors, dataset.db_descriptors[image_id], cfg.ratio
+                query.descriptors, dataset.db_descriptors[image_id], cfg.ratio,
+                pooled=cfg.jobs > 1,
             )
         except TooFewDescriptors:
             matches_2d = np.recarray(0, dtype=MATCH_DTYPE)

@@ -21,6 +21,23 @@ _BLOCK_ENTRY_BYTES = 4 + 1 + 3 * 8
 # bytes per (candidate pair, component) of the exact pass: the two gathered
 # rows (float64 at most), their float64 difference and its square
 _PAIR_ENTRY_BYTES = 4 * 8
+# OpenBLAS runs a GEMM of fewer multiply-adds (M N K) than this on the calling
+# thread and hands a larger one to its own worker threads, which then spin
+# for about 0.1 s; beside a pool of query threads they take the other
+# threads' cores
+GEMM_CALLER_OPS = 2**19
+# each GEMM packs the whole db operand again, so pieces of fewer rows than
+# this cost more than the spin: on 128-d scenes at --jobs 2, 8-row pieces
+# broke even and 4-row pieces took twice as long
+MIN_GEMM_ROWS = 16
+
+
+def _gemm_rows(block: int, db_rows: int, dim: int, pooled: bool) -> int:
+    """Query rows per GEMM of a block: the whole block, or under a pool the
+    most rows that keep the GEMM on the calling thread, when that is at
+    least MIN_GEMM_ROWS."""
+    rows = (GEMM_CALLER_OPS - 1) // (db_rows * (dim + 1))
+    return min(block, rows) if pooled and rows >= MIN_GEMM_ROWS else block
 
 
 def _second_smallest(a: np.ndarray) -> np.ndarray:
@@ -37,7 +54,8 @@ def _second_smallest(a: np.ndarray) -> np.ndarray:
 
 
 def knn_ratio_match(
-    query_descs: DescriptorSet, db_descs: DescriptorSet, ratio: float = 0.9
+    query_descs: DescriptorSet, db_descs: DescriptorSet, ratio: float = 0.9, *,
+    pooled: bool = False,
 ) -> np.recarray:
     """Nearest-neighbor matching with Lowe's strict ratio test
     d1 < ratio * d2, one-to-one in the database keypoints.
@@ -50,7 +68,9 @@ def knn_ratio_match(
 
     Candidate columns come from one float32 GEMM per block of query rows,
     [s q, 1] @ [-2 s d, s^2 |d|^2].T = s^2 (|d|^2 - 2 q.d), whose
-    temporaries stay within MATCH_BLOCK_BYTES. s is the power of two that
+    temporaries stay within MATCH_BLOCK_BYTES; pooled, for a caller that
+    runs beside other query threads, makes a block's GEMM in pieces of
+    _gemm_rows rows, which changes no match. s is the power of two that
     brings the largest row norm into [0.5, 1), so no term overflows float32;
     scaling rounds float32 rows only in the subnormal range, and float64
     rows are rounded to float32 after scaling. A row keeps every column
@@ -96,10 +116,18 @@ def knn_ratio_match(
     margin = (8 * (dim + 3) * (f32.eps * np.ldexp(reach, -2 * e) + f32.tiny)).astype(np.float32)
 
     block = max(1, MATCH_BLOCK_BYTES // (_BLOCK_ENTRY_BYTES * db_descs.rows))
+    piece = _gemm_rows(block, db_descs.rows, dim, pooled)
     pair_chunk = max(1, MATCH_BLOCK_BYTES // (_PAIR_ENTRY_BYTES * dim))
     q_idx, db_idx, d1 = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
     for start in range(0, query_descs.rows, block):
-        approx = lhs[start : start + block] @ rhs.T
+        block_lhs = lhs[start : start + block]
+        approx = np.empty((len(block_lhs), db_descs.rows), np.float32)
+        # the whole pieces as one stack, whose GEMMs numpy makes in one call,
+        # then the short one
+        whole = len(block_lhs) // piece * piece
+        np.matmul(block_lhs[:whole].reshape(-1, piece, dim + 1), rhs.T,
+                  out=approx[:whole].reshape(-1, piece, db_descs.rows))
+        np.matmul(block_lhs[whole:], rhs.T, out=approx[whole:])
         bound = _second_smallest(approx) + margin[start : start + block]
         flat = np.flatnonzero(approx <= bound[:, None])
         del approx

@@ -20,7 +20,7 @@ line, which may be empty (poses.txt is ground_truth.txt's form). A pattern
 may end in a repeated group, `(<a> <b>)...`. A malformed line raises
 ParseError "<path>:<line>: expected '<pattern>': <why>", a key (as parsed)
 or an images.txt name given before "<path>:<line>: duplicate <noun> <key>",
-and bytes that do not decode "<path>: <why>".
+and bytes that do not decode "<path>:<line>: <why>".
 
 Label rasters are 8-bit binary PGM (P5) holding class ids in the Cityscapes
 train-id convention, void = 255. Binary sidecar formats are little-endian:
@@ -158,14 +158,23 @@ class ValidationReport:
 
 
 def _numbered(path: Path):
-    """("<path>:<line>", stripped line) of each line of path; text decodes
-    in chunks, so bytes that do not decode raise ParseError "<path>: <why>"."""
+    """("<path>:<line>", stripped line) of each line of path; bytes that do
+    not decode raise ParseError "<path>:<line>: <why>", which gives their
+    offset in the file."""
     with open(path, "r") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 yield f"{path}:{lineno}", line.strip()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+        except UnicodeDecodeError:
+            # text decodes a chunk at a time, and the error's position is
+            # in its chunk: decode the whole file again to place the byte
+            raw = Path(path).read_bytes()
+            try:
+                raw.decode(fh.encoding)
+            except UnicodeDecodeError as exc:
+                lineno = len((raw[: exc.start] + b".").splitlines())
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            raise
 
 
 def _is_data(line: str) -> bool:
@@ -630,14 +639,21 @@ def validate_dataset(root: Path) -> ValidationReport:
         _, db_descriptors[image_id], db_global[image_id], db_rasters[image_id] = read_image(
             root / DB_SUBDIR, image.name, cam, image.keypoints
         )
-    query_cams = _read(report, "queries.txt", root / "queries.txt", load_query_cameras) or {}
+    query_cams = _read(report, "queries.txt", root / "queries.txt", load_query_cameras)
+    # a queries.txt that failed is one finding, not also one per query's tag
+    queries_known = query_cams is not None
+    query_cams = query_cams or {}
     queries = [
         QueryRecord(name, cam, *read_image(root / QUERY_SUBDIR, name, cam, None), conditions.get(name))
         for name, cam in sorted(query_cams.items())
     ]
     # conditions.txt, like the findings, keys both kinds of image by name
-    for name in sorted(query_cams.keys() & {image.name for image in model.images.values()}):
+    db_names = {image.name for image in model.images.values()}
+    for name in sorted(query_cams.keys() & db_names):
         report.add(f"{name}: names both a query and a database image")
+    if queries_known:
+        for name in sorted(conditions.keys() - db_names - query_cams.keys()):
+            report.add(f"{name}: condition tag names no database image or query")
 
     for dims, kind in ((local_dims, "local"), (global_dims, "global")):
         counts = Counter(dims.values())

@@ -103,7 +103,7 @@ def _block_pairs(dirs, starts, lengths, longest: int, step: int) -> tuple[np.nda
     return first, second
 
 
-def _observations(model: SfmModel, rasters: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def observations(model: SfmModel, rasters: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(votes, centers): the label and the camera center of each row of the
     track table, as build_semantic_map describes the vote."""
     _, image_ids, kp_idx = model.tracks.T
@@ -123,7 +123,8 @@ def _observations(model: SfmModel, rasters: dict[int, np.ndarray]) -> tuple[np.n
 
 
 def build_semantic_map(
-    model: SfmModel, rasters: dict[int, np.ndarray], class_table: ClassTable
+    model: SfmModel, rasters: dict[int, np.ndarray], class_table: ClassTable, *,
+    observed: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SemanticMap:
     """Vote labels and compute visibility stats for every SfM point, in one
     batched pass over the model's track table.
@@ -137,9 +138,10 @@ def build_semantic_map(
     observing camera center lies within 1e-9 of it, or when its two extreme
     viewing directions are antiparallel (v_mid undefined). The extreme pair
     is found by exact pairwise search, within MAP_BLOCK_BYTES of temporaries.
+    observed, when given, is observations(model, rasters), gathered before.
     """
     rows = model.tracks[:, 0]
-    votes, centers = _observations(model, rasters)
+    votes, centers = observations(model, rasters) if observed is None else observed
 
     # (point row, label) vote counts, keyed row * 256 + label as labels are
     # bytes; each row's first after sorting by count, then label, wins
@@ -176,14 +178,16 @@ def build_semantic_map(
     )
 
 
-def map_key(model: SfmModel, rasters: dict[int, np.ndarray], class_table: ClassTable) -> str:
+def map_key(
+    model: SfmModel, observed: tuple[np.ndarray, np.ndarray], class_table: ClassTable
+) -> str:
     """SHA-256 of what build_semantic_map reads, as parsed: the point ids,
-    positions and track table, each observation's vote and camera center,
-    the void id and the dynamic ids. A raster pixel that no keypoint votes
-    on is not part of it."""
+    positions and track table, each observation's vote and camera center
+    (observed, as observations returns them), the void id and the dynamic
+    ids. A raster pixel that no keypoint votes on is not part of it."""
     digest = hashlib.sha256()
     ids = np.array([class_table.void_id, *sorted(class_table.dynamic_ids)], dtype=np.int64)
-    for array in (model.point_ids, model.positions, model.tracks, *_observations(model, rasters), ids):
+    for array in (model.point_ids, model.positions, model.tracks, *observed, ids):
         digest.update(f"{array.dtype.str}{array.shape}\0".encode())
         digest.update(np.ascontiguousarray(array))
     return digest.hexdigest()

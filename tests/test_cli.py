@@ -449,7 +449,9 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert victim in err and "non-finite" in err
 
-    @pytest.mark.parametrize("fault", ["query_outside_frame", "missing_condition", "mixed_dims"])
+    @pytest.mark.parametrize(
+        "fault", ["query_outside_frame", "missing_condition", "stray_condition", "mixed_dims"]
+    )
     def test_finding_reported_by_validate_and_localize(self, cli_dataset, tmp_path, capsys, fault):
         _, data = cli_dataset
         data = _copy(data, tmp_path / "ds")
@@ -464,6 +466,10 @@ class TestPipelineCommands:
             lines = path.read_text().splitlines()
             path.write_text("".join(f"{line}\n" for line in lines if line.split()[0] != query))
             expected = f"{query}: missing condition tag"
+        elif fault == "stray_condition":
+            path = data / "conditions.txt"
+            path.write_text(path.read_text() + "ghost_image day\n")
+            expected = "ghost_image: condition tag names no database image or query"
         else:
             rows = load_descriptors(data / "db" / "db_001.ldsc").rows
             write_sidecar(data / "db" / "db_001.ldsc", b"LDSC", 2, np.ones((rows, 7), dtype=np.float32))
@@ -517,7 +523,8 @@ class TestPipelineCommands:
         lines = path.read_text().splitlines()
         path.write_text("".join(f"{text}\n" for text in [*lines, line.format(query=query)]))
         expected = f"{file}: {path}:{len(lines) + 1}: {message} {query}"
-        assert expected in validate_dataset(data).findings
+        # one finding: not also a stray or missing condition tag per image
+        assert validate_dataset(data).findings == [expected]
         code = main(["localize", "--data", str(data), "--out", str(tmp_path / "run")])
         assert code == 2
         assert f"validation: {expected}" in capsys.readouterr().err
@@ -527,7 +534,8 @@ class TestPipelineCommands:
         self, cli_dataset, tmp_path, capsys, renamed
     ):
         """Files, findings and condition tags are keyed by name, so a
-        database image or a query renamed db_000 would read db_000's."""
+        database image or a query renamed db_000 would read db_000's; the
+        renamed query's own tag is left naming no image."""
         _, data = cli_dataset
         data = _copy(data, tmp_path / "ds")
         if renamed == "images.txt":
@@ -537,6 +545,7 @@ class TestPipelineCommands:
             lines[i] = lines[i].replace(" db_001", " db_000")
             path.write_text("".join(f"{text}\n" for text in lines))
             expected = f"model: {path}:{i + 1}: duplicate image name db_000"
+            stale = []
         else:
             query = _first_query(data)
             path = data / "queries.txt"
@@ -544,7 +553,8 @@ class TestPipelineCommands:
             for suffix in (".kpts", ".ldsc", ".gdsc", ".labels.pgm"):
                 (data / "queries" / f"{query}{suffix}").rename(data / "queries" / f"db_000{suffix}")
             expected = "db_000: names both a query and a database image"
-        assert validate_dataset(data).findings == [expected]
+            stale = [f"{query}: condition tag names no database image or query"]
+        assert validate_dataset(data).findings == [expected, *stale]
         code = main(["localize", "--data", str(data), "--out", str(tmp_path / "run")])
         assert code == 2
         assert f"validation: {expected}" in capsys.readouterr().err

@@ -338,19 +338,45 @@ def test_knn_ratio_match_all_zero_rows():
     assert bits(as_triples(got)) == bits(oracles.knn_ratio_matches_full_matrix(query, db, 1.5)) == []
 
 
-@pytest.mark.parametrize("rows_per_block", [1, 2, 3])
-def test_knn_ratio_match_over_many_blocks(monkeypatch, rows_per_block):
-    rng = np.random.default_rng(rows_per_block)
+@pytest.mark.parametrize(
+    "rows, pooled",
+    [(rows, pooled) for pooled in (False, True) for rows in (1, 2, 3)],
+    ids=["1", "2", "3", "1 pooled", "2 pooled", "3 pooled"],
+)
+def test_knn_ratio_match_over_many_blocks(monkeypatch, rows, pooled):
+    """Blocks of `rows` query rows; pooled, 7-row blocks whose GEMMs take
+    `rows` rows each, so a block's last piece may be short."""
+    rng = np.random.default_rng(rows)
     db = rng.normal(size=(40, 8)).astype(np.float32)
     db[7] = db[3]
     query = np.concatenate(
         [db[:20] + rng.normal(scale=0.05, size=(20, 8)), rng.normal(size=(11, 8))]
     ).astype(np.float32)
-    row_bytes = matching._BLOCK_ENTRY_BYTES * len(db)
-    monkeypatch.setattr(matching, "MATCH_BLOCK_BYTES", rows_per_block * row_bytes)
-    got = knn_ratio_match(descs(query), descs(db), 0.9)
+    block = 7 if pooled else rows
+    monkeypatch.setattr(matching, "MATCH_BLOCK_BYTES", block * matching._BLOCK_ENTRY_BYTES * len(db))
+    monkeypatch.setattr(matching, "GEMM_CALLER_OPS", rows * len(db) * (8 + 1) + 1)
+    monkeypatch.setattr(matching, "MIN_GEMM_ROWS", 1)
+    assert matching._gemm_rows(block, len(db), 8, pooled) == rows
+    got = knn_ratio_match(descs(query), descs(db), 0.9, pooled=pooled)
     assert bits(as_triples(got)) == bits(oracles.knn_ratio_matches_full_matrix(query, db, 0.9))
     assert len(got) >= 15
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_pooled_gemms_stay_below_the_blas_hand_off(pooled):
+    """Pooled, a block's GEMMs take the most query rows that keep M N K
+    below GEMM_CALLER_OPS, unless that is below MIN_GEMM_ROWS."""
+    def gemm_rows(db_rows, dim):
+        block = matching.MATCH_BLOCK_BYTES // (matching._BLOCK_ENTRY_BYTES * db_rows)
+        return block, matching._gemm_rows(block, db_rows, dim, pooled)
+
+    # 500 db rows at dim 32: 31 x 500 x 33 multiply-adds stay on the caller, 32 rows do not
+    block, rows = gemm_rows(500, 32)
+    assert rows == (31 if pooled else block)
+    assert 31 * 500 * 33 < matching.GEMM_CALLER_OPS <= 32 * 500 * 33
+    # 2000 db rows at dim 128 leave room for 2 rows: one GEMM per block
+    block, rows = gemm_rows(2000, 128)
+    assert rows == block
 
 
 def test_knn_ratio_match_memory_is_bounded():

@@ -239,17 +239,25 @@ def test_readme_layout_line_is_the_loaders_pattern(tmp_path, kind):
     assert str(info.value) == f"{path}:{len(lines)}: expected '{documented[1]}': got 1 fields"
 
 
-@pytest.mark.parametrize("kind", list(KEYED_FILES))
-def test_undecodable_text_names_its_file(tmp_path, kind):
-    """A byte that does not decode fails with the file's path, also where
-    an images.txt keypoint line is read inside its header's parse."""
+@pytest.mark.parametrize(
+    "kind, comments",
+    [(kind, comments) for comments in (0, 3000) for kind in KEYED_FILES],
+    ids=[*KEYED_FILES, *(f"{kind} past the first chunk" for kind in KEYED_FILES)],
+)
+def test_undecodable_text_names_its_file(tmp_path, kind, comments):
+    """A byte that does not decode fails with the file's path, its line and
+    its offset in the file, also past the first chunk that text mode
+    decodes and where an images.txt keypoint line is read inside its
+    header's parse."""
     file, *keypoints = kind.split()
+    head = ("# padding\n" * comments + (f"{HEADER}\n" if keypoints else "")).encode()
     path = tmp_path / file
-    path.write_bytes((f"{HEADER}\n".encode() if keypoints else b"") + b"\xff\n")
+    path.write_bytes(head + b"\xff\n")
     with pytest.raises(ParseError) as info:
         KEYED_FILES[kind][0](path)
-    assert str(info.value).startswith(f"{path}: ")
-    assert "can't decode byte 0xff" in str(info.value)
+    line = comments + len(keypoints) + 1
+    assert str(info.value).startswith(f"{path}:{line}: ")
+    assert f"can't decode byte 0xff in position {len(head)}: " in str(info.value)
 
 
 # points3D.txt lines the line loop rejects, beyond those of SINGLE_PARSE_FAULTS
