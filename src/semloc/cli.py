@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
@@ -171,6 +172,11 @@ def cmd_localize(args) -> int:
         Path(args.config) if args.config else None,
         {f.name: getattr(args, f.name, None) for f in fields(LocalizerConfig)},
     )
+    out_dir = Path(args.out)  # one that cannot be made is a config error, before set-up
+    base = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        why = f"{base} is not a writable directory"
+        raise ConfigError(f"cannot write run directory {out_dir}: {why}")
     setup = _set_up(Path(args.data))
     if setup is None:
         return 2
@@ -187,7 +193,6 @@ def cmd_localize(args) -> int:
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
         results = list(pool.map(run_one, queries))
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     poses = {q.name: r.pose for q, r in zip(queries, results) if r.pose is not None}
     query_entries = [
@@ -251,7 +256,11 @@ def cmd_evaluate(args) -> int:
     if report_path.exists():
         try:
             payload = json.loads(report_path.read_text())
-            meta = {entry["name"]: entry for entry in payload.get("queries", [])}
+            for entry in payload.get("queries", []):
+                if entry["name"] in meta:
+                    where = f"{report_path}: query {entry['name']}"
+                    raise SemlocError(f"cannot read report: {where} listed twice")
+                meta[entry["name"]] = entry
         except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
             raise SemlocError(f"cannot read report: {report_path}: {exc!r}") from exc
         for name, entry in meta.items():

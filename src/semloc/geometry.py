@@ -150,271 +150,200 @@ def _bearings(pixels: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
     return rays
 
 
-# Side k of a P3P triangle joins points _SIDE_I[k] and _SIDE_J[k]: the sides
-# a, b, c are P2P3, P1P3 and P1P2, the cosines ca, cb, cg are between the
-# rays of the same pairs, and law-of-cosines constraint k ties s_i and s_j.
-_SIDE_I = np.array([1, 0, 0])
-_SIDE_J = np.array([2, 2, 1])
-_PAIRS = np.stack([_SIDE_I, _SIDE_J], axis=1)
-_NEXT = np.array([1, 2, 0])  # cross product component order
-_PREV = np.array([2, 0, 1])
-_ROW = np.arange(3)
-_EARLIER = np.tri(8, 8, -1, dtype=bool)  # [k, j]: slot j comes before slot k
+# Pair k of a P3P sample joins points _FIRST[k] and _SECOND[k]: the pairs
+# 12, 13 and 23 of the sides d_ij = x_i - x_j, squared lengths a_ij and ray
+# terms b_ij = -2 cos(ray i, ray j) of Persson and Nordberg's notation.
+_FIRST, _SECOND = np.array([0, 0, 1]), np.array([1, 2, 2])
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # cross product component order
+# A sample's four candidate slots: slopes +s, +s, -s, -s of the line pair,
+# each with the first and then the second root of its quadratic.
+_SIGN, _ROOT = np.array([1.0, 1.0, -1.0, -1.0]), np.array([0, 1, 0, 1])
 
 
-def _quartic_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
-    """np.roots of each row of (M, 5) quartic coefficients, highest first.
-
-    Returns (roots (M, 4) complex, present (M, 4) bool, errors). Rows with a
-    zero leading or trailing coefficient, or a companion matrix that is not
-    finite, go through np.roots itself, which strips those zeros and may
-    raise: errors maps such a row to its LinAlgError. The other rows share
-    one stacked eigvals of the companion matrices np.roots builds.
-    """
-    m = len(coeffs)
-    companion = np.zeros((m, 4, 4))
-    companion[:, _ROW + 1, _ROW] = 1.0
-    companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
-    # a zero leading coefficient leaves the companion row infinite or NaN
-    direct = np.isfinite(companion[:, 0]).all(axis=1) & (coeffs[:, 4] != 0)
-    roots = np.zeros((m, 4), dtype=complex)
-    if direct.any():
-        try:
-            roots[direct] = np.linalg.eigvals(companion[direct])
-        except np.linalg.LinAlgError:  # one matrix did not converge: solve each row alone
-            direct[:] = False
-    present = np.repeat(direct[:, None], 4, axis=1)
-    errors: dict[int, Exception] = {}
-    for row in np.flatnonzero(~direct):
-        try:
-            found = np.roots(coeffs[row])
-        except np.linalg.LinAlgError as exc:
-            errors[int(row)] = exc
-            continue
-        roots[row, : len(found)] = found
-        present[row, : len(found)] = True
-    return roots, present, errors
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., _NEXT] * v[..., _PREV] - u[..., _PREV] * v[..., _NEXT]
 
 
-def _p3p_candidates(roots, present, b2, c2_b2, ca, cb, cg, q) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate (s1, s2, s3) camera-to-point distances from the roots
-    v = s3/s1 of the resection quartic.
-
-    b2, c2_b2 (c2 / b2), the cosines and q are (M, 1) columns. Returns
-    (s (M, 8, 3), valid (M, 8)): two slots per root in root order, the
-    second used only by the quadratic fallback in u.
-    """
-    v = roots.real
-    keep = present & ~(np.abs(roots.imag) > 1e-4 * np.maximum(1.0, np.abs(v))) & (v > 0)
-    denom_s1 = 1.0 + v * v - 2.0 * v * cb
-    keep &= ~(denom_s1 <= 1e-15)
-    denom = 2.0 * (cg - v * ca)
-    linear = np.abs(denom) > 1e-9
-    u = np.full(v.shape + (2,), np.nan)
-    u[..., 0] = ((q - 1.0) * v * v - 2.0 * q * cb * v + 1.0 + q) / denom
-    fallback = keep & ~linear
-    if fallback.any():  # the quadratic in u from sides b and c; NaN when it has no root
-        rt = np.sqrt(cg * cg - 1.0 + c2_b2 * denom_s1)
-        u[..., 0] = np.where(linear, u[..., 0], cg + rt)
-        u[..., 1] = np.where(fallback, cg - rt, np.nan)
-    valid = keep[..., None] & (u > 0) & (u < np.inf)
-    s1 = np.sqrt(b2 / denom_s1)[..., None]
-    s = np.empty(u.shape + (3,))
-    s[..., 0] = s1
-    s[..., 1] = u * s1
-    s[..., 2] = v[..., None] * s1
-    return s.reshape(len(v), 8, 3), valid.reshape(len(v), 8)
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Stacked 3 x 3 A @ B, each entry summed in term order with no fused multiply-add."""
+    terms = A[..., :, :, None] * B[..., None, :, :]
+    return terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :]
 
 
-def _law_of_cosines(pairs: np.ndarray, sq: np.ndarray, cos: np.ndarray) -> np.ndarray:
-    """(M, 3) residuals of the three law-of-cosines constraints, given the
-    (M, 3, 2) distance pairs (s_i, s_j) of each side, the squared sides
-    and the ray cosines."""
-    si, sj = pairs[..., 0], pairs[..., 1]
-    return si * si + sj * sj - 2.0 * si * sj * cos - sq
+def _quadratic_roots(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Roots of x**2 + b x + c on a new last axis, the larger in magnitude
+    first; NaN where they are complex."""
+    roots = np.empty(b.shape + (2,))
+    roots[..., 0] = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * c), b))
+    roots[..., 1] = c / roots[..., 0]
+    return roots
 
 
-def _newton_polish(s: np.ndarray, sq: np.ndarray, cos: np.ndarray) -> np.ndarray:
-    """Newton iteration on the law-of-cosines constraints for M candidate
-    (M, 3) distances, with (M, 3) squared sides and ray cosines.
-
-    A candidate stops moving once every residual is below 1e-14 of its
-    longest squared side. Returns the polished distances, with NaN rows for
-    the candidates that fail: a singular or non-finite step, a residual
-    above 1e-9 of that side after 12 steps, or a distance that is not
-    positive.
-    """
-    s = s.copy()
-    scale = _max3(sq)
-    F = _law_of_cosines(s[:, _PAIRS], sq, cos)
-    moving = np.flatnonzero(~(_max3(np.abs(F)) < 1e-14 * scale))
-    for _ in range(12):
+def _cubic_root(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """A real root of each x**3 + b x**2 + c x + d: Newton's method from
+    Persson and Nordberg's start, past the outer stationary point on a
+    root's side, or at the inflection (moved by 1 where it is nearly flat)
+    when there is none. A row stops once its step falls to 1e-12 of its
+    root, or after 30 steps."""
+    v = np.sqrt(b * b - 3.0 * c)
+    t = (-b - v) / 3.0
+    k = ((t + b) * t + c) * t + d
+    t = np.where(k > 0, t, (-b + v) / 3.0)
+    k = np.where(k > 0, k, ((t + b) * t + c) * t + d)
+    x = t - np.copysign(np.sqrt(-k / (3.0 * t + b)), k)
+    flat = -b / 3.0
+    flat += np.abs((3.0 * flat + 2.0 * b) * flat + c) < 1e-4
+    x = np.where(v >= 0, x, flat)
+    moving = np.arange(len(x))
+    for _ in range(30):
+        r, bm, cm = x[moving], b[moving], c[moving]
+        step = (((r + bm) * r + cm) * r + d[moving]) / ((3.0 * r + 2.0 * bm) * r + cm)
+        x[moving] = new = r - step
+        moving = moving[np.abs(step) > 1e-12 * np.abs(new)]  # NaN stops too
         if not len(moving):
             break
-        pairs, c = s[moving][:, _PAIRS], cos[moving][..., None]
-        J = np.zeros((len(pairs), 3, 3))
-        # d F_k / d s_i = 2 s_i - 2 s_j cos_k, and the same with i, j swapped
-        J[:, _ROW[:, None], _PAIRS] = 2.0 * pairs - 2.0 * pairs[..., ::-1] * c
-        s[moving] += _solve_each(J, -F[moving])
-        finite = np.isfinite(_max3(np.abs(s[moving])))
-        s[moving[~finite]] = np.nan
-        moving = moving[finite]
-        # only the rows that moved have new residuals
-        F[moving] = _law_of_cosines(s[moving][:, _PAIRS], sq[moving], cos[moving])
-        moving = moving[~(_max3(np.abs(F[moving])) < 1e-14 * scale[moving])]
-    s[(_max3(np.abs(F)) > 1e-9 * scale) | (s <= 0).any(axis=1)] = np.nan
-    return s
+    return x
 
 
-def _solve_each(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """np.linalg.solve of (M, 3, 3) systems with (M, 3) right-hand sides;
-    the rows of a singular system come back NaN."""
-    try:
-        return np.linalg.solve(J, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # a stacked solve fails as a whole
-        out = np.full_like(rhs, np.nan)
-        for i in range(len(J)):
-            try:
-                out[i] = np.linalg.solve(J[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+def _refine_depths(L: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Newton steps on the constraints l_i**2 + l_j**2 + b_ij l_i l_j = a_ij
+    of each row of (h, 3) depths, each kept only if it lowers the sum of
+    absolute residuals, at most 5, until that sum is at most 1e-14 of the
+    longest squared side."""
+
+    def residuals(L, a, b):
+        li, lj = L[:, _FIRST], L[:, _SECOND]
+        return li * li + lj * lj + b * li * lj - a
+
+    r = residuals(L, a, b)
+    err = np.abs(r).sum(axis=1)
+    tol = 1e-14 * a.max(axis=1)
+    moving = np.flatnonzero(err > tol)
+    for _ in range(5):
+        if not len(moving):
+            break
+        l, bm = L[moving], b[moving]
+        li, lj = l[:, _FIRST], l[:, _SECOND]
+        J = np.zeros((len(l), 3, 3))  # row k: the gradient of constraint k
+        J[:, [0, 1, 2], _FIRST], J[:, [0, 1, 2], _SECOND] = 2.0 * li + bm * lj, 2.0 * lj + bm * li
+        C = _cross(J[:, _NEXT], J[:, _PREV])  # cofactors: J^-1 = C^T / det J
+        new = l - _matmul(r[moving][:, None], C)[:, 0] / (J[:, 0] * C[:, 0]).sum(axis=1)[:, None]
+        new_r = residuals(new, a[moving], bm)
+        new_err = np.abs(new_r).sum(axis=1)
+        better = new_err < err[moving]
+        moving = moving[better]
+        L[moving], r[moving], err[moving] = new[better], new_r[better], new_err[better]
+        moving = moving[err[moving] > tol[moving]]
+    return L
 
 
-def _kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rigid transforms with dst = R @ src + t, least squares over the
-    three rows of each of the (S, 3, 3) pairs."""
-    c_src = src.sum(axis=1) / 3  # as mean() divides
-    c_dst = dst.sum(axis=1) / 3
-    H = (src - c_src[:, None]).transpose(0, 2, 1) @ (dst - c_dst[:, None])
-    U, _, Vt = np.linalg.svd(H)
-    V, Ut = Vt.transpose(0, 2, 1), U.transpose(0, 2, 1)
-    D = np.zeros_like(H)
-    D[:, _ROW, _ROW] = 1.0
-    D[:, 2, 2] = np.sign(np.linalg.det(V @ Ut))
-    R = V @ D @ Ut
-    return R, c_dst - (R @ c_src[:, :, None])[:, :, 0]
-
-
-def _max3(a: np.ndarray) -> np.ndarray:
-    """a.max(axis=-1) of a last axis of 3, NaN where the row holds one, in
-    elementwise calls: numpy reduces a short last axis slowly."""
-    return np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])
-
-
-def _first_unique(s: np.ndarray) -> np.ndarray:
-    """Keeps each row's (M, k, 3) candidates, NaN rows absent, in slot
-    order, dropping one within 1e-6 (times the larger of 1 and its largest
-    distance) of an earlier kept one. Returns the kept mask."""
-    kept = ~np.isnan(s[:, :, 0])
-    k = s.shape[1]
-    if k == 1:
-        return kept
-    tol = 1e-6 * np.maximum(1.0, _max3(s))
-    close = _max3(np.abs(s[:, :, None] - s[:, None])) < tol[:, :, None]
-    close &= _EARLIER[:k, :k]
-    if close.any():
-        for j in range(1, k):
-            kept[:, j] &= ~(close[:, j, :j] & kept[:, :j]).any(axis=1)
-    return kept
-
-
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def solve_p3p_many(
     pixels: np.ndarray, points: np.ndarray, K: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
-    """Minimal three-point pose solver over a stack of B samples.
+    """Lambda Twist P3P (Persson and Nordberg, ECCV 2018) over a stack of B samples.
 
     pixels: (B, 3, 2) observed pixels; points: (B, 3, 3) world points.
     Returns (rotations (H, 3, 3), translations (H, 3), sample (H,), failures).
     The poses of one sample are contiguous, in sample order: up to four,
     each reprojecting the sample's three points to within 1e-6 px, sorted
     by their camera-to-point distances. failures[b] is None when sample b
-    has a pose, and otherwise the exception solve_p3p raises for it.
+    has a pose, and otherwise the exception solve_p3p raises for it. Every
+    step is elementwise, so a sample's poses do not depend on the others.
     """
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 3, 2)
     points = np.asarray(points, dtype=float).reshape(-1, 3, 3)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _solve_p3p_many(pixels, points, K)
-
-
-def _solve_p3p_many(pixels, points, K):
-    """solve_p3p_many on (B, 3, 2) and (B, 3, 3) float arrays."""
     n = len(points)
-    e = points[:, 1:] - points[:, :1]
-    e1, e2 = e[:, 0], e[:, 1]
-    normal = e1[:, _NEXT] * e2[:, _PREV] - e1[:, _PREV] * e2[:, _NEXT]
-    area = 0.5 * np.sqrt((normal[:, None, :] @ normal[:, :, None])[:, 0, 0])
+    sides = points[:, _FIRST] - points[:, _SECOND]  # d12, d13, d23
+    X = np.concatenate([sides[:, :2], _cross(sides[:, :1], sides[:, 1:2])], axis=1)  # d12, d13, n
+    nn = (X[:, 2] * X[:, 2]).sum(axis=1)
+    area = 0.5 * np.sqrt(nn)
     rays = _bearings(pixels, K)
-    sides = points[:, _SIDE_I] - points[:, _SIDE_J]
-    sq = (sides * sides).sum(axis=2)
-    cos = (rays[:, _SIDE_I, None, :] @ rays[:, _SIDE_J, :, None])[:, :, 0, 0]
-    a2, b2, c2 = sq.T
-    ca, cb, cg = cos.T
-    # the classic quartic in v = s3/s1; float_power squares as Python's ** does
-    q = (a2 - c2) / b2
-    r = (a2 + c2) / b2
-    c2_b2, a2_b2, one_r = c2 / b2, a2 / b2, 1.0 - r
-    coeffs = np.empty((n, 5))
-    coeffs[:, 0] = np.float_power(q - 1.0, 2) - 4.0 * c2_b2 * ca * ca
-    coeffs[:, 1] = 4.0 * (q * (1.0 - q) * cb - one_r * ca * cg + 2.0 * c2_b2 * ca * ca * cb)
-    coeffs[:, 2] = 2.0 * (
-        q * q
-        - 1.0
-        + 2.0 * q * q * cb * cb
-        + 2.0 * ((b2 - c2) / b2) * ca * ca
-        - 4.0 * r * ca * cb * cg
-        + 2.0 * ((b2 - a2) / b2) * cg * cg
-    )
-    coeffs[:, 3] = 4.0 * (-q * (1.0 + q) * cb + 2.0 * a2_b2 * cg * cg * cb - one_r * ca * cg)
-    coeffs[:, 4] = np.float_power(1.0 + q, 2) - 4.0 * a2_b2 * cg * cg
+    cos = (rays[:, _FIRST] * rays[:, _SECOND]).sum(axis=2)
 
     non_finite = ~(np.isfinite(pixels).all(axis=(1, 2)) & np.isfinite(points).all(axis=(1, 2)))
     flat = area <= 1e-9
     coincident = np.abs(cos).max(axis=1) >= 1.0 - 1e-12
-    largest = np.abs(coeffs).max(axis=1)  # NaN when a coefficient is
-    no_quartic = ~((largest >= 1e-18) & (largest < np.inf))
     failures: list[Exception | None] = [None] * n
-    failed = non_finite | flat | coincident | no_quartic
-    for b in np.flatnonzero(failed):  # the first check a sample fails names its fault
-        if non_finite[b]:
-            failures[b] = DegenerateConfiguration("non-finite solver input")
-        elif flat[b]:
-            failures[b] = DegenerateConfiguration(f"triangle area {area[b]:.3e} below threshold")
-        elif coincident[b]:
-            failures[b] = DegenerateConfiguration("two viewing rays coincide")
-        else:
-            failures[b] = NoRealSolution("degenerate resection polynomial")
-    live = np.flatnonzero(~failed)
+    failed = non_finite | flat | coincident
+    for i in np.flatnonzero(failed):  # the first check a sample fails names its fault
+        failures[i] = DegenerateConfiguration(
+            "non-finite solver input" if non_finite[i]
+            else f"triangle area {area[i]:.3e} below threshold" if flat[i]
+            else "two viewing rays coincide"
+        )
 
-    roots, present, root_errors = _quartic_roots(coeffs[live])
-    for i, exc in root_errors.items():
-        failures[live[i]] = exc
-    columns = np.array([b2, c2_b2, ca, cb, cg, q])[:, live, None]  # (6, M, 1)
-    s, valid = _p3p_candidates(roots, present, *columns)
-    rows, slots = valid.nonzero()
-    polished = _newton_polish(s[rows, slots], sq[live[rows]], cos[live[rows]])
-    # each row's polished candidates, in slot order, from its first slot on
-    ok = ~np.isnan(polished[:, 0])
-    rows, polished = rows[ok], polished[ok]
-    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    s = np.full((len(live), int(rank.max(initial=0)) + 1, 3), np.nan)
-    s[rows, rank] = polished
-    rows, slots = _first_unique(s).nonzero()
-    dist = s[rows, slots]
-    order = np.lexsort((dist[:, 2], dist[:, 1], dist[:, 0], rows))  # sorted(key=tuple)
-    sample, dist = live[rows[order]], dist[order]
+    a, b = (sides * sides).sum(axis=2), -2.0 * cos
+    (a12, a13, a23), (b12, b13, b23), (c12, c13, c23) = a.T, b.T, cos.T
+    # g with D1 + g D2 singular: a root of p3 g**3 + p2 g**2 + p1 g + p0,
+    # solved as the cubic in 1 / g when p0 outweighs p3
+    s12, s13, s23 = (1.0 - cos * cos).T
+    blob = c12 * c23 * c13 - 1.0
+    p3 = a13 * (a23 * s13 - a13 * s23)
+    p2 = 2.0 * blob * a23 * a13 + a13 * (2.0 * a12 + a13) * s23 + a23 * (a23 - a12) * s13
+    p1 = a23 * (a13 - a23) * s12 - a12 * a12 * s23 - 2.0 * a12 * (blob * a23 + a13 * s23)
+    p0 = a12 * (a12 * s23 - a23 * s12)
+    big = np.abs(p3) >= np.abs(p0)
+    p = np.where(big, [p3, p2, p1, p0], [p0, p1, p2, p3])
+    g = _cubic_root(p[1] / p[0], p[2] / p[0], p[3] / p[0])
+    g = np.where(big, g, 1.0 / g)
+    # D0 = D1 + g D2, symmetric with eigenvalues e1, e2 and 0, |e1| >= |e2|
+    A00 = a23 * (1.0 - g)
+    A01 = a23 * b12 * 0.5
+    A02 = a23 * b13 * g * -0.5
+    A11 = a23 - a12 + a13 * g
+    A12 = b23 * (a13 * g - a12) * 0.5
+    A22 = g * (a13 - a23) - a12
+    e = _quadratic_roots(
+        -A00 - A11 - A22, A00 * (A11 + A22) + A11 * A22 - A01 * A01 - A02 * A02 - A12 * A12
+    )
+    # the unit eigenvectors (x, y, z) of e1 and e2, in columns 0 and 1
+    inv = 1.0 / (e * (A00 + A11)[:, None] - (A00 * A11)[:, None] - e * e + (A01 * A01)[:, None])
+    x = -(e * A02[:, None] + (A01 * A12 - A02 * A11)[:, None]) * inv
+    y = -(e * A12[:, None] + (A01 * A02 - A00 * A12)[:, None]) * inv
+    z = 1.0 / np.sqrt(x * x + y * y + 1.0)
+    x, y = x * z, y * z
+    # D0 is the line pair (v1 - s v2) . l = 0 with s = +-sqrt(-e2 / e1): so
+    # l1 = w0 l2 + w1 l3, and tau = l3 / l2 solves a quadratic
+    ratio = -e[:, 1] / e[:, 0]
+    slope = np.sqrt(np.where(ratio > 0, ratio, 0.0))[:, None]
+    s = slope * _SIGN
+    w = 1.0 / (s * x[:, 1:] - x[:, :1])
+    w0 = (y[:, :1] - s * y[:, 1:]) * w
+    w1 = (z[:, :1] - s * z[:, 1:]) * w
+    a12, a13, a23 = a[:, 0:1], a[:, 1:2], a[:, 2:3]  # as columns, against the four slots
+    a12_b13, a13_b12 = a12 * b[:, 1:2], a13 * b[:, 0:1]
+    qa = 1.0 / ((a13 - a12) * w1 * w1 - a12_b13 * w1 - a12)
+    qb = (a13_b12 * w1 - a12_b13 * w0 - 2.0 * w0 * w1 * (a12 - a13)) * qa
+    qc = ((a13 - a12) * w0 * w0 + a13_b12 * w0 + a13) * qa
+    tau = _quadratic_roots(qb, qc)[:, np.arange(4), _ROOT]
+    d = a23 / (tau * (b[:, 2:3] + tau) + 1.0)
+    l2 = np.sqrt(d)
+    l3 = tau * l2
+    l1 = w0 * l2 + w1 * l3
+    # a zero slope gives one line, whose candidates the slots of -s repeat
+    valid = (tau > 0) & (d > 0) & (l1 >= 0) & ((slope > 0) | (_SIGN > 0)) & ~failed[:, None]
+    sample, slot = valid.nonzero()
+    L = _refine_depths(np.stack([l1, l2, l3], axis=2)[sample, slot], a[sample], b[sample])
 
-    corners = points[sample]
-    R, t = _kabsch(corners, rays[sample] * dist[:, :, None])
-    reproj, in_front = project_poses(R, t, K, corners)
+    # R = Y X^-1, where X has columns d12, d13 and n = d12 x d13, and Y the
+    # same of the camera-frame points ry_i = l_i y_i; the rows of X^-1 are
+    # d13 x n, n x d12 and n, over |n|**2. Rounding in X^-1 leaves R up to
+    # about 1e-12 off orthonormal; one Newton-Schulz step, R (3 I - R^T R) / 2,
+    # takes it to rounding.
+    ry = rays[sample] * L[:, :, None]
+    Y = ry[:, :1] - ry[:, 1:]  # columns of Y, as rows
+    Y = np.concatenate([Y, _cross(Y[:, :1], Y[:, 1:])], axis=1)
+    X_inv = np.concatenate([_cross(X[:, [1, 2]], X[:, [2, 0]]), X[:, 2:]], axis=1)
+    R = _matmul(Y.transpose(0, 2, 1), (X_inv / nn[:, None, None])[sample])
+    R = _matmul(R, 1.5 * np.eye(3) - 0.5 * _matmul(R.transpose(0, 2, 1), R))
+    t = ry[:, 0] - _matmul(R, points[sample, 0][:, :, None])[:, :, 0]
+    reproj, in_front = project_poses(R, t, K, points[sample])
     ok = in_front.all(axis=1) & ~(np.abs(reproj - pixels[sample]) > 1e-6).any(axis=(1, 2))
     keep = np.flatnonzero(ok)
-    keep = keep[np.arange(len(keep)) - np.searchsorted(sample[keep], sample[keep]) < 4]
-    posed = failed.copy()
-    posed[sample[keep]] = True
-    for b in np.flatnonzero(~posed):
-        if failures[b] is None:
-            failures[b] = NoRealSolution("no pose reprojects the three points")
+    keep = keep[np.lexsort((L[keep, 2], L[keep, 1], L[keep, 0], sample[keep]))]  # sorted(key=tuple)
+    for i in np.flatnonzero(~failed & (np.bincount(sample[keep], minlength=n) == 0)):
+        failures[i] = NoRealSolution("no pose reprojects the three points")
     return R[keep], t[keep], sample[keep], failures
 
 

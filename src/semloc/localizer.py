@@ -274,7 +274,7 @@ def _ransac_loop(
             np.concatenate([points[i] for (points, _, _, _), i in picked]),
             K,
         )
-        # an np.roots error is a fault, not a degenerate sample
+        # a solver error other than a degenerate sample is a fault
         faulty = [
             i
             for i, f in enumerate(failures)

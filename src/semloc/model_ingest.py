@@ -462,6 +462,8 @@ def load_label_raster(
     data = memoryview(raw)[pos : pos + width * height]  # a view, not a copy
     if len(data) < width * height:
         raise TruncatedFile(f"{path}: expected {width * height} pixels, got {len(data)}")
+    if len(raw) > pos + width * height:
+        raise ParseError(f"{path}: {len(raw) - pos - width * height} trailing bytes")
     if (width, height) != tuple(expected_dims):
         raise DimMismatch(
             f"{path}: raster is {width}x{height}, expected {expected_dims[0]}x{expected_dims[1]}"

@@ -475,6 +475,192 @@ def solve_p3p_loop(pixels, points, K):
     return poses[:4]
 
 
+def _div(x, y):
+    """x / y in IEEE arithmetic: a zero divisor gives an infinity or NaN
+    where Python raises."""
+    if y == 0:
+        return math.nan if x == 0 or x != x else math.copysign(math.inf, x) * math.copysign(1.0, y)
+    return x / y
+
+
+def _sqrt(x):
+    """math.sqrt, NaN below 0 as in IEEE arithmetic."""
+    return math.sqrt(x) if x >= 0 else math.nan
+
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross3(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _matmul3(A, B):
+    return [
+        [A[i][0] * B[0][j] + A[i][1] * B[1][j] + A[i][2] * B[2][j] for j in range(3)]
+        for i in range(3)
+    ]
+
+
+def _quadratic_roots_loop(b, c):
+    """Roots of x**2 + b x + c, the larger in magnitude first."""
+    first = -0.5 * (b + math.copysign(_sqrt(b * b - 4.0 * c), b))
+    return first, _div(c, first)
+
+
+def _cubic_root_loop(b, c, d):
+    """A real root of x**3 + b x**2 + c x + d: Newton's method from the
+    start of Persson and Nordberg, until a step falls to 1e-12 of the root,
+    at most 30 steps."""
+    v = _sqrt(b * b - 3.0 * c)
+    if v >= 0:  # two stationary points: start past the outer one on a root's side
+        t = (-b - v) / 3.0
+        k = ((t + b) * t + c) * t + d
+        if not k > 0:
+            t = (-b + v) / 3.0
+            k = ((t + b) * t + c) * t + d
+        x = t - math.copysign(_sqrt(_div(-k, 3.0 * t + b)), k)
+    else:  # monotone: start at the inflection, moved by 1 where it is nearly flat
+        x = -b / 3.0
+        x += 1.0 if abs((3.0 * x + 2.0 * b) * x + c) < 1e-4 else 0.0
+    for _ in range(30):
+        step = _div(((x + b) * x + c) * x + d, (3.0 * x + 2.0 * b) * x + c)
+        x = x - step
+        if not abs(step) > 1e-12 * abs(x):
+            break
+    return x
+
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))  # of the sides d12, d13 and d23
+
+
+def _depth_residuals_loop(l, a, b):
+    return [
+        l[i] * l[i] + l[j] * l[j] + b[k] * l[i] * l[j] - a[k] for k, (i, j) in enumerate(_PAIRS)
+    ]
+
+
+def _refine_depths_loop(l, a, b):
+    """Newton steps on the three law-of-cosines constraints of one
+    candidate's depths, each kept only while it lowers the sum of absolute
+    residuals, at most 5, until that sum is at most 1e-14 of the longest
+    squared side."""
+    r = _depth_residuals_loop(l, a, b)
+    err = abs(r[0]) + abs(r[1]) + abs(r[2])
+    tol = 1e-14 * max(a)
+    for _ in range(5):
+        if not err > tol:
+            break
+        J = [[0.0] * 3 for _ in range(3)]  # row k: the gradient of constraint k
+        for k, (i, j) in enumerate(_PAIRS):
+            J[k][i], J[k][j] = 2.0 * l[i] + b[k] * l[j], 2.0 * l[j] + b[k] * l[i]
+        C = [_cross3(J[(k + 1) % 3], J[(k + 2) % 3]) for k in range(3)]  # cofactors
+        det = _dot3(J[0], C[0])
+        new = [l[j] - _div(r[0] * C[0][j] + r[1] * C[1][j] + r[2] * C[2][j], det) for j in range(3)]
+        nr = _depth_residuals_loop(new, a, b)
+        nerr = abs(nr[0]) + abs(nr[1]) + abs(nr[2])
+        if not nerr < err:
+            break
+        l, r, err = new, nr, nerr
+    return l
+
+
+def lambda_twist_loop(pixels, points, K):
+    """Lambda Twist P3P (Persson and Nordberg, ECCV 2018) one sample and one
+    candidate at a time, in Python floats with the batched solver's
+    expressions: the cubic's root, the two eigenvectors of the singular
+    conic, the depths of each line and quadratic root, Newton steps on them
+    and R = Y X^-1, then a per-point 1e-6 px check. Returns up to four
+    (R, t) in the order sorted by the (l1, l2, l3) depths; raises
+    DegenerateConfiguration or NoRealSolution like the batched solver."""
+    pixels = np.asarray(pixels, dtype=float).reshape(3, 2)
+    points = np.asarray(points, dtype=float).reshape(3, 3)
+    if not np.all(np.isfinite(pixels)) or not np.all(np.isfinite(points)):
+        raise DegenerateConfiguration("non-finite solver input")
+    x = points.tolist()
+    d12, d13, d23 = ([x[i][k] - x[j][k] for k in range(3)] for i, j in _PAIRS)
+    normal = _cross3(d12, d13)
+    nn = _dot3(normal, normal)
+    area = 0.5 * math.sqrt(nn)
+    if area <= 1e-9:
+        raise DegenerateConfiguration(f"triangle area {area:.3e} below threshold")
+    y = _bearings_loop(pixels, K).tolist()
+    c12, c13, c23 = (_dot3(y[i], y[j]) for i, j in _PAIRS)
+    if max(abs(c12), abs(c13), abs(c23)) >= 1.0 - 1e-12:
+        raise DegenerateConfiguration("two viewing rays coincide")
+
+    a = [_dot3(d, d) for d in (d12, d13, d23)]
+    a12, a13, a23 = a
+    b = [-2.0 * c for c in (c12, c13, c23)]
+    b12, b13, b23 = b
+    s12, s13, s23 = 1.0 - c12 * c12, 1.0 - c13 * c13, 1.0 - c23 * c23
+    blob = c12 * c23 * c13 - 1.0
+    p3 = a13 * (a23 * s13 - a13 * s23)
+    p2 = 2.0 * blob * a23 * a13 + a13 * (2.0 * a12 + a13) * s23 + a23 * (a23 - a12) * s13
+    p1 = a23 * (a13 - a23) * s12 - a12 * a12 * s23 - 2.0 * a12 * (blob * a23 + a13 * s23)
+    p0 = a12 * (a12 * s23 - a23 * s12)
+    if abs(p3) >= abs(p0):
+        g = _cubic_root_loop(_div(p2, p3), _div(p1, p3), _div(p0, p3))
+    else:
+        g = _div(1.0, _cubic_root_loop(_div(p1, p0), _div(p2, p0), _div(p3, p0)))
+    A00 = a23 * (1.0 - g)
+    A01 = a23 * b12 * 0.5
+    A02 = a23 * b13 * g * -0.5
+    A11 = a23 - a12 + a13 * g
+    A12 = b23 * (a13 * g - a12) * 0.5
+    A22 = g * (a13 - a23) - a12
+    e1, e2 = _quadratic_roots_loop(
+        -A00 - A11 - A22, A00 * (A11 + A22) + A11 * A22 - A01 * A01 - A02 * A02 - A12 * A12
+    )
+    vectors = []
+    for e in (e1, e2):
+        inv = _div(1.0, e * (A00 + A11) - A00 * A11 - e * e + A01 * A01)
+        u = -(e * A02 + (A01 * A12 - A02 * A11)) * inv
+        v = -(e * A12 + (A01 * A02 - A00 * A12)) * inv
+        z = _div(1.0, _sqrt(u * u + v * v + 1.0))
+        vectors.append((u * z, v * z, z))
+    (x0, y0, z0), (x1, y1, z1) = vectors
+    ratio = _div(-e2, e1)
+    slope = _sqrt(ratio if ratio > 0 else 0.0)
+    depths = []
+    for sign in (1.0, -1.0) if slope > 0 else (1.0,):  # a zero slope gives one line
+        s = slope * sign
+        w = _div(1.0, s * x1 - x0)
+        w0 = (y0 - s * y1) * w
+        w1 = (z0 - s * z1) * w
+        qa = _div(1.0, (a13 - a12) * w1 * w1 - a12 * b13 * w1 - a12)
+        qb = (a13 * b12 * w1 - a12 * b13 * w0 - 2.0 * w0 * w1 * (a12 - a13)) * qa
+        qc = ((a13 - a12) * w0 * w0 + a13 * b12 * w0 + a13) * qa
+        for tau in _quadratic_roots_loop(qb, qc):
+            d = _div(a23, tau * (b23 + tau) + 1.0)
+            l2 = _sqrt(d)
+            l3 = tau * l2
+            l1 = w0 * l2 + w1 * l3
+            if tau > 0 and d > 0 and l1 >= 0:
+                depths.append(_refine_depths_loop([l1, l2, l3], a, b))
+
+    rows = (_cross3(d13, normal), _cross3(normal, d12), normal)
+    xi = [[_div(c, nn) for c in row] for row in rows]  # X^-1
+    solutions = []
+    for l in depths:
+        ry = [[c * l[i] for c in y[i]] for i in range(3)]
+        cols = [[ry[0][k] - ry[i][k] for k in range(3)] for i in (1, 2)]
+        cols.append(_cross3(*cols))
+        R = _matmul3([list(row) for row in zip(*cols)], xi)
+        RtR = _matmul3([list(row) for row in zip(*R)], R)
+        half = [[(1.5 if i == j else 0.0) - 0.5 * RtR[i][j] for j in range(3)] for i in range(3)]
+        R = _matmul3(R, half)  # one Newton-Schulz step
+        t = [ry[0][i] - _dot3(R[i], x[0]) for i in range(3)]
+        R, t = np.array(R), np.array(t)
+        preds = [_project_point_loop(R, t, K, X) for X in points]
+        if all(p is not None and np.max(np.abs(p - px)) <= 1e-6 for p, px in zip(preds, pixels)):
+            solutions.append((l, R, t))
+    if not solutions:
+        raise NoRealSolution("no pose reprojects the three points")
+    return [(R, t) for _, R, t in sorted(solutions, key=lambda s: tuple(s[0]))]
+
+
 def weighted_sample_loop(rng, weights, count):
     """`count` distinct indices drawn one rng.random() at a time, with
     probabilities proportional to the weights left after each draw."""
@@ -495,7 +681,7 @@ def weighted_sample_loop(rng, weights, count):
 
 def ransac_loop_loop(points, pixels, K, weights, inlier_px, confidence, max_iters, rng):
     """Hypothesize-and-verify one sample at a time: weighted_sample_loop,
-    solve_p3p_loop and one projection per hypothesis, with the adaptive stop
+    lambda_twist_loop and one projection per hypothesis, with the adaptive stop
     after each sample; the stop takes the odds that a weighted draw is an
     inlier as the best inliers' share of the weight. Returns (R, t, inlier
     mask, count), None for the first three when no hypothesis has an inlier."""
@@ -507,7 +693,7 @@ def ransac_loop_loop(points, pixels, K, weights, inlier_px, confidence, max_iter
         it += 1
         idx = weighted_sample_loop(rng, weights, 3)
         try:
-            hypotheses = solve_p3p_loop(pixels[idx], points[idx], K)
+            hypotheses = lambda_twist_loop(pixels[idx], points[idx], K)
         except (DegenerateConfiguration, NoRealSolution):
             continue
         for pose in hypotheses:

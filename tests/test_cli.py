@@ -205,6 +205,32 @@ class TestPipelineCommands:
         assert main([*argv, "--k-day", "6", *flags]) == 0
         assert (run / "poses.txt").read_bytes() == (GOLDEN / golden).read_bytes()
 
+    @pytest.mark.parametrize("flags", [[], ["--uniform-weights"]], ids=["semantic", "uniform"])
+    def test_model_line_order_does_not_reach_the_outputs(self, decoy_cli_dataset, tmp_path, flags):
+        """The decoy scene with its points3D.txt lines and its images.txt
+        records (a header line and its keypoint line) shuffled: localize
+        writes the same poses.txt and report.json bytes."""
+        shuffled = tmp_path / "shuffled"
+        shutil.copytree(
+            decoy_cli_dataset, shuffled, ignore=shutil.ignore_patterns(cli.MAP_CACHE_NAME)
+        )
+        rng = random.Random(5)
+        points = (shuffled / "model" / "points3D.txt").read_text().splitlines(keepends=True)
+        lines = (shuffled / "model" / "images.txt").read_text().splitlines(keepends=True)
+        records = [lines[i : i + 2] for i in range(0, len(lines), 2)]
+        for rows in (points, records):
+            original = list(rows)
+            rng.shuffle(rows)
+            assert rows != original
+        (shuffled / "model" / "points3D.txt").write_text("".join(points))
+        (shuffled / "model" / "images.txt").write_text("".join(sum(records, [])))
+        runs = [tmp_path / "run", tmp_path / "shuffled_run"]
+        for data, run in zip((decoy_cli_dataset, shuffled), runs):
+            argv = ["localize", "--data", str(data), "--out", str(run), "--seed", "2"]
+            assert main([*argv, "--k-day", "6", *flags]) == 0
+        for name in ("poses.txt", "report.json"):
+            assert (runs[1] / name).read_bytes() == (runs[0] / name).read_bytes()
+
     def test_one_sample_blocks_write_the_same_bytes(self, decoy_cli_dataset, tmp_path, monkeypatch):
         """The RANSAC block schedule never reaches the outputs: with blocks
         of one sample, localize writes the default's poses and report, with
@@ -654,6 +680,25 @@ class TestPipelineCommands:
         assert not (run / "eval_report.json").exists()
 
 
+    def test_evaluate_report_naming_a_query_twice_exits_2(self, cli_dataset, tmp_path, capsys):
+        """A report.json with two entries for one query, as a
+        ground_truth.txt naming a query twice: one finding, and no
+        eval_report.json."""
+        _, data = cli_dataset
+        run = tmp_path / "run"
+        assert main(["localize", "--data", str(data), "--out", str(run), "--seed", "2"]) == 0
+        report = json.loads((run / "report.json").read_text())
+        twice = report["queries"][1]
+        report["queries"].append(dict(twice, inliers=0))
+        (run / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        code = main(["evaluate", "--run", str(run), "--gt", str(data / "ground_truth.txt")])
+        assert code == 2
+        where = f"{run / 'report.json'}: query {twice['name']}"
+        assert capsys.readouterr().err == f"validation: cannot read report: {where} listed twice\n"
+        assert not (run / "eval_report.json").exists()
+
+
 SMALL_SCENE = {"n_points": 120, "n_db_images": 8, "n_queries": 3, "pixel_sigma": 0.4, "seed": 31}
 
 
@@ -719,6 +764,19 @@ class TestErrorPaths:
         (key,) = values
         assert line.startswith(f"config error: {key} ")
         assert not run.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under_a_file"])
+    def test_run_directory_that_cannot_be_made_exits_3(self, tmp_path, capsys, monkeypatch, below):
+        """--out naming a file, or a path under one: one config error,
+        before any set-up, and the file left as it was."""
+        monkeypatch.setattr(cli, "_set_up", lambda data_dir: pytest.fail("set-up ran"))
+        taken = tmp_path / "taken"
+        taken.write_text("not a run\n")
+        out = taken / "run" if below else taken
+        assert main(["localize", "--data", str(tmp_path), "--out", str(out)]) == 3
+        why = f"{taken} is not a writable directory"
+        assert capsys.readouterr().err == f"config error: cannot write run directory {out}: {why}\n"
+        assert taken.read_text() == "not a run\n"
 
     def test_int_config_value_passes_for_a_float(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -958,7 +958,7 @@ def test_vanishing_inlier_weight_runs_to_max_iters(monkeypatch, inlier_weight, i
         return np.repeat(np.eye(3)[None], b, axis=0), np.zeros((b, 3)), np.arange(b), [None] * b
 
     monkeypatch.setattr(localizer, "solve_p3p_many", identity_poses)
-    monkeypatch.setattr(oracles, "solve_p3p_loop", lambda *args: [(np.eye(3), np.zeros(3))])
+    monkeypatch.setattr(oracles, "lambda_twist_loop", lambda *args: [(np.eye(3), np.zeros(3))])
     [(_, inliers, count, samples)] = localizer._ransac_loop(
         [(grid, pixels, weights, np.random.default_rng(5))], K, inlier_px, 0.99, 20
     )

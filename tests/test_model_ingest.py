@@ -594,8 +594,10 @@ class TestLabelRaster:
             (b"P5\n3 2 # no maxval\n", "not a binary PGM (P5) file"),
             (b"P5\n3 x2\n255\n" + bytes(6), f"bad PGM header: {INT} b'x2'"),
             (b"P5\n3 2\n#255\n15\n" + bytes(6), "PGM maxval must be 255, got 15"),
+            (b"P5\n3 2\n255\n" + bytes(106), "100 trailing bytes"),
+            (b"P5\n3 2\n255\n" + bytes(6) + b"\n", "1 trailing bytes"),
         ],
-        ids=["ascii", "three_tokens", "bad_height", "maxval"],
+        ids=["ascii", "three_tokens", "bad_height", "maxval", "trailing_bytes", "trailing_newline"],
     )
     def test_header_fault_message(self, tmp_path, raw, message):
         path = tmp_path / "r.pgm"
