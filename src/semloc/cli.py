@@ -235,6 +235,14 @@ def _report_entry_fault(entry: dict) -> str | None:
     return None
 
 
+def _check_named_in(gt: dict, named: dict, path: Path) -> None:
+    """A pose or report entry for a query the ground truth does not name
+    would drop out of every bucket unseen, so it fails the evaluation."""
+    for name in named:
+        if name not in gt:
+            raise SemlocError(f"cannot evaluate: {path}: query {name} is not in the ground truth")
+
+
 def cmd_evaluate(args) -> int:
     run_dir = Path(args.run)
     try:
@@ -250,6 +258,7 @@ def cmd_evaluate(args) -> int:
         raise SemlocError(f"cannot read poses: {exc}") from exc
     if not estimated:
         print("warning: pose file is empty", file=sys.stderr)
+    _check_named_in(gt, estimated, poses_path)
 
     meta: dict[str, dict] = {}
     report_path = run_dir / "report.json"
@@ -267,6 +276,7 @@ def cmd_evaluate(args) -> int:
             fault = _report_entry_fault(entry)
             if fault is not None:
                 raise SemlocError(f"cannot read report: {report_path}: query {name}: {fault}")
+        _check_named_in(gt, meta, report_path)
 
     rows = []
     for name in sorted(gt):

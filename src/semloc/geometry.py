@@ -465,8 +465,14 @@ def refine_pnp(
 
 def pose_error(est: PoseEstimate, gt: PoseEstimate) -> tuple[float, float]:
     """(translation error in meters between camera centers, rotation error
-    in degrees)."""
+    in degrees).
+
+    The angle of M = R_gt^T R_est is atan2 of the norm of M's skew part and
+    (trace M - 1) / 2, which resolves angles far below the ~1e-6 degrees
+    where the arccos of the trace alone reads 0, and reads no scale error
+    of M as rotation."""
     t_err = float(np.linalg.norm(camera_center(est) - camera_center(gt)))
-    cos_angle = (np.trace(gt.rotation.T @ est.rotation) - 1.0) / 2.0
-    r_err = float(np.degrees(np.arccos(np.clip(cos_angle, -1.0, 1.0))))
+    M = gt.rotation.T @ est.rotation
+    sin_angle = np.linalg.norm([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]]) / 2.0
+    r_err = float(np.degrees(np.arctan2(sin_angle, (np.trace(M) - 1.0) / 2.0)))
     return t_err, r_err

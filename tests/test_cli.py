@@ -698,6 +698,28 @@ class TestPipelineCommands:
         assert capsys.readouterr().err == f"validation: cannot read report: {where} listed twice\n"
         assert not (run / "eval_report.json").exists()
 
+    @pytest.mark.parametrize("file", ["poses.txt", "report.json"])
+    def test_evaluate_query_not_in_ground_truth_exits_2(self, cli_dataset, tmp_path, capsys, file):
+        """A pose line or report entry for a query the ground truth does not
+        name: one finding, and no eval_report.json."""
+        _, data = cli_dataset
+        run = tmp_path / "run"
+        assert main(["localize", "--data", str(data), "--out", str(run), "--seed", "2"]) == 0
+        if file == "poses.txt":
+            poses = (run / "poses.txt").read_text().splitlines(keepends=True)
+            ghost = "q_ghost" + poses[0][poses[0].index(" "):]
+            (run / "poses.txt").write_text("".join([*poses, ghost]))
+        else:
+            report = json.loads((run / "report.json").read_text())
+            report["queries"].append(dict(report["queries"][0], name="q_ghost"))
+            (run / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        code = main(["evaluate", "--run", str(run), "--gt", str(data / "ground_truth.txt")])
+        assert code == 2
+        where = f"{run / file}: query q_ghost"
+        assert capsys.readouterr().err == f"validation: cannot evaluate: {where} is not in the ground truth\n"
+        assert not (run / "eval_report.json").exists()
+
 
 SMALL_SCENE = {"n_points": 120, "n_db_images": 8, "n_queries": 3, "pixel_sigma": 0.4, "seed": 31}
 

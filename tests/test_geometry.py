@@ -454,14 +454,27 @@ class TestRefinePnp:
 
 class TestPoseError:
     def test_identical_poses(self):
-        # identity is exact; a general R hits the arccos-of-trace floating
-        # floor of ~1.2e-6 deg even for est == gt
+        # identity is exact; a general R leaves only the rounding of R^T R,
+        # which the skew part reads as an angle of order 1e-14 deg
         assert pose_error(PoseEstimate.identity(), PoseEstimate.identity()) == (0.0, 0.0)
         rng = np.random.default_rng(11)
         pose = random_pose(rng)
         t_err, r_err = pose_error(pose, pose)
         assert t_err == 0.0
-        assert r_err < 5e-6
+        assert r_err < 1e-12
+
+    @pytest.mark.parametrize("angle_deg", [1e-9, 1e-7, 1e-5, 1e-3, 0.1, 1.0, 10.0, 90.0, 179.9])
+    def test_rotation_error_equals_oracle(self, angle_deg):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            gt = random_pose(rng)
+            axis = rng.normal(size=3)
+            delta = so3_exp(np.radians(angle_deg) * axis / np.linalg.norm(axis))
+            est = PoseEstimate(gt.rotation @ delta, gt.translation)
+            want = oracles.rotation_angle_deg(est.rotation.tolist(), gt.rotation.tolist())
+            r_err = pose_error(est, gt)[1]
+            assert r_err == pytest.approx(want, rel=1e-6, abs=1e-12)
+            assert r_err == pytest.approx(angle_deg, rel=1e-6, abs=1e-12)
 
     def test_pure_rotation_about_z(self):
         angle = math.radians(10.0)

@@ -162,28 +162,32 @@ def test_knn_ratio_match_equals_oracle_on_integer_descriptors(pair, ratio):
     assert got == oracles.knn_ratio_matches(query, db, ratio)
 
 
+# the helper's arrays are finite with at least two columns, as the
+# matcher's blocks are; the small value pool repeats row minima
 row_values = st.one_of(
-    st.sampled_from([-np.inf, -1.0, 0.0, 1.0, np.inf]),
+    st.sampled_from([-np.finfo(np.float32).max, -1.0, 0.0, 1.0, np.finfo(np.float32).max]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
 @given(
-    st.integers(1, 6).flatmap(
+    st.integers(2, 6).flatmap(
         lambda cols: st.lists(st.lists(row_values, min_size=cols, max_size=cols), min_size=1, max_size=6)
     )
 )
 @settings(derandomize=True, deadline=None, max_examples=300)
-def test_second_smallest_equals_partition(rows):
-    # the small value pool repeats row minima and mixes in +-inf
+def test_two_nearest_equals_stable_argsort(rows):
     a = np.array(rows, dtype=np.float64)
-    before = a.tobytes()
-    got = matching._second_smallest(a)
-    assert a.tobytes() == before  # each row's minimum is restored bit for bit
-    if a.shape[1] == 1:
-        assert np.all(got == np.inf)  # np.partition(a, 1) rejects one column
-    else:
-        assert np.array_equal(got, np.partition(a, 1, axis=1)[:, 1])
+    before = a.copy()
+    first, second, value = matching._two_nearest(a)
+    order = np.argsort(before, axis=1, kind="stable")
+    assert np.array_equal(first, order[:, 0])
+    assert np.array_equal(second, order[:, 1])
+    assert np.array_equal(value, np.partition(before, 1, axis=1)[:, 1])
+    # both entries are overwritten with inf, and nothing else
+    before[np.arange(len(a)), first] = np.inf
+    before[np.arange(len(a)), second] = np.inf
+    assert a.tobytes() == before.tobytes()
 
 
 def as_triples(matches):
@@ -360,6 +364,66 @@ def test_knn_ratio_match_over_many_blocks(monkeypatch, rows, pooled):
     got = knn_ratio_match(descs(query), descs(db), 0.9, pooled=pooled)
     assert bits(as_triples(got)) == bits(oracles.knn_ratio_matches_full_matrix(query, db, 0.9))
     assert len(got) >= 15
+
+
+def hard_and_normal_rows(dtype, dim=24, seed=5):
+    """Query and db rows of `dtype` whose query blocks of five each start
+    with a hard row. It sits equidistant to three db rows, on a db row
+    listed three times, or on a db row whose two lower columns are copies
+    of it one ulp off. The other four sit near other db rows, one of them
+    listed twice. In float64 the ulp-off copies round to the same float32
+    row, so only the exact pass finds the true nearest."""
+    rng = np.random.default_rng(seed)
+    db = rng.normal(size=(24, dim)).astype(np.float32).astype(dtype)
+    centre = np.round(rng.normal(size=dim) * 4) / 4  # the three distances are exactly 0.5
+    db[3], db[4], db[5] = centre, centre, centre
+    db[3, 0] += 0.5
+    db[4, 1] += 0.5
+    db[5, 0] -= 0.5
+    db[7] = db[6]
+    db[9] = db[10] = db[11]
+    db[12] = db[13] = db[14]
+    db[12, 0] = np.nextafter(db[14, 0], dtype(np.inf))
+    db[13, 1] = np.nextafter(db[14, 1], dtype(-np.inf))
+    hard = [centre, db[11], db[14], db[11] + dtype(0.01), centre, db[14]]
+    near = iter([6, *range(15, 24)] * 3)
+    query = []
+    for row in hard:
+        query.append(row)
+        query += [db[next(near)] + rng.normal(scale=0.05, size=dim) for _ in range(4)]
+    return np.array(query, dtype), db
+
+
+@pytest.mark.parametrize("ratio", [0.9, 1.5])
+@pytest.mark.parametrize("pooled", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_knn_ratio_match_hard_rows_among_normal_ones(monkeypatch, dtype, pooled, ratio):
+    """Blocks of five query rows, each with a hard row, whose exact pass
+    splits into chunks of four pairs; pooled, each block's GEMMs take two
+    rows. Ratio 1.5 accepts the hard rows' exact ties, so it pins the
+    lowest-column tie-break."""
+    query, db = hard_and_normal_rows(dtype)
+    dim = query.shape[1]
+    monkeypatch.setattr(matching, "MATCH_BLOCK_BYTES", 5 * matching._BLOCK_ENTRY_BYTES * len(db))
+    monkeypatch.setattr(matching, "GEMM_CALLER_OPS", 2 * len(db) * (dim + 1) + 1)
+    monkeypatch.setattr(matching, "MIN_GEMM_ROWS", 1)
+    assert matching.MATCH_BLOCK_BYTES // (matching._PAIR_ENTRY_BYTES * dim) == 4
+    pairs = []
+
+    def distances(query, db, rows, cols, chunk):
+        pairs.append(rows)
+        return exact(query, db, rows, cols, chunk)
+
+    exact = matching._distances
+    monkeypatch.setattr(matching, "_distances", distances)
+    got = knn_ratio_match(DescriptorSet(dim, query), DescriptorSet(dim, db), ratio, pooled=pooled)
+    assert bits(as_triples(got)) == bits(oracles.knn_ratio_matches_full_matrix(query, db, ratio))
+    # candidate columns per query row: six blocks, each with its planted
+    # hard row first and normal rows (exactly two columns) beside it
+    per_block = np.bincount(np.concatenate(pairs), minlength=len(query)).reshape(6, 5)
+    assert (per_block[:, 0] >= 3).all()
+    assert (per_block[:, 1:] == 2).any(axis=1).all()
+    assert len(got) >= 10
 
 
 @pytest.mark.parametrize("pooled", [False, True])
